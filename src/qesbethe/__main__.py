@@ -1,0 +1,5 @@
+"""``python -m qesbethe``: the command line without an installed script."""
+
+from .cli import main
+
+raise SystemExit(main())

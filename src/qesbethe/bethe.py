@@ -14,7 +14,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from dataclasses import replace as dc_replace
 
 import numpy as np
 
@@ -40,7 +39,6 @@ from .spectral import (
 
 ROOT_SEPARATION_TOL = 1e-10
 POLISH_TARGET = 1e-11
-SAFE_EXTRACT_FLOOR = 1e-10
 EPS = 1e-300
 
 
@@ -443,7 +441,7 @@ def _chain_near_roots(spec: ModelSpec, level: int) -> RootSet:
     """
     if level == 0:
         return RootSet((), (), ())
-    sub = dc_replace(spec, M=level)
+    sub = replace(spec, M=level)
     pairs = oracle_spectrum(build_matrix(sub))
     top = pairs[-1]
     if top.truncated or top.eigenpoly.degree != level:

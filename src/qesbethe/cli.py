@@ -11,8 +11,8 @@ emitted), 1 usage or I/O errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import os
 import sys
 from typing import Any, Sequence
 
@@ -229,19 +229,10 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _check_threads() -> None:
-    raw = os.environ.get("QES_THREADS")
-    if raw is None:
-        return
-    try:
-        val = int(raw)
-    except ValueError:
-        raise ValueError(f"QES_THREADS must be a positive integer, got {raw!r}")
-    if val < 1:
-        raise ValueError(f"QES_THREADS must be a positive integer, got {raw!r}")
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    ``main`` call (parsing leaves it unchanged)."""
     parser = _Parser(prog="qesbethe")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -281,10 +272,8 @@ def _to_json(doc: dict) -> str:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _check_threads()
         tols = _tolerances_from_args(args) if hasattr(args, "tol") else Tolerances()
         if args.command == "solve":
             spec = _spec_from_args(args)
@@ -330,7 +319,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (QesError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"qesbethe: error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

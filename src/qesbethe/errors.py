@@ -18,6 +18,11 @@ class InexactDivision(QesError):
     """
 
 
+class InversionAsymmetry(QesError, ValueError):
+    """A Laurent polynomial that must be z -> 1/z symmetric lost that
+    symmetry beyond tolerance, so it has no expansion in eta."""
+
+
 class DegenerateLeadingCoefficient(QesError):
     """Root finding rejected a polynomial whose leading coefficient is
     negligible relative to the coefficient norm."""

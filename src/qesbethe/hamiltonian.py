@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SubspaceLeak, UnsupportedFamily
+from .errors import InversionAsymmetry, SubspaceLeak, UnsupportedFamily
 from .models import (
     ModelFamily,
     ModelSpec,
@@ -217,7 +217,13 @@ def build_matrix(spec: ModelSpec, leak_tol: float = LEAK_TOL) -> OperatorMatrix:
             out = apply_htilde_z(spec, psi)
         else:
             out = apply_htilde(spec, psi)
-        col, overflow = _eta_coordinates(spec, out, dim)
+        try:
+            col, overflow = _eta_coordinates(spec, out, dim)
+        except InversionAsymmetry as exc:
+            raise InversionAsymmetry(
+                f"column {k} of {spec.family.value} (M={spec.M}, "
+                f"q={spec.real_param('q')!r}): {exc}"
+            ) from exc
         scale = max(float(np.max(np.abs(col))), out.inf_norm(), 1e-300)
         if overflow > leak_tol * scale:
             raise SubspaceLeak(

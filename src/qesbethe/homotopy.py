@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import replace as dc_replace
 
 import numpy as np
-import scipy.special
 
 from .errors import NoConvergence, QesError, SingularJacobian
 from .hamiltonian import build_matrix
@@ -83,8 +82,17 @@ def _triangular_eigen_polys(spec: ModelSpec) -> list[tuple[complex, PolynomialC]
 def _far_seeds_mp(spec: ModelSpec, m: int, n: int, beta: float) -> list[complex]:
     sum_re = 2.0 * (spec.param("a1").real + spec.param("a2").real)
     alpha = 2.0 * m + sum_re - 1.0
-    nodes, _ = scipy.special.roots_genlaguerre(n, alpha)
-    return [complex(-u / (2.0 * beta)) for u in nodes]
+    return [complex(-u / (2.0 * beta)) for u in laguerre_nodes(n, alpha)]
+
+
+def laguerre_nodes(n: int, alpha: float) -> np.ndarray:
+    """Zeros of the generalized Laguerre polynomial L_n^(alpha), alpha > -1,
+    ascending: eigenvalues of its symmetric tridiagonal Jacobi matrix
+    (Golub & Welsch, Math. Comp. 23 (1969) 221)."""
+    k = np.arange(n)
+    jacobi = np.diag(2.0 * k + alpha + 1.0)
+    off = np.sqrt(k[1:] * (k[1:] + alpha))
+    return np.linalg.eigvalsh(jacobi + np.diag(off, 1) + np.diag(off, -1))
 
 
 def _far_seeds_trig(spec: ModelSpec, m: int, n: int, a_t: float) -> list[complex]:

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.special
 
 from .errors import (
     DegenerateLeadingCoefficient,
     DivergentProduct,
     InexactDivision,
+    InversionAsymmetry,
     NoConvergence,
     PoleOfGamma,
     SingularJacobian,
@@ -303,8 +303,8 @@ def symmetric_laurent_to_eta(f: LaurentC, asym_tol: float = 1e-10) -> tuple[comp
     """Re-express a z-inversion-symmetric Laurent polynomial in powers of
     eta = (z + 1/z)/2, using z^k + z^-k = 2 T_k(eta).
 
-    Returns the full ascending eta-coefficient tuple.  Raises ValueError if
-    f(z) != f(1/z) beyond ``asym_tol`` relative.
+    Returns the full ascending eta-coefficient tuple.  Raises
+    InversionAsymmetry if f(z) != f(1/z) beyond ``asym_tol`` relative.
     """
     if not f.coeffs:
         return ()
@@ -314,7 +314,7 @@ def symmetric_laurent_to_eta(f: LaurentC, asym_tol: float = 1e-10) -> tuple[comp
     for k in range(top + 1):
         up, dn = f.coeff(k), f.coeff(-k)
         if abs(up - dn) > asym_tol * norm:
-            raise ValueError(
+            raise InversionAsymmetry(
                 f"Laurent polynomial not z -> 1/z symmetric at |k|={k}: "
                 f"{up} vs {dn}"
             )
@@ -459,7 +459,8 @@ def log_gamma(z: complex) -> complex:
     z = complex(z)
     if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):
         raise PoleOfGamma(f"log-gamma pole at z = {z.real:g}")
-    return complex(scipy.special.loggamma(z))
+    from scipy.special import loggamma  # only log-gamma needs scipy
+    return complex(loggamma(z))
 
 
 def q_pochhammer_inf(a: complex, q: float, max_terms: int = 1_000_000) -> complex:

@@ -198,15 +198,3 @@ def extract_roots(
             f"count {expected}"
         )
     return roots_of_eta_poly(spec, pair.eigenpoly)
-
-
-def spectrum_summary(spec: ModelSpec, om: OperatorMatrix) -> dict:
-    """Small diagnostic record: eigenvalues plus the trace discrepancy."""
-    pairs = oracle_spectrum(om)
-    tr = complex(np.trace(om.matrix))
-    total = sum(p.eigenvalue for p in pairs)
-    return {
-        "dim": om.dim,
-        "eigenvalues": [p.eigenvalue for p in pairs],
-        "trace_gap": abs(tr - total),
-    }

@@ -1,8 +1,13 @@
-"""Shared draw helpers for the randomized sweeps."""
+"""Shared draw helpers for the randomized sweeps, and the environment for
+tests that run the command line in a child process."""
+
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qesbethe
 from qesbethe import model_spec
 
 ALL_FAMILIES = (
@@ -57,3 +62,14 @@ def spec_for(family: str, M: int, rng: np.random.Generator):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def child_env():
+    """Environment for a child ``python -m qesbethe``: the inherited one, with
+    the source root of the package under test ahead of PYTHONPATH so the
+    child runs the same code without an install."""
+    env = dict(os.environ)
+    root = str(Path(qesbethe.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    return env

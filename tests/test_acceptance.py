@@ -5,8 +5,8 @@ to see the lines as they complete.
 
 import json
 import math
-import os
 import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -225,7 +225,7 @@ def test_criterion_7_wavefunction_layer():
     )
 
 
-def test_criterion_8_determinism_and_schema():
+def test_criterion_8_determinism_and_schema(child_env):
     """Re-running a command yields byte-identical output, and every machine
     document validates against the shipped schema."""
     commands = [
@@ -239,10 +239,11 @@ def test_criterion_8_determinism_and_schema():
          "--d", "0.4", "--e", "-0.35", "--q", "0.6", "--M", "3"],
     ]
     ok = True
-    env = dict(os.environ)
     for args in commands:
         outs = [
-            subprocess.run(["qesbethe", *args], capture_output=True, env=env).stdout
+            subprocess.run(
+                [sys.executable, "-m", "qesbethe", *args], capture_output=True, env=child_env
+            ).stdout
             for _ in range(2)
         ]
         ok = ok and outs[0] == outs[1] and len(outs[0]) > 0

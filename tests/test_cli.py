@@ -1,12 +1,15 @@
 import json
-import os
 import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import jsonschema
 import numpy as np
+import pytest
 
 from qesbethe.cli import main
+from qesbethe.config import Tolerances
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "src/qesbethe/schema/result.schema.json").read_text()
@@ -79,20 +82,70 @@ class TestSolveCommand:
 
 
 class TestDeterminism:
-    def test_byte_identical_reruns(self):
+    def test_byte_identical_reruns(self, child_env):
         args = [
             "solve", "--family", "trig-q",
             "--a", "0.3", "--b", "-0.2", "--c", "0.25", "--d", "0.4", "--e", "-0.35",
             "--q", "0.6", "--M", "3",
         ]
-        env = dict(os.environ)
         runs = [
             subprocess.run(
-                ["qesbethe", *args], capture_output=True, env=env, check=True
+                [sys.executable, "-m", "qesbethe", *args],
+                capture_output=True, env=child_env, check=True,
             ).stdout
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
+
+
+class TestRepeatedCalls:
+    """``main`` reuses one parser per process; no call may see another's
+    arguments."""
+
+    def test_tolerances_independent_between_calls(self, capsys):
+        _, out, _ = run_cli(WORKED_EXAMPLE + ["--tol", "zero_mode=1e-3"], capsys)
+        assert json.loads(out)["meta"]["tolerances"]["zero_mode"] == 1e-3
+        _, out, _ = run_cli(WORKED_EXAMPLE, capsys)
+        assert json.loads(out)["meta"]["tolerances"] == Tolerances().as_dict()
+
+    def test_usage_error_does_not_break_next_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--family", "no-such-family", "--M", "1"])
+        assert exc.value.code == 1
+        capsys.readouterr()
+        code, out, _ = run_cli(WORKED_EXAMPLE, capsys)
+        assert code == 0
+        assert len(json.loads(out)["solutions"]) == 2
+
+
+def test_scipy_loaded_only_for_log_gamma(child_env):
+    """Oracle and homotopy solves, limits and dump-matrix never import
+    scipy.special; verify (which needs log-gamma) still works afterwards.
+    Runs in a child process because pytest has already imported scipy."""
+    script = textwrap.dedent(
+        """
+        import contextlib, io, sys
+        import qesbethe, qesbethe.cli, qesbethe.homotopy
+        from qesbethe.cli import main
+
+        mp = ["--family", "mp-crossed", "--a1", "1.2", "--a2", "0.8",
+              "--beta", "0.6", "--M", "3"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["solve", *mp]) == 0
+            assert main(["solve", *mp, "--seed", "homotopy"]) == 0
+            assert main(["limits", "--case", "aw", "--q", "0.5", "--a", "0.3",
+                         "--b", "0.3", "--c", "0.3", "--d", "0.3", "--M", "2"]) == 0
+            assert main(["dump-matrix", *mp]) == 0
+        assert "scipy.special" not in sys.modules, "scipy.special was imported"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["verify", *mp]) == 0
+        assert "scipy.special" in sys.modules
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=child_env
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestVerifyCommand:
@@ -192,15 +245,3 @@ class TestGoldenDocuments:
             np.testing.assert_allclose(got["eigenvalue"], want["eigenvalue"], atol=1e-12)
             np.testing.assert_allclose(got["roots_x"], want["roots_x"], atol=1e-9)
 
-
-class TestThreadGuard:
-    def test_rejects_non_positive(self, capsys, monkeypatch):
-        monkeypatch.setenv("QES_THREADS", "0")
-        code, _, err = run_cli(WORKED_EXAMPLE, capsys)
-        assert code == 1
-        assert "QES_THREADS" in err
-
-    def test_accepts_positive(self, capsys, monkeypatch):
-        monkeypatch.setenv("QES_THREADS", "4")
-        code, _, _ = run_cli(WORKED_EXAMPLE, capsys)
-        assert code == 0

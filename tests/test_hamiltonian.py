@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from qesbethe.errors import InexactDivision, SubspaceLeak, UnsupportedFamily
+from qesbethe.errors import (
+    InexactDivision,
+    InversionAsymmetry,
+    QesError,
+    SubspaceLeak,
+    UnsupportedFamily,
+)
 from qesbethe.hamiltonian import (
     apply_htilde,
     basis_polynomial,
@@ -122,6 +128,19 @@ class TestBuildMatrix:
     def test_odd_sector_basis_carries_prefactor(self):
         spec = model_spec("sextic-i", M=5, sector="odd", a=1, b=1, c=1)
         assert basis_polynomial(spec, 2).coeffs == (0, 0, 0, 0, 0, 1)
+
+    def test_trig_asymmetric_image_raises_typed_error(self):
+        # small q: the Laurent image of column 4 loses its z -> 1/z symmetry
+        params = {
+            "a": -0.9398719807268364, "b": -0.3818273713280253, "c": -0.5078527658045231,
+            "d": 0.34278857787486716, "e": -0.25879689678089307, "q": 0.027745383598455645,
+        }
+        with pytest.raises(InversionAsymmetry) as exc:
+            build_matrix(model_spec("trig-q", M=4, **params))
+        assert isinstance(exc.value, QesError) and isinstance(exc.value, ValueError)
+        message = str(exc.value)
+        assert "trig-q" in message and "M=4" in message
+        assert "q=0.027745383598455645" in message and "z -> 1/z" in message
 
 
 class TestDump:

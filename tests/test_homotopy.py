@@ -1,7 +1,18 @@
 import numpy as np
+import pytest
+import scipy.special
 
 from qesbethe.bethe import solve
+from qesbethe.homotopy import laguerre_nodes
 from qesbethe.models import model_spec
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_laguerre_nodes_match_scipy(n):
+    for alpha in (-0.99, -0.5, 0.0, 0.37, 1.0, 2.5, 7.0, 19.3, 40.0, 59.9):
+        want, _ = scipy.special.roots_genlaguerre(n, alpha)
+        got = laguerre_nodes(n, alpha)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 class TestHomotopySeeding:
