@@ -14,18 +14,21 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 from .errors import DegenerateRoots, NoConvergence, SingularJacobian, UnsupportedFamily
 from .hamiltonian import build_matrix
 from .models import (
+    Coordinate,
     ModelFamily,
     ModelSpec,
     Sector,
     bethe_root_count,
     compensation_vanishes,
     numerator_constants,
+    sector_degrees,
     symmetric_coefficients,
     v_phase,
 )
@@ -86,73 +89,78 @@ def _pairwise_separation(values: tuple[complex, ...]) -> float:
     return sep
 
 
-def _bae_sides_x(spec: ModelSpec, xs: tuple[complex, ...]) -> list[tuple[complex, complex]]:
-    """(L_j, R_j) for the x-based families."""
-    fam = spec.family
+_Sides = Callable[[tuple[complex, ...]], list[tuple[complex, complex]]]
+
+
+def _sides_x(spec: ModelSpec) -> _Sides:
+    """(L_j, R_j) of the x-based families as a function of the roots x_j;
+    the family facts are read here, once per map."""
     consts = numerator_constants(spec)
-    pair_product = fam is not ModelFamily.MP_CROSSED
+    pair_product = spec.info.coordinate is Coordinate.X_SQUARED
+    # the l = j pair factor (2x_j - i)/(2x_j + i) cancels against the
+    # kinematic denominator where V carries one, and stays otherwise
+    self_pair = pair_product and not spec.info.kinematic_denominator
     odd = spec.sector is Sector.ODD
-    sextic_kinematic = fam in (ModelFamily.SEXTIC_I, ModelFamily.SEXTIC_II)
     phase2 = v_phase(spec).conjugate() ** 2  # e^{2 i beta} for the crossed model
-    sides = []
-    for j, xj in enumerate(xs):
-        lhs_num = 1.0 + 0j
-        lhs_den = 1.0 + 0j
-        for l, xl in enumerate(xs):
-            if l == j:
-                continue
-            if pair_product:
-                lhs_num *= (xj - xl - 1j) * (xj + xl - 1j)
-                lhs_den *= (xj - xl + 1j) * (xj + xl + 1j)
-            else:
-                lhs_num *= xj - xl - 1j
-                lhs_den *= xj - xl + 1j
-        if odd:
-            lhs_num *= xj - 1j
-            lhs_den *= xj + 1j
-        rhs_num = phase2
-        rhs_den = 1.0 + 0j
-        for p in consts:
-            rhs_num *= p.conjugate() - 1j * xj
-            rhs_den *= p + 1j * xj
-        if sextic_kinematic:
-            rhs_num *= 2.0 * xj + 1j
-            rhs_den *= 2.0 * xj - 1j
-        sides.append((lhs_num * rhs_den, rhs_num * lhs_den))
+
+    def sides(xs: tuple[complex, ...]) -> list[tuple[complex, complex]]:
+        out = []
+        for j, xj in enumerate(xs):
+            lhs_num = 1.0 + 0j
+            lhs_den = 1.0 + 0j
+            for l, xl in enumerate(xs):
+                if l == j:
+                    continue
+                if pair_product:
+                    lhs_num *= (xj - xl - 1j) * (xj + xl - 1j)
+                    lhs_den *= (xj - xl + 1j) * (xj + xl + 1j)
+                else:
+                    lhs_num *= xj - xl - 1j
+                    lhs_den *= xj - xl + 1j
+            if odd:
+                lhs_num *= xj - 1j
+                lhs_den *= xj + 1j
+            rhs_num = phase2
+            rhs_den = 1.0 + 0j
+            for p in consts:
+                rhs_num *= p.conjugate() - 1j * xj
+                rhs_den *= p + 1j * xj
+            if self_pair:
+                rhs_num *= 2.0 * xj + 1j
+                rhs_den *= 2.0 * xj - 1j
+            out.append((lhs_num * rhs_den, rhs_num * lhs_den))
+        return out
+
     return sides
 
 
-def _bae_sides_z(spec: ModelSpec, zs: tuple[complex, ...]) -> list[tuple[complex, complex]]:
-    """(L_j, R_j) for the trigonometric family, in the z variables."""
+def _sides_z(spec: ModelSpec) -> _Sides:
+    """(L_j, R_j) of the trigonometric family as a function of the z_j."""
     q = spec.real_param("q")
     consts = numerator_constants(spec)
-    etas = [0.5 * (z + 1.0 / z) for z in zs]
-    sides = []
-    for j, zj in enumerate(zs):
-        cos_minus = 0.5 * (q * zj + 1.0 / (q * zj))
-        cos_plus = 0.5 * (zj / q + q / zj)
-        lhs_num = 1.0 + 0j
-        lhs_den = 1.0 + 0j
-        for l in range(len(zs)):
-            if l == j:
-                continue
-            lhs_num *= cos_minus - etas[l]
-            lhs_den *= cos_plus - etas[l]
-        rhs_num = 1.0 + 0j
-        rhs_den = zj
-        for p in consts:
-            rhs_num *= zj - p
-            rhs_den *= 1.0 - p * zj
-        sides.append((lhs_num * rhs_den, rhs_num * lhs_den))
+
+    def sides(zs: tuple[complex, ...]) -> list[tuple[complex, complex]]:
+        etas = [0.5 * (z + 1.0 / z) for z in zs]
+        out = []
+        for j, zj in enumerate(zs):
+            cos_minus = 0.5 * (q * zj + 1.0 / (q * zj))
+            cos_plus = 0.5 * (zj / q + q / zj)
+            lhs_num = 1.0 + 0j
+            lhs_den = 1.0 + 0j
+            for l in range(len(zs)):
+                if l == j:
+                    continue
+                lhs_num *= cos_minus - etas[l]
+                lhs_den *= cos_plus - etas[l]
+            rhs_num = 1.0 + 0j
+            rhs_den = zj
+            for p in consts:
+                rhs_num *= zj - p
+                rhs_den *= 1.0 - p * zj
+            out.append((lhs_num * rhs_den, rhs_num * lhs_den))
+        return out
+
     return sides
-
-
-def _bae_sides(spec: ModelSpec, roots: RootSet) -> list[tuple[complex, complex]]:
-    if spec.family is ModelFamily.TRIG_Q:
-        if roots.roots_z is None:
-            raise ValueError("trig-q root set is missing z representatives")
-        return _bae_sides_z(spec, roots.roots_z)
-    return _bae_sides_x(spec, roots.roots_x)
 
 
 def bae_residual(
@@ -163,14 +171,19 @@ def bae_residual(
     """Normalized cross-multiplied residual of every Bethe equation."""
     if len(roots) == 0:
         return ()
-    native = roots.roots_z if spec.family is ModelFamily.TRIG_Q else roots.roots_x
+    if spec.info.coordinate is Coordinate.COS:
+        if roots.roots_z is None:
+            raise ValueError("trig-q root set is missing z representatives")
+        native, sides = roots.roots_z, _sides_z(spec)
+    else:
+        native, sides = roots.roots_x, _sides_x(spec)
     if not allow_degenerate and _pairwise_separation(native) < ROOT_SEPARATION_TOL:
         raise DegenerateRoots(
             f"roots closer than {ROOT_SEPARATION_TOL:.1e}; the ansatz assumes "
             "distinct roots"
         )
     out = []
-    for lhs, rhs in _bae_sides(spec, roots):
+    for lhs, rhs in sides(native):
         out.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs), EPS))
     return tuple(out)
 
@@ -181,10 +194,11 @@ def bae_residual(
 
 
 def _native_variables(spec: ModelSpec, roots: RootSet) -> np.ndarray:
-    fam = spec.family
-    if fam is ModelFamily.TRIG_Q:
+    """Newton's variables: z for eta = cos x, x for eta = x and the odd
+    sector, eta itself otherwise."""
+    if spec.info.coordinate is Coordinate.COS:
         return np.asarray(roots.roots_z, dtype=complex)
-    if fam is ModelFamily.MP_CROSSED or spec.sector is Sector.ODD:
+    if spec.info.coordinate is Coordinate.X or spec.sector is Sector.ODD:
         return np.asarray(roots.roots_x, dtype=complex)
     return np.asarray(roots.roots_eta, dtype=complex)
 
@@ -192,9 +206,9 @@ def _native_variables(spec: ModelSpec, roots: RootSet) -> np.ndarray:
 def roots_from_native(spec: ModelSpec, values: np.ndarray) -> RootSet:
     """Rebuild a RootSet (canonical representatives, sorted) from the
     sector-native coordinates."""
-    fam = spec.family
+    coordinate = spec.info.coordinate
     vals = [complex(v) for v in values]
-    if fam is ModelFamily.TRIG_Q:
+    if coordinate is Coordinate.COS:
         triples = []
         for z in vals:
             if abs(z) > 1.0:
@@ -207,7 +221,7 @@ def roots_from_native(spec: ModelSpec, values: np.ndarray) -> RootSet:
             tuple(t[0] for t in triples),
             tuple(t[2] for t in triples),
         )
-    if fam is ModelFamily.MP_CROSSED:
+    if coordinate is Coordinate.X:
         vals.sort(key=lambda v: (v.real, v.imag))
         return RootSet(tuple(vals), tuple(vals))
     if spec.sector is Sector.ODD:
@@ -224,28 +238,24 @@ def roots_from_native(spec: ModelSpec, values: np.ndarray) -> RootSet:
     return RootSet(xs, tuple(etas))
 
 
-def _sides_native(spec: ModelSpec, vals: tuple[complex, ...]) -> list[tuple[complex, complex]]:
-    fam = spec.family
-    if fam is ModelFamily.TRIG_Q:
-        return _bae_sides_z(spec, vals)
-    if fam is ModelFamily.MP_CROSSED or spec.sector is Sector.ODD:
-        return _bae_sides_x(spec, vals)
-    xs = tuple(cmath.sqrt(e) for e in vals)
-    return _bae_sides_x(spec, xs)
-
-
 def _residual_map(spec: ModelSpec):
     """Residual G_j(v) = L_j / R_j - 1 on the native variables.
 
     The ratio form is scale invariant, which matters: the difference
     L_j - R_j has spurious zeros out at infinity where both products decay
     together, and a frozen-scale Newton would happily drift there.  No
-    re-sorting happens inside, so G stays smooth for the Jacobian.
+    re-sorting happens inside, so G stays smooth for the Jacobian.  The
+    family facts are read once, here, not on every evaluation.
     """
+    coordinate = spec.info.coordinate
+    sides_of = _sides_z(spec) if coordinate is Coordinate.COS else _sides_x(spec)
+    on_eta = coordinate is Coordinate.X_SQUARED and spec.sector is not Sector.ODD
 
     def g(v: np.ndarray) -> np.ndarray:
         vals = tuple(complex(t) for t in v)
-        sides = _sides_native(spec, vals)
+        if on_eta:
+            vals = tuple(cmath.sqrt(e) for e in vals)
+        sides = sides_of(vals)
         return np.asarray(
             [lhs / rhs - 1.0 if rhs != 0 else lhs - rhs for lhs, rhs in sides],
             dtype=complex,
@@ -319,7 +329,7 @@ def restricted_eigenvalue(spec: ModelSpec, m: int) -> complex:
     kept = numerator_constants(spec)
     if spec.family is ModelFamily.MP_CROSSED and len(kept) == 1:
         return complex(2.0 * m * math.cos(spec.real_param("beta")))
-    if spec.family in (ModelFamily.CENTRIFUGAL_I, ModelFamily.CENTRIFUGAL_II):
+    if spec.info.kinematic_denominator:
         if len(kept) == 4:
             s = sum(p.real for p in kept)
             return complex(m * (m + s - 1.0))
@@ -342,7 +352,7 @@ def eigenvalue_from_roots(
     where eigenfunctions of every lower degree coexist in the subspace.
     """
     m = spec.M if degree is None else degree
-    expected = _root_count_for_degree(spec, m)
+    expected = bethe_root_count(spec, m)
     if len(roots) != expected:
         raise ValueError(f"expected {expected} roots for degree {m}, got {len(roots)}")
     if spec.dropped:
@@ -405,18 +415,6 @@ def eigenvalue_from_roots(
     raise UnsupportedFamily(fam.value)
 
 
-def _root_count_for_degree(spec: ModelSpec, m: int) -> int:
-    if spec.family in (ModelFamily.SEXTIC_I, ModelFamily.SEXTIC_II):
-        return m // 2 if spec.sector is Sector.EVEN else (m - 1) // 2
-    return m
-
-
-def _degree_for_root_count(spec: ModelSpec, count: int) -> int:
-    if spec.family in (ModelFamily.SEXTIC_I, ModelFamily.SEXTIC_II):
-        return 2 * count if spec.sector is Sector.EVEN else 2 * count + 1
-    return count
-
-
 def trig_far_ladder(spec: ModelSpec, exponents: list[int]) -> list[complex]:
     """Estimated z-positions of the trigonometric family's far-out roots.
 
@@ -460,7 +458,7 @@ def _complete_truncated_roots(spec: ModelSpec, near: RootSet) -> RootSet | None:
     their own Bethe equations, with the representable roots held fixed.
     Returns None when no completion is available.
     """
-    if spec.family is not ModelFamily.TRIG_Q:
+    if spec.info.coordinate is not Coordinate.COS:
         return None
     deg_rep = len(near)
     missing = spec.M - deg_rep
@@ -470,10 +468,11 @@ def _complete_truncated_roots(spec: ModelSpec, near: RootSet) -> RootSet | None:
     if any(abs(z) < 1e-280 for z in far):
         return None
     near_zs = list(near.roots_z or ())
+    sides_z = _sides_z(spec)
 
     def g_far(w: np.ndarray) -> np.ndarray:
         zs = tuple(near_zs) + tuple(f * complex(t) for f, t in zip(far, w))
-        sides = _bae_sides_z(spec, zs)
+        sides = sides_z(zs)
         return np.asarray(
             [lhs / rhs - 1.0 for lhs, rhs in sides[deg_rep:]], dtype=complex
         )
@@ -530,13 +529,13 @@ def solve(spec: ModelSpec, seed_mode: str = "oracle") -> list[BetheSolution]:
                 if seed is None:
                     seed = extract_roots(pair, spec, expected=actual)
                     anomalous = True
-                    degree = _degree_for_root_count(spec, actual)
+                    degree = sector_degrees(spec)[actual]
             elif compensation_vanishes(spec):
                 seed = extract_roots(pair, spec, expected=actual)
-                degree = _degree_for_root_count(spec, actual)
+                degree = sector_degrees(spec)[actual]
             else:
                 seed, anomalous = extract_roots(pair, spec, expected=actual), True
-                degree = _degree_for_root_count(spec, actual)
+                degree = sector_degrees(spec)[actual]
         roots, flags = newton_polish(spec, seed)
         residuals = bae_residual(spec, roots, allow_degenerate=True)
         if flags.degenerate or roots.degenerate or anomalous:

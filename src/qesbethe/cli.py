@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import sys
+from pathlib import Path
 from typing import Any, Sequence
 
 from . import __version__
@@ -22,24 +23,21 @@ from .config import Tolerances
 from .errors import LimitViolation, QesError
 from .hamiltonian import build_matrix, matrix_dump_dict
 from .limits import (
+    EXACT_TAGS,
     RESTRICTION_TAGS,
     LimitTag,
     limit_case,
     reduced_bae_check,
     verify_limit,
 )
-from .models import ModelSpec, model_spec, spec_from_json, spec_to_json_dict
+from .models import FAMILIES, ModelFamily, ModelSpec, model_spec, spec_from_json, spec_to_json_dict
 from .wavefun import default_grid, grid_rows, schrodinger_residual, zero_mode_residual
 
-_FAMILY_PARAMS = {
-    "mp-crossed": ("a1", "a2", "beta"),
-    "sextic-i": ("a", "b", "c"),
-    "sextic-ii": ("a", "b", "c", "d"),
-    "centrifugal-i": ("b", "c", "d", "e", "f"),
-    "centrifugal-ii": ("a", "b", "c", "d", "e", "f"),
-    "trig-q": ("a", "b", "c", "d", "e", "q"),
-}
-_ALL_PARAM_FLAGS = ("a", "b", "c", "d", "e", "f", "q", "a1", "a2", "beta")
+# every family's parameters, one flag each: the one-letter names, then the rest
+_ALL_PARAM_FLAGS = tuple(
+    sorted({n for info in FAMILIES.values() for n in info.param_names}, key=lambda n: (len(n), n))
+)
+VERIFY_TOLERANCES = ("bae_residual", "eigenvalue_match", "zero_mode", "schrodinger")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,50 +61,58 @@ def _pair(v: complex) -> list[float]:
 
 def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec", help="path to a JSON model document")
-    p.add_argument("--family", choices=sorted(_FAMILY_PARAMS))
+    p.add_argument("--family", choices=sorted(f.value for f in ModelFamily))
     p.add_argument("--M", type=int)
     p.add_argument("--sector", choices=["full", "even", "odd"])
     for name in _ALL_PARAM_FLAGS:
         p.add_argument(f"--{name}", type=str)
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
+def _add_common_flags(p: argparse.ArgumentParser, tol: bool = False) -> None:
     p.add_argument("--output", help="write machine output here instead of stdout")
-    p.add_argument(
-        "--tol",
-        action="append",
-        default=[],
-        metavar="NAME=VALUE",
-        help="override a named tolerance (repeatable)",
-    )
+    if tol:
+        p.add_argument(
+            "--tol",
+            action="append",
+            default=[],
+            metavar="NAME=VALUE",
+            help="override a check threshold (repeatable)",
+        )
 
 
 def _spec_from_args(args: argparse.Namespace) -> ModelSpec:
     if args.spec:
-        return spec_from_json(json.loads(open(args.spec).read()))
+        return spec_from_json(Path(args.spec))
     if not args.family or args.M is None:
         raise ValueError("either --spec or --family plus --M are required")
     params = {}
-    for name in _FAMILY_PARAMS[args.family]:
-        raw = getattr(args, name if name not in ("a1", "a2") else name)
+    for name in FAMILIES[ModelFamily(args.family)].param_names:
+        raw = getattr(args, name)
         if raw is None:
             raise ValueError(f"--{name} is required for family {args.family}")
         params[name] = _parse_complex(raw)
     return model_spec(args.family, M=args.M, sector=args.sector, **params)
 
 
-def _tolerances_from_args(args: argparse.Namespace) -> Tolerances:
+def _tolerances_from_args(
+    args: argparse.Namespace, applied: tuple[str, ...], where: str
+) -> Tolerances:
+    """Defaults with the --tol overrides, which may name only the
+    thresholds ``applied`` by this document."""
     overrides = {}
     for item in args.tol:
         if "=" not in item:
             raise ValueError(f"--tol expects NAME=VALUE, got {item!r}")
         name, value = item.split("=", 1)
         overrides[name.strip()] = float(value)
+    unknown = sorted(set(overrides) - set(applied))
+    if unknown:
+        raise ValueError(f"{where} applies no tolerance {unknown}, only {list(applied)}")
     return Tolerances().override(**overrides)
 
 
-def _meta(tols: Tolerances) -> dict[str, Any]:
-    return {"tolerances": tols.as_dict(), "version": __version__}
+def _meta(tolerances: dict[str, float]) -> dict[str, Any]:
+    return {"tolerances": tolerances, "version": __version__}
 
 
 def _solution_dict(index: int, sol: BetheSolution) -> dict[str, Any]:
@@ -127,11 +133,11 @@ def _solution_dict(index: int, sol: BetheSolution) -> dict[str, Any]:
     }
 
 
-def _solve_document(spec: ModelSpec, solutions: list[BetheSolution], tols: Tolerances) -> dict:
+def _solve_document(spec: ModelSpec, solutions: list[BetheSolution]) -> dict:
     return {
         "spec": spec_to_json_dict(spec),
         "solutions": [_solution_dict(i, s) for i, s in enumerate(solutions)],
-        "meta": _meta(tols),
+        "meta": _meta({}),
     }
 
 
@@ -173,12 +179,16 @@ def _verify_document(spec: ModelSpec, tols: Tolerances) -> dict:
         "spec": spec_to_json_dict(spec),
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
-        "meta": _meta(tols),
+        "meta": _meta(tols.as_dict(VERIFY_TOLERANCES)),
     }
 
 
-def _limit_document(args: argparse.Namespace, tols: Tolerances) -> dict:
+def _limit_document(args: argparse.Namespace) -> dict:
     tag = LimitTag(args.case)
+    applied = (("exact_limit",) if tag in EXACT_TAGS else ()) + (
+        ("reduced_bae",) if tag in RESTRICTION_TAGS else ()
+    )
+    tols = _tolerances_from_args(args, applied, f"limits --case {tag.value}")
     params: dict[str, Any] = {}
     for name in _ALL_PARAM_FLAGS:
         raw = getattr(args, name)
@@ -188,7 +198,7 @@ def _limit_document(args: argparse.Namespace, tols: Tolerances) -> dict:
     if args.M is None:
         raise ValueError("--M is required for limits")
     case = limit_case(tag, args.M, **params)
-    report = verify_limit(case, args.large)
+    report = verify_limit(case, args.large, tols)
     doc: dict[str, Any] = {
         "case": report.tag.value,
         "M": report.M,
@@ -206,11 +216,11 @@ def _limit_document(args: argparse.Namespace, tols: Tolerances) -> dict:
         "max_gap": report.max_gap,
         "budget": report.budget,
         "passed": report.passed,
-        "meta": _meta(tols),
+        "meta": _meta(tols.as_dict(applied)),
     }
     if tag in RESTRICTION_TAGS:
         try:
-            reduced = reduced_bae_check(case)
+            reduced = reduced_bae_check(case, tols)
             doc["reduced_bae"] = {
                 "residual_max": reduced["residual_max"],
                 "passed": reduced["passed"],
@@ -244,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="machine-check one model end to end")
     _add_spec_flags(p_verify)
-    _add_common_flags(p_verify)
+    _add_common_flags(p_verify, tol=True)
 
     p_lim = sub.add_parser("limits", help="closed-form limit verification")
     p_lim.add_argument("--case", required=True, choices=[t.value for t in LimitTag])
@@ -252,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lim.add_argument("--large", type=float, default=1e4)
     for name in _ALL_PARAM_FLAGS:
         p_lim.add_argument(f"--{name}", type=str)
-    _add_common_flags(p_lim)
+    _add_common_flags(p_lim, tol=True)
 
     p_grid = sub.add_parser("grid", help="pointwise wavefunction data as CSV")
     _add_spec_flags(p_grid)
@@ -274,19 +284,19 @@ def _to_json(doc: dict) -> str:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        tols = _tolerances_from_args(args) if hasattr(args, "tol") else Tolerances()
         if args.command == "solve":
             spec = _spec_from_args(args)
             solutions = solve(spec, seed_mode=args.seed)
-            _emit(_to_json(_solve_document(spec, solutions, tols)), args.output)
+            _emit(_to_json(_solve_document(spec, solutions)), args.output)
             return 0
         if args.command == "verify":
+            tols = _tolerances_from_args(args, VERIFY_TOLERANCES, "verify")
             spec = _spec_from_args(args)
             doc = _verify_document(spec, tols)
             _emit(_to_json(doc), args.output)
             return 0 if doc["passed"] else 2
         if args.command == "limits":
-            doc = _limit_document(args, tols)
+            doc = _limit_document(args)
             _emit(_to_json(doc), args.output)
             return 0 if doc["passed"] else 2
         if args.command == "grid":

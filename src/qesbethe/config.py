@@ -1,5 +1,9 @@
-"""Default tolerances, overridable from the CLI and recorded in every JSON
-document's meta block for reproducibility."""
+"""Thresholds of the ``verify`` and ``limits`` checks, overridable from the
+CLI; each document's meta block records the ones its command applied.
+
+The pipeline's numerical guards (polish target, leak and division checks,
+degeneracy and trimming thresholds) are module constants where they are
+used, not tolerances: they are not user-tunable."""
 
 from __future__ import annotations
 
@@ -9,13 +13,6 @@ from dataclasses import dataclass, fields, replace
 @dataclass(frozen=True)
 class Tolerances:
     bae_residual: float = 1e-9
-    polish_target: float = 1e-11
-    eig_residual: float = 1e-10
-    divide_exact: float = 1e-9
-    subspace_leak: float = 1e-10
-    degenerate_eigenvalue: float = 1e-8
-    degenerate_roots: float = 1e-8
-    root_dedup: float = 1e-8
     eigenvalue_match: float = 1e-8
     zero_mode: float = 1e-10
     schrodinger: float = 1e-8
@@ -29,5 +26,6 @@ class Tolerances:
             raise ValueError(f"unknown tolerance names: {sorted(unknown)}")
         return replace(self, **updates)
 
-    def as_dict(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+    def as_dict(self, names: tuple[str, ...]) -> dict[str, float]:
+        """The named thresholds, in the order given."""
+        return {name: getattr(self, name) for name in names}

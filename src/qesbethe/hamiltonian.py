@@ -29,11 +29,10 @@ import numpy as np
 
 from .errors import InversionAsymmetry, SubspaceLeak, UnsupportedFamily
 from .models import (
-    ModelFamily,
+    Coordinate,
     ModelSpec,
     Sector,
     compensation_coefficient,
-    has_kinematic_denominator,
     numerator_constants,
     sector_dimension,
     v_phase,
@@ -80,7 +79,7 @@ _DEN_STAR = PolynomialC((0, -2j, -4), "x")
 def apply_htilde(spec: ModelSpec, psi: PolynomialC) -> PolynomialC:
     """H~ acting on a polynomial in x (not available for trig-q; see
     :func:`apply_htilde_z`)."""
-    if spec.family is ModelFamily.TRIG_Q:
+    if spec.info.coordinate is Coordinate.COS:
         raise UnsupportedFamily("use apply_htilde_z for the trigonometric family")
     if psi.var != "x":
         raise ValueError("psi must be a polynomial in x")
@@ -88,7 +87,7 @@ def apply_htilde(spec: ModelSpec, psi: PolynomialC) -> PolynomialC:
     dp = poly_shift(psi, +1j) - psi
     num = v_numerator_poly(spec)
     num_star = v_star_numerator_poly(spec)
-    if has_kinematic_denominator(spec):
+    if spec.info.kinematic_denominator:
         total = poly_mul(poly_mul(num, dm), _DEN_STAR) + poly_mul(
             poly_mul(num_star, dp), _DEN
         )
@@ -103,7 +102,7 @@ def _alpha_times(spec: ModelSpec, psi: PolynomialC) -> PolynomialC:
     coef = compensation_coefficient(spec)
     if coef == 0:
         return PolynomialC((), "x")
-    if spec.family is ModelFamily.MP_CROSSED:
+    if spec.info.coordinate is Coordinate.X:
         eta_poly = PolynomialC((0, 1), "x")
     else:
         eta_poly = PolynomialC((0, 0, 1), "x")
@@ -133,7 +132,7 @@ def _z_denominators(spec: ModelSpec) -> tuple[LaurentC, LaurentC]:
 
 def apply_htilde_z(spec: ModelSpec, f: LaurentC) -> LaurentC:
     """H~ acting on a z-inversion-symmetric Laurent polynomial (trig-q)."""
-    if spec.family is not ModelFamily.TRIG_Q:
+    if spec.info.coordinate is not Coordinate.COS:
         raise UnsupportedFamily("apply_htilde_z is defined for trig-q only")
     q = spec.real_param("q")
     dm = laurent_scale_arg(f, q) - f
@@ -167,9 +166,10 @@ class OperatorMatrix:
 
 def basis_polynomial(spec: ModelSpec, k: int) -> PolynomialC | LaurentC:
     """basis_k in the computational variable (x-polynomial or Laurent)."""
-    if spec.family is ModelFamily.TRIG_Q:
+    coordinate = spec.info.coordinate
+    if coordinate is Coordinate.COS:
         return eta_power_as_laurent(k)
-    if spec.family is ModelFamily.MP_CROSSED:
+    if coordinate is Coordinate.X:
         return poly_monomial(k, "x")
     if spec.sector is Sector.ODD:
         return poly_monomial(2 * k + 1, "x")
@@ -181,7 +181,8 @@ def _eta_coordinates(spec: ModelSpec, out, dim: int) -> tuple[np.ndarray, float]
     coordinate column and the largest out-of-subspace coefficient."""
     col = np.zeros(dim, dtype=complex)
     overflow = 0.0
-    if spec.family is ModelFamily.TRIG_Q:
+    coordinate = spec.info.coordinate
+    if coordinate is Coordinate.COS:
         eta_coeffs = symmetric_laurent_to_eta(out)
         for j, c in enumerate(eta_coeffs):
             if j < dim:
@@ -190,7 +191,7 @@ def _eta_coordinates(spec: ModelSpec, out, dim: int) -> tuple[np.ndarray, float]
                 overflow = max(overflow, abs(c))
         return col, overflow
     coeffs = out.coeffs
-    if spec.family is ModelFamily.MP_CROSSED:
+    if coordinate is Coordinate.X:
         for j, c in enumerate(coeffs):
             if j < dim:
                 col[j] = c
@@ -211,12 +212,10 @@ def build_matrix(spec: ModelSpec, leak_tol: float = LEAK_TOL) -> OperatorMatrix:
     no column leaks outside it."""
     dim = sector_dimension(spec)
     matrix = np.zeros((dim, dim), dtype=complex)
+    apply = apply_htilde_z if spec.info.coordinate is Coordinate.COS else apply_htilde
     for k in range(dim):
         psi = basis_polynomial(spec, k)
-        if spec.family is ModelFamily.TRIG_Q:
-            out = apply_htilde_z(spec, psi)
-        else:
-            out = apply_htilde(spec, psi)
+        out = apply(spec, psi)
         try:
             col, overflow = _eta_coordinates(spec, out, dim)
         except InversionAsymmetry as exc:

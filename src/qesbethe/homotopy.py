@@ -27,37 +27,26 @@ from dataclasses import replace as dc_replace
 
 import numpy as np
 
+from .bethe import (
+    _native_variables,
+    _residual_map,
+    eigenvalue_from_roots,
+    roots_from_native,
+    trig_far_ladder,
+)
 from .errors import NoConvergence, QesError, SingularJacobian
 from .hamiltonian import build_matrix
-from .models import ModelFamily, ModelSpec
+from .models import Coordinate, ModelSpec
 from .numerics import NewtonOptions, PolynomialC, newton_solve, poly_roots
-from .spectral import RootSet, canonical_z_from_eta
+from .spectral import RootSet, root_set_from_eta
 
 CONTINUATION_STEPS = 12
 STEP_TOL = 1e-10
 
 
-def _start_spec(spec: ModelSpec) -> ModelSpec:
-    params = dict(spec.params)
-    if spec.family is ModelFamily.MP_CROSSED:
-        params["beta"] = 0.0
-    elif spec.family is ModelFamily.TRIG_Q:
-        params["a"] = 0.0
-    else:
-        raise QesError(
-            f"no continuation path from an exactly solvable point for "
-            f"{spec.family.value}"
-        )
-    return dc_replace(spec, params=params)
-
-
-def _intermediate_spec(spec: ModelSpec, t: float) -> ModelSpec:
-    params = dict(spec.params)
-    if spec.family is ModelFamily.MP_CROSSED:
-        params["beta"] = t * spec.real_param("beta")
-    else:
-        params["a"] = t * spec.real_param("a")
-    return dc_replace(spec, params=params)
+def _continued(spec: ModelSpec, value: float) -> ModelSpec:
+    """The model with its continuation parameter set to ``value``."""
+    return dc_replace(spec, params={**spec.params, spec.info.continuation: value})
 
 
 def _triangular_eigen_polys(spec: ModelSpec) -> list[tuple[complex, PolynomialC]]:
@@ -79,10 +68,17 @@ def _triangular_eigen_polys(spec: ModelSpec) -> list[tuple[complex, PolynomialC]
     return out
 
 
-def _far_seeds_mp(spec: ModelSpec, m: int, n: int, beta: float) -> list[complex]:
+def _far_seeds(spec: ModelSpec, m: int, t1: float) -> list[complex]:
+    """First-step positions of the M - m roots that the degree-m start
+    state has at infinity, for the continuation parameter at t1."""
+    n = spec.M - m
+    if n == 0:
+        return []
+    if spec.info.coordinate is Coordinate.COS:
+        return trig_far_ladder(_continued(spec, t1), list(range(m, spec.M)))
     sum_re = 2.0 * (spec.param("a1").real + spec.param("a2").real)
     alpha = 2.0 * m + sum_re - 1.0
-    return [complex(-u / (2.0 * beta)) for u in laguerre_nodes(n, alpha)]
+    return [complex(-u / (2.0 * t1)) for u in laguerre_nodes(n, alpha)]
 
 
 def laguerre_nodes(n: int, alpha: float) -> np.ndarray:
@@ -95,18 +91,7 @@ def laguerre_nodes(n: int, alpha: float) -> np.ndarray:
     return np.linalg.eigvalsh(jacobi + np.diag(off, 1) + np.diag(off, -1))
 
 
-def _far_seeds_trig(spec: ModelSpec, m: int, n: int, a_t: float) -> list[complex]:
-    q = spec.real_param("q")
-    prod = a_t
-    for name in ("b", "c", "d", "e"):
-        prod *= spec.real_param(name)
-    return [complex(-prod * q ** (2 * m + 2 * k)) for k in range(n)]
-
-
 def _step_newton(spec: ModelSpec, native: np.ndarray, tol: float) -> np.ndarray:
-    # local import: bethe imports this module lazily, avoid a hard cycle
-    from .bethe import _residual_map
-
     g = _residual_map(spec)
     units = np.where(np.abs(native) > 1e-250, np.abs(native), 1.0)
     w = newton_solve(
@@ -123,39 +108,24 @@ def homotopy_root_sets(
     """Root sets obtained by continuation, keyed by the index of the oracle
     eigenvalue each one reproduces.  States whose continuation fails are
     left out."""
-    from .bethe import eigenvalue_from_roots, roots_from_native
-
-    if spec.family not in (ModelFamily.MP_CROSSED, ModelFamily.TRIG_Q):
+    if spec.info.continuation is None:
         return {}
-    target = (
-        spec.real_param("beta")
-        if spec.family is ModelFamily.MP_CROSSED
-        else spec.real_param("a")
-    )
-    start = _start_spec(spec)
+    target = spec.real_param(spec.info.continuation)
     try:
-        states = _triangular_eigen_polys(start)
+        states = _triangular_eigen_polys(_continued(spec, 0.0))
     except QesError:
         return {}
     out: dict[int, RootSet] = {}
     taken: dict[int, float] = {}
     for m, (_lam0, poly) in enumerate(states):
         finite = poly_roots(poly) if poly.degree >= 1 else []
-        if target == 0.0:
-            native = _to_native(spec, finite)
-        else:
-            n_far = spec.M - m
-            t1 = target / CONTINUATION_STEPS
-            if spec.family is ModelFamily.MP_CROSSED:
-                far = _far_seeds_mp(spec, m, n_far, t1) if n_far else []
-                native = np.asarray(finite + far, dtype=complex)
-            else:
-                far_z = _far_seeds_trig(spec, m, n_far, t1) if n_far else []
-                zs = [canonical_z_from_eta(e) for e in finite] + far_z
-                native = np.asarray(zs, dtype=complex)
+        native = _native_variables(spec, root_set_from_eta(spec, finite))
+        if target != 0.0:
+            far = _far_seeds(spec, m, target / CONTINUATION_STEPS)
+            native = np.asarray(list(native) + far, dtype=complex)
             try:
                 for k in range(CONTINUATION_STEPS):
-                    spec_t = _intermediate_spec(spec, (k + 1) / CONTINUATION_STEPS)
+                    spec_t = _continued(spec, (k + 1) / CONTINUATION_STEPS * target)
                     tol = STEP_TOL if k + 1 < CONTINUATION_STEPS else 0.1 * STEP_TOL
                     native = _step_newton(spec_t, native, tol)
             except (NoConvergence, SingularJacobian, QesError):
@@ -177,9 +147,3 @@ def homotopy_root_sets(
         out[idx] = roots
         taken[idx] = gaps[idx]
     return out
-
-
-def _to_native(spec: ModelSpec, eta_roots: list[complex]) -> np.ndarray:
-    if spec.family is ModelFamily.TRIG_Q:
-        return np.asarray([canonical_z_from_eta(e) for e in eta_roots], dtype=complex)
-    return np.asarray(eta_roots, dtype=complex)

@@ -25,19 +25,18 @@ from enum import Enum
 from typing import Any
 
 from .bethe import bae_residual, newton_polish, solve
+from .config import Tolerances
 from .errors import LimitViolation, UnsupportedFamily
 from .hamiltonian import build_matrix
 from .models import (
     ModelFamily,
     ModelSpec,
-    Sector,
     drop_factors,
     model_spec,
+    sector_degrees,
 )
 from .spectral import extract_roots, oracle_spectrum
 
-EXACT_TOL = 1e-9
-REDUCED_BAE_TOL = 1e-9
 BUDGET_CONSTANT = 100.0
 
 
@@ -66,7 +65,6 @@ class LimitCase:
     tag: LimitTag
     M: int
     params: dict[str, Any]
-    sector: Sector = Sector.FULL
 
 
 @dataclass(frozen=True)
@@ -83,18 +81,7 @@ class LimitReport:
 def limit_case(tag: LimitTag | str, M: int, **params: Any) -> LimitCase:
     if isinstance(tag, str):
         tag = LimitTag(tag)
-    sector = Sector.FULL
-    if tag in (LimitTag.CH_FROM_SEXTIC, LimitTag.MP_FROM_SEXTIC):
-        sector = Sector.EVEN if M % 2 == 0 else Sector.ODD
-    return LimitCase(tag, int(M), dict(params), sector)
-
-
-def _degrees(case: LimitCase) -> list[int]:
-    if case.sector is Sector.EVEN:
-        return list(range(0, case.M + 1, 2))
-    if case.sector is Sector.ODD:
-        return list(range(1, case.M + 1, 2))
-    return list(range(case.M + 1))
+    return LimitCase(tag, int(M), dict(params))
 
 
 def closed_form_E(case: LimitCase, m: int) -> complex:
@@ -163,18 +150,12 @@ def _limit_spec(case: LimitCase, large: float | None) -> tuple[ModelSpec, float]
         )
     if tag is LimitTag.CH_FROM_SEXTIC:
         return (
-            model_spec(
-                ModelFamily.SEXTIC_I, M=case.M, sector=case.sector,
-                a=large, b=p["b"], c=p["c"],
-            ),
+            model_spec(ModelFamily.SEXTIC_I, M=case.M, a=large, b=p["b"], c=p["c"]),
             large,
         )
     if tag is LimitTag.MP_FROM_SEXTIC:
         return (
-            model_spec(
-                ModelFamily.SEXTIC_I, M=case.M, sector=case.sector,
-                a=large, b=large, c=p["c"],
-            ),
+            model_spec(ModelFamily.SEXTIC_I, M=case.M, a=large, b=large, c=p["c"]),
             large * large,
         )
     if tag is LimitTag.WILSON:
@@ -224,14 +205,17 @@ def restricted_spec(case: LimitCase) -> ModelSpec:
     raise UnsupportedFamily(f"{tag.value} has no exact restriction point")
 
 
-def verify_limit(case: LimitCase, large: float | None = 1e4) -> LimitReport:
+def verify_limit(
+    case: LimitCase, large: float | None = 1e4, tols: Tolerances = Tolerances()
+) -> LimitReport:
     """Compare the computed spectrum of the (possibly rescaled) model with
-    the closed-form limit values, degree by degree."""
+    the closed-form limit values, degree by degree: to ``tols.exact_limit``
+    for the exact cases, to the first-order budget for the asymptotic ones."""
     if case.tag in EXACT_TAGS:
         large = None
     spec, scale = _limit_spec(case, large)
     solutions = solve(spec)
-    degrees = _degrees(case)
+    degrees = sector_degrees(spec)
     if len(solutions) != len(degrees):
         raise LimitViolation(
             f"{case.tag.value}: got {len(solutions)} eigenvalues for "
@@ -248,7 +232,7 @@ def verify_limit(case: LimitCase, large: float | None = 1e4) -> LimitReport:
         computed = sol.E_oracle / scale
         gap = abs(computed - exp) / max(1.0, abs(exp))
         max_gap = max(max_gap, gap)
-        tol = EXACT_TOL if large is None else budget
+        tol = tols.exact_limit if large is None else budget
         ok = gap <= tol
         passed = passed and ok
         rows.append(
@@ -274,10 +258,11 @@ def convergence_ratio(case: LimitCase, large_lo: float = 1e4, large_hi: float = 
     return lo.max_gap / hi.max_gap
 
 
-def reduced_bae_check(case: LimitCase) -> dict[str, Any]:
+def reduced_bae_check(case: LimitCase, tols: Tolerances = Tolerances()) -> dict[str, Any]:
     """Verify that the polynomial zeros of the restricted model satisfy the
-    reduced Bethe equations (the general residual specializes by itself,
-    since the restricted potential carries the deleted factors)."""
+    reduced Bethe equations to ``tols.reduced_bae`` (the general residual
+    specializes by itself, since the restricted potential carries the
+    deleted factors)."""
     spec = restricted_spec(case)
     om = build_matrix(spec)
     pairs = oracle_spectrum(om)
@@ -291,7 +276,7 @@ def reduced_bae_check(case: LimitCase) -> dict[str, Any]:
         worst_here = max(res, default=0.0)
         worst = max(worst, worst_here)
         rows.append({"degree": degree, "residual_max": worst_here})
-    passed = worst <= REDUCED_BAE_TOL
+    passed = worst <= tols.reduced_bae
     if not passed:
         raise LimitViolation(
             f"reduced Bethe equations violated for {case.tag.value}: worst "

@@ -11,6 +11,9 @@ degree-M invariant polynomial subspace:
     CENTRIFUGAL_II  V = (a..f factors) / (2ix(2ix+1))       eta = x^2
     TRIG_Q          V = (1-az)..(1-ez) / ((1-z^2)(1-qz^2))  eta = cos x, z = e^{ix}
 
+``FAMILIES`` holds one record per family with the facts the pipeline
+branches on; only the closed-form formulas dispatch on the family itself.
+
 The conjugate potential V*(x) is the *analytic* conjugate: parameters are
 conjugated while x stays a free complex variable.  This convention is
 load-bearing: Bethe roots are generally complex, and every residual below
@@ -48,13 +51,44 @@ class Sector(Enum):
     ODD = "odd"
 
 
-_PARAM_NAMES: dict[ModelFamily, tuple[str, ...]] = {
-    ModelFamily.MP_CROSSED: ("a1", "a2", "beta"),
-    ModelFamily.SEXTIC_I: ("a", "b", "c"),
-    ModelFamily.SEXTIC_II: ("a", "b", "c", "d"),
-    ModelFamily.CENTRIFUGAL_I: ("b", "c", "d", "e", "f"),
-    ModelFamily.CENTRIFUGAL_II: ("a", "b", "c", "d", "e", "f"),
-    ModelFamily.TRIG_Q: ("a", "b", "c", "d", "e", "q"),
+class Coordinate(Enum):
+    """The sinusoidal coordinate eta.  It also fixes the subspace basis
+    (powers of eta), the root representatives (x, x with Re x >= 0, or z =
+    e^{ix} with |z| <= 1) and the Newton variable (x, eta or z)."""
+
+    X = "x"
+    X_SQUARED = "x^2"
+    COS = "cos x"
+
+
+@dataclass(frozen=True)
+class FamilyInfo:
+    """The structural facts of one family that the pipeline branches on."""
+
+    param_names: tuple[str, ...]
+    coordinate: Coordinate
+    parity_sectors: bool = False  # the subspace splits into even/odd sectors
+    kinematic_denominator: bool = False  # V carries 1/(2ix(2ix+1))
+    continuation: str | None = None  # homotopy parameter, continued from 0
+    grid_window: tuple[float, float] = (-3.0, 3.0)  # real x range of default_grid
+
+
+_X2 = Coordinate.X_SQUARED
+_HALF_LINE = (0.2, 4.0)
+FAMILIES: dict[ModelFamily, FamilyInfo] = {
+    ModelFamily.MP_CROSSED: FamilyInfo(("a1", "a2", "beta"), Coordinate.X, continuation="beta"),
+    ModelFamily.SEXTIC_I: FamilyInfo(("a", "b", "c"), _X2, parity_sectors=True),
+    ModelFamily.SEXTIC_II: FamilyInfo(("a", "b", "c", "d"), _X2, parity_sectors=True),
+    ModelFamily.CENTRIFUGAL_I: FamilyInfo(
+        ("b", "c", "d", "e", "f"), _X2, kinematic_denominator=True, grid_window=_HALF_LINE
+    ),
+    ModelFamily.CENTRIFUGAL_II: FamilyInfo(
+        ("a", "b", "c", "d", "e", "f"), _X2, kinematic_denominator=True, grid_window=_HALF_LINE
+    ),
+    ModelFamily.TRIG_Q: FamilyInfo(
+        ("a", "b", "c", "d", "e", "q"), Coordinate.COS,
+        continuation="a", grid_window=(0.15, math.pi - 0.15),
+    ),
 }
 
 
@@ -81,6 +115,11 @@ class ModelSpec:
     def real_param(self, name: str) -> float:
         return float(complex(self.params[name]).real)
 
+    @property
+    def info(self) -> FamilyInfo:
+        """The family's structural record."""
+        return FAMILIES[self.family]
+
 
 def _as_complex(v: Any) -> complex:
     if isinstance(v, (int, float)):
@@ -97,21 +136,6 @@ def _validate(family: ModelFamily, params: dict[str, complex]) -> None:
                 raise ValueError(f"{name} must have positive real part")
         if params["beta"].imag != 0:
             raise ValueError("beta must be real")
-    elif family in (ModelFamily.SEXTIC_I, ModelFamily.SEXTIC_II):
-        for name in _PARAM_NAMES[family]:
-            v = params[name]
-            if v.imag != 0 or v.real <= 0:
-                raise ValueError(f"{name} must be a positive real")
-    elif family in (ModelFamily.CENTRIFUGAL_I, ModelFamily.CENTRIFUGAL_II):
-        for name in _PARAM_NAMES[family]:
-            v = params[name]
-            if v.imag != 0 or v.real <= 0:
-                raise ValueError(f"{name} must be a positive real")
-            if abs(v.real - 0.5) <= HALF_EXCLUSION:
-                raise ValueError(
-                    f"{name} = {v.real!r} is within {HALF_EXCLUSION:g} of 1/2, "
-                    "which cancels the kinematic denominator"
-                )
     elif family is ModelFamily.TRIG_Q:
         for name in ("a", "b", "c", "d", "e"):
             v = params[name]
@@ -120,12 +144,23 @@ def _validate(family: ModelFamily, params: dict[str, complex]) -> None:
         qv = params["q"]
         if qv.imag != 0 or not 0.0 < qv.real < 1.0:
             raise ValueError("q must be a real in (0, 1)")
+    else:
+        info = FAMILIES[family]
+        for name in info.param_names:
+            v = params[name]
+            if v.imag != 0 or v.real <= 0:
+                raise ValueError(f"{name} must be a positive real")
+            if info.kinematic_denominator and abs(v.real - 0.5) <= HALF_EXCLUSION:
+                raise ValueError(
+                    f"{name} = {v.real!r} is within {HALF_EXCLUSION:g} of 1/2, "
+                    "which cancels the kinematic denominator"
+                )
 
 
 def _validate_sector(family: ModelFamily, M: int, sector: Sector) -> None:
     if M < 0:
         raise ValueError("M must be a non-negative integer")
-    if family in (ModelFamily.SEXTIC_I, ModelFamily.SEXTIC_II):
+    if FAMILIES[family].parity_sectors:
         if sector is Sector.FULL:
             raise SectorMismatch("sextic families need an even or odd sector")
         if sector is Sector.EVEN and M % 2 != 0:
@@ -153,13 +188,13 @@ def model_spec(
     if isinstance(family, str):
         family = ModelFamily(family)
     if sector is None:
-        if family in (ModelFamily.SEXTIC_I, ModelFamily.SEXTIC_II):
+        if FAMILIES[family].parity_sectors:
             sector = Sector.EVEN if M % 2 == 0 else Sector.ODD
         else:
             sector = Sector.FULL
     elif isinstance(sector, str):
         sector = Sector(sector.lower())
-    names = _PARAM_NAMES[family]
+    names = FAMILIES[family].param_names
     unknown = set(params) - set(names)
     if unknown:
         raise ValueError(f"unknown parameters for {family.value}: {sorted(unknown)}")
@@ -190,7 +225,7 @@ def drop_factors(spec: ModelSpec, names: tuple[str, ...] | list[str]) -> ModelSp
     """
     names = tuple(names)
     for n in names:
-        if n not in _PARAM_NAMES[spec.family] or n in ("beta", "q"):
+        if n not in spec.info.param_names or n in ("beta", "q"):
             raise ValueError(f"cannot drop {n!r} from {spec.family.value}")
     return replace(spec, dropped=tuple(sorted(set(spec.dropped) | set(names))), compensated=False)
 
@@ -252,7 +287,7 @@ def spec_to_json_dict(spec: ModelSpec) -> dict[str, Any]:
 def numerator_constants(spec: ModelSpec) -> tuple[complex, ...]:
     """Constants p_k with V-numerator = prod_k (p_k + i x) (x-based families)
     or prod_k (1 - p_k z) (trigonometric family), dropped factors omitted."""
-    names = [n for n in _PARAM_NAMES[spec.family] if n not in ("beta", "q")]
+    names = [n for n in spec.info.param_names if n not in ("beta", "q")]
     return tuple(spec.params[n] for n in names if n not in spec.dropped)
 
 
@@ -264,17 +299,13 @@ def v_phase(spec: ModelSpec) -> complex:
     return 1.0 + 0j
 
 
-def has_kinematic_denominator(spec: ModelFamily | ModelSpec) -> bool:
-    family = spec.family if isinstance(spec, ModelSpec) else spec
-    return family in (ModelFamily.CENTRIFUGAL_I, ModelFamily.CENTRIFUGAL_II)
-
-
 def eta(spec: ModelSpec, x: complex) -> complex:
     """Sinusoidal coordinate: x, x^2 or cos x depending on the family."""
     x = complex(x)
-    if spec.family is ModelFamily.MP_CROSSED:
+    coordinate = spec.info.coordinate
+    if coordinate is Coordinate.X:
         return x
-    if spec.family is ModelFamily.TRIG_Q:
+    if coordinate is Coordinate.COS:
         return cmath.cos(x)
     return x * x
 
@@ -282,12 +313,12 @@ def eta(spec: ModelSpec, x: complex) -> complex:
 def potential_v(spec: ModelSpec, x: complex) -> complex:
     """V(x); raises PoleOfPotential on denominator zeros."""
     x = complex(x)
-    if spec.family is ModelFamily.TRIG_Q:
+    if spec.info.coordinate is Coordinate.COS:
         return potential_v_z(spec, cmath.exp(1j * x))
     num = v_phase(spec)
     for p in numerator_constants(spec):
         num *= p + 1j * x
-    if has_kinematic_denominator(spec):
+    if spec.info.kinematic_denominator:
         den = 2j * x * (2j * x + 1.0)
         if abs(den) < POLE_TOL:
             raise PoleOfPotential(f"V(x) pole at x = {x}")
@@ -298,12 +329,12 @@ def potential_v(spec: ModelSpec, x: complex) -> complex:
 def potential_v_star(spec: ModelSpec, x: complex) -> complex:
     """Analytic conjugate V(x)*: parameters conjugated, x left free."""
     x = complex(x)
-    if spec.family is ModelFamily.TRIG_Q:
+    if spec.info.coordinate is Coordinate.COS:
         return potential_v_star_z(spec, cmath.exp(1j * x))
     num = v_phase(spec).conjugate()
     for p in numerator_constants(spec):
         num *= p.conjugate() - 1j * x
-    if has_kinematic_denominator(spec):
+    if spec.info.kinematic_denominator:
         den = -2j * x * (-2j * x + 1.0)
         if abs(den) < POLE_TOL:
             raise PoleOfPotential(f"V*(x) pole at x = {x}")
@@ -313,7 +344,7 @@ def potential_v_star(spec: ModelSpec, x: complex) -> complex:
 
 def potential_v_z(spec: ModelSpec, z: complex) -> complex:
     """Trigonometric-family V as a function of z = e^{ix}."""
-    if spec.family is not ModelFamily.TRIG_Q:
+    if spec.info.coordinate is not Coordinate.COS:
         raise UnsupportedFamily("z-form potential is defined for trig-q only")
     q = spec.real_param("q")
     den = (1.0 - z * z) * (1.0 - q * z * z)
@@ -326,7 +357,7 @@ def potential_v_z(spec: ModelSpec, z: complex) -> complex:
 
 
 def potential_v_star_z(spec: ModelSpec, z: complex) -> complex:
-    if spec.family is not ModelFamily.TRIG_Q:
+    if spec.info.coordinate is not Coordinate.COS:
         raise UnsupportedFamily("z-form potential is defined for trig-q only")
     if abs(z) < POLE_TOL:
         raise PoleOfPotential("V*(z) needs z != 0")
@@ -371,21 +402,26 @@ def compensation_vanishes(spec: ModelSpec) -> bool:
     return abs(compensation_coefficient(spec)) < 1e-14 * max(1.0, spec.M)
 
 
+def sector_degrees(spec: ModelSpec) -> range:
+    """Polynomial degrees of the sector's eigenfunctions, ascending: 0..M,
+    or only those of the sector's parity for the parity-split families.
+    The k-th of them carries k Bethe roots."""
+    if spec.info.parity_sectors:
+        return range(1 if spec.sector is Sector.ODD else 0, spec.M + 1, 2)
+    return range(spec.M + 1)
+
+
 def sector_dimension(spec: ModelSpec) -> int:
     """dim V_M: M+1 except for the parity-split sextic sectors."""
     _validate_sector(spec.family, spec.M, spec.sector)
-    if spec.family in (ModelFamily.SEXTIC_I, ModelFamily.SEXTIC_II):
-        if spec.sector is Sector.EVEN:
-            return spec.M // 2 + 1
-        return (spec.M + 1) // 2
-    return spec.M + 1
+    return len(sector_degrees(spec))
 
 
-def bethe_root_count(spec: ModelSpec) -> int:
-    """Number of Bethe roots in the eigenfunction ansatz for this sector."""
-    if spec.family in (ModelFamily.SEXTIC_I, ModelFamily.SEXTIC_II):
-        return spec.M // 2 if spec.sector is Sector.EVEN else (spec.M - 1) // 2
-    return spec.M
+def bethe_root_count(spec: ModelSpec, degree: int | None = None) -> int:
+    """Number of Bethe roots of a degree-``degree`` (default M)
+    eigenfunction in this sector."""
+    degrees = sector_degrees(spec)
+    return ((spec.M if degree is None else degree) - degrees.start) // degrees.step
 
 
 @dataclass(frozen=True)
@@ -405,9 +441,8 @@ def symmetric_coefficients(spec: ModelSpec) -> SymmetricCoefficients:
             f"symmetric coefficients are defined for the type-II families, "
             f"not {spec.family.value}"
         )
-    names = _PARAM_NAMES[spec.family]
     coeffs = [1.0 + 0j]  # expand prod (p_k + t) in powers of t = ix
-    for name in names:
+    for name in spec.info.param_names:
         p = spec.params[name]
         nxt = [0j] * (len(coeffs) + 1)
         for k, c in enumerate(coeffs):

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import (
-    ModelFamily,
+    Coordinate,
     ModelSpec,
     Sector,
     bethe_root_count,
+    compensation_vanishes,
 )
 from .hamiltonian import OperatorMatrix
 from .numerics import PolynomialC, eig_general, poly_roots
@@ -80,8 +81,6 @@ def oracle_spectrum(om: OperatorMatrix) -> list[OracleEigenpair]:
     is graded instead; there the components above each state's true degree
     are pure rounding noise and get trimmed.
     """
-    from .models import compensation_vanishes  # deferred: avoid cycle at import
-
     decomp = eig_general(om.matrix)
     order = sorted(
         range(om.dim), key=lambda k: (decomp.eigenvalues[k].real, decomp.eigenvalues[k].imag)
@@ -94,7 +93,7 @@ def oracle_spectrum(om: OperatorMatrix) -> list[OracleEigenpair]:
             flags[i] = flags[i + 1] = True
     odd = om.spec.sector is Sector.ODD
     graded = compensation_vanishes(om.spec)
-    ladder_family = om.spec.family is ModelFamily.TRIG_Q
+    ladder_family = om.spec.info.coordinate is Coordinate.COS
     diag = np.diag(om.matrix)
     pairs = []
     for rank, k in enumerate(order):
@@ -135,10 +134,10 @@ def oracle_spectrum(om: OperatorMatrix) -> list[OracleEigenpair]:
 
 def canonical_x_from_eta(spec: ModelSpec, eta_l: complex) -> complex:
     """Representative x with eta(x) = eta_l, resolving the gauge freedom."""
-    fam = spec.family
-    if fam is ModelFamily.MP_CROSSED:
+    coordinate = spec.info.coordinate
+    if coordinate is Coordinate.X:
         return eta_l
-    if fam is ModelFamily.TRIG_Q:
+    if coordinate is Coordinate.COS:
         z = canonical_z_from_eta(eta_l)
         return -1j * cmath.log(z)
     x = cmath.sqrt(eta_l)
@@ -161,15 +160,20 @@ def canonical_z_from_eta(eta_l: complex) -> complex:
 
 
 def roots_of_eta_poly(spec: ModelSpec, poly: PolynomialC) -> RootSet:
-    """Root set of a monic eta-polynomial, with canonical representatives
-    in every coordinate and the close-pair flag."""
-    if poly.degree < 1:
-        return RootSet((), (), () if spec.family is ModelFamily.TRIG_Q else None)
-    eta_roots = poly_roots(poly, assume_exact_leading=True)
-    eta_roots.sort(key=lambda r: (r.real, r.imag))
+    """Root set of a monic eta-polynomial, sorted by (Re, Im) of eta."""
+    eta_roots = []
+    if poly.degree >= 1:
+        eta_roots = poly_roots(poly, assume_exact_leading=True)
+        eta_roots.sort(key=lambda r: (r.real, r.imag))
+    return root_set_from_eta(spec, eta_roots)
+
+
+def root_set_from_eta(spec: ModelSpec, eta_roots: list[complex]) -> RootSet:
+    """Root set with canonical representatives in every coordinate and the
+    close-pair flag, in the order given."""
     xs = tuple(canonical_x_from_eta(spec, r) for r in eta_roots)
     zs = None
-    if spec.family is ModelFamily.TRIG_Q:
+    if spec.info.coordinate is Coordinate.COS:
         zs = tuple(canonical_z_from_eta(r) for r in eta_roots)
     degenerate = False
     for i in range(len(xs)):

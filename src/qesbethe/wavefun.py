@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from .bethe import BetheSolution
 from .errors import PoleOfPotential, QesError
 from .models import (
+    Coordinate,
     ModelFamily,
     ModelSpec,
     Sector,
@@ -53,12 +54,7 @@ def default_grid(spec: ModelSpec, n: int = 20) -> GridSpec:
     """Deterministic admissible grid honoring the family's domain:
     the half line Re x > 0 for the centrifugal families, (0, pi) for the
     trigonometric one, a symmetric real window otherwise."""
-    if spec.family in (ModelFamily.CENTRIFUGAL_I, ModelFamily.CENTRIFUGAL_II):
-        lo, hi = 0.2, 4.0
-    elif spec.family is ModelFamily.TRIG_Q:
-        lo, hi = 0.15, math.pi - 0.15
-    else:
-        lo, hi = -3.0, 3.0
+    lo, hi = spec.info.grid_window
     pts = tuple(complex(lo + (hi - lo) * k / (n - 1)) for k in range(n)) if n > 1 else (complex(lo),)
     return GridSpec(pts)
 
@@ -87,7 +83,7 @@ def _log_phi0_squared_x(spec: ModelSpec, x: complex) -> complex:
         return out
     for p in numerator_constants(spec):
         out += log_gamma(p + 1j * x) + log_gamma(p - 1j * x)
-    if fam in (ModelFamily.CENTRIFUGAL_I, ModelFamily.CENTRIFUGAL_II):
+    if spec.info.kinematic_denominator:
         out -= log_gamma(2j * x) + log_gamma(-2j * x)
     return out
 
@@ -95,7 +91,7 @@ def _log_phi0_squared_x(spec: ModelSpec, x: complex) -> complex:
 def phi0_squared(spec: ModelSpec, x: complex) -> complex:
     """Square of the pseudo ground state at x."""
     x = complex(x)
-    if spec.family is ModelFamily.TRIG_Q:
+    if spec.info.coordinate is Coordinate.COS:
         return phi0_squared_z(spec, cmath.exp(1j * x))
     return cmath.exp(_log_phi0_squared_x(spec, x))
 
@@ -107,7 +103,7 @@ def zero_mode_residual(spec: ModelSpec, x: complex) -> float:
     cancel before exponentiation.
     """
     x = complex(x)
-    if spec.family is ModelFamily.TRIG_Q:
+    if spec.info.coordinate is Coordinate.COS:
         q = spec.real_param("q")
         z = cmath.exp(1j * x)
         sq = math.sqrt(q)
@@ -136,7 +132,7 @@ def phi0_squared_z(spec: ModelSpec, z: complex) -> complex:
 
 def _log_v(spec: ModelSpec, x: complex) -> complex:
     out = _log_linear_factors(spec, x, conjugated=False)
-    if spec.family in (ModelFamily.CENTRIFUGAL_I, ModelFamily.CENTRIFUGAL_II):
+    if spec.info.kinematic_denominator:
         den = 2j * x * (2j * x + 1.0)
         if abs(den) < EPS:
             raise PoleOfPotential(f"V pole at x = {x}")
@@ -146,7 +142,7 @@ def _log_v(spec: ModelSpec, x: complex) -> complex:
 
 def _log_v_star(spec: ModelSpec, x: complex) -> complex:
     out = _log_linear_factors(spec, x, conjugated=True)
-    if spec.family in (ModelFamily.CENTRIFUGAL_I, ModelFamily.CENTRIFUGAL_II):
+    if spec.info.kinematic_denominator:
         den = -2j * x * (-2j * x + 1.0)
         if abs(den) < EPS:
             raise PoleOfPotential(f"V* pole at x = {x}")
@@ -172,7 +168,7 @@ def schrodinger_residual(spec: ModelSpec, sol: BetheSolution, x: complex) -> flo
     x = complex(x)
     e_val = sol.E_formula
     psi = eigenfunction_value(spec, sol, x)
-    if spec.family is ModelFamily.TRIG_Q:
+    if spec.info.coordinate is Coordinate.COS:
         q = spec.real_param("q")
         z = cmath.exp(1j * x)
         psi_m = _trig_psi_shift(spec, sol, q * z)

@@ -2,13 +2,14 @@ import json
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
-from qesbethe.cli import main
+from qesbethe.cli import VERIFY_TOLERANCES, main
 from qesbethe.config import Tolerances
 
 SCHEMA = json.loads(
@@ -23,6 +24,9 @@ WORKED_EXAMPLE = [
     "--beta", "1.5707963267948966",
     "--M", "1",
 ]
+VERIFY_EXAMPLE = ["verify", *WORKED_EXAMPLE[1:]]
+AW_M4 = ["limits", "--case", "aw", "--a", "0.3", "--b", "0.2", "--c", "0.1", "--d", "0.25",
+         "--q", "0.5", "--M", "4"]
 
 
 def run_cli(args, capsys):
@@ -75,10 +79,26 @@ class TestSolveCommand:
         code, _, err = run_cli(["solve", "--family", "trig-q", "--M", "1"], capsys)
         assert code == 1
 
-    def test_tolerance_override_recorded(self, capsys):
-        code, out, _ = run_cli(WORKED_EXAMPLE + ["--tol", "bae_residual=1e-7"], capsys)
-        doc = json.loads(out)
-        assert doc["meta"]["tolerances"]["bae_residual"] == 1e-7
+    def test_no_tolerances_applied(self, capsys):
+        _, out, _ = run_cli(WORKED_EXAMPLE, capsys)
+        assert json.loads(out)["meta"]["tolerances"] == {}
+
+    def test_tol_rejected_exit_one(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(WORKED_EXAMPLE + ["--tol", "bae_residual=1e-7"])
+        assert exc.value.code == 1
+        assert "--tol bae_residual=1e-7" in capsys.readouterr().err
+
+    def test_spec_file_closed(self, capsys, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(
+            {"family": "mp-crossed", "params": {"a1": 1.0, "a2": 1.0, "beta": 0.3}, "M": 1}
+        ))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, _ = run_cli(["solve", "--spec", str(path)], capsys)
+        assert code == 0
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestDeterminism:
@@ -103,10 +123,10 @@ class TestRepeatedCalls:
     arguments."""
 
     def test_tolerances_independent_between_calls(self, capsys):
-        _, out, _ = run_cli(WORKED_EXAMPLE + ["--tol", "zero_mode=1e-3"], capsys)
+        _, out, _ = run_cli(VERIFY_EXAMPLE + ["--tol", "zero_mode=1e-3"], capsys)
         assert json.loads(out)["meta"]["tolerances"]["zero_mode"] == 1e-3
-        _, out, _ = run_cli(WORKED_EXAMPLE, capsys)
-        assert json.loads(out)["meta"]["tolerances"] == Tolerances().as_dict()
+        _, out, _ = run_cli(VERIFY_EXAMPLE, capsys)
+        assert json.loads(out)["meta"]["tolerances"] == Tolerances().as_dict(VERIFY_TOLERANCES)
 
     def test_usage_error_does_not_break_next_call(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -171,6 +191,21 @@ class TestVerifyCommand:
         jsonschema.validate(doc, SCHEMA)
         assert not doc["passed"]
 
+    def test_tolerance_override_recorded(self, capsys):
+        code, out, _ = run_cli(VERIFY_EXAMPLE + ["--tol", "bae_residual=1e-7"], capsys)
+        doc = json.loads(out)
+        assert doc["meta"]["tolerances"]["bae_residual"] == 1e-7
+
+    def test_meta_lists_applied_tolerances(self, capsys):
+        _, out, _ = run_cli(VERIFY_EXAMPLE, capsys)
+        assert list(json.loads(out)["meta"]["tolerances"]) == list(VERIFY_TOLERANCES)
+
+    def test_unapplied_tolerance_exit_one(self, capsys):
+        code, out, err = run_cli(VERIFY_EXAMPLE + ["--tol", "divide_exact=1e-2"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "divide_exact" in err
+
 
 class TestLimitsCommand:
     def test_askey_wilson_case(self, capsys):
@@ -195,6 +230,41 @@ class TestLimitsCommand:
         doc = json.loads(out)
         jsonschema.validate(doc, SCHEMA)
         assert doc["passed"] and doc["large"] == 1e5
+
+    def test_meta_lists_applied_tolerances(self, capsys):
+        # an asymptotic case checks against its budget, not exact_limit
+        _, out, _ = run_cli(
+            ["limits", "--case", "mp-from-mp", "--a1", "1.0", "--beta", "0.3", "--M", "2"],
+            capsys,
+        )
+        assert json.loads(out)["meta"]["tolerances"] == {"reduced_bae": 1e-9}
+
+    def test_exact_limit_tolerance_applied(self, capsys):
+        code, out, _ = run_cli(AW_M4, capsys)
+        doc = json.loads(out)
+        assert code == 0 and 0 < doc["max_gap"] < 1e-12
+        code, out, _ = run_cli(AW_M4 + ["--tol", "exact_limit=1e-18"], capsys)
+        doc = json.loads(out)
+        jsonschema.validate(doc, SCHEMA)
+        assert code == 2 and not doc["passed"]
+        assert doc["meta"]["tolerances"] == {"exact_limit": 1e-18, "reduced_bae": 1e-9}
+
+    def test_reduced_bae_tolerance_applied(self, capsys):
+        code, out, _ = run_cli(AW_M4 + ["--tol", "reduced_bae=1e-18"], capsys)
+        doc = json.loads(out)
+        jsonschema.validate(doc, SCHEMA)
+        assert code == 2
+        assert doc["reduced_bae"]["passed"] is False
+        assert doc["meta"]["tolerances"]["reduced_bae"] == 1e-18
+
+    def test_unapplied_tolerance_exit_one(self, capsys):
+        code, _, err = run_cli(
+            ["limits", "--case", "ch-from-sextic", "--b", "1.0", "--c", "1.5", "--M", "2",
+             "--tol", "exact_limit=1e-3"],
+            capsys,
+        )
+        assert code == 1
+        assert "exact_limit" in err
 
 
 class TestGridCommand:

@@ -1,0 +1,73 @@
+"""Structural guard: the family catalog is one record per family.
+
+Modules branch on the facts in ``models.FAMILIES`` (coordinate, sector
+split, kinematic denominator, ...), never on the family itself; only the
+closed-form per-family formulas and the parameter validation compare
+``ModelFamily`` members.
+"""
+
+import ast
+from pathlib import Path
+
+import qesbethe
+
+SRC = Path(qesbethe.__file__).resolve().parent
+
+FORMULA_FUNCTIONS = {
+    "_validate",
+    "compensation_coefficient",
+    "v_phase",
+    "symmetric_coefficients",
+    "eigenvalue_from_roots",
+    "restricted_eigenvalue",
+    "_log_phi0_squared_x",
+}
+
+
+def _is_member(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "ModelFamily"
+    )
+
+
+def _family_comparisons(tree: ast.AST) -> list[tuple[str, int]]:
+    """(enclosing function, line) of every comparison with a ModelFamily
+    member among its operands, including members inside tuples/sets."""
+    found = []
+
+    def visit(node: ast.AST, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(_is_member(sub) for op in operands for sub in ast.walk(op)):
+                found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_family_compared_only_in_formulas():
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for function, line in _family_comparisons(tree):
+            if function not in FORMULA_FUNCTIONS:
+                stray.append(f"{path.name}:{line} in {function}")
+    assert not stray, "ModelFamily compared outside the formula functions: " + ", ".join(stray)
+
+
+def test_guard_sees_each_comparison_form():
+    tree = ast.parse(
+        "def f(s):\n"
+        "    a = s.family is ModelFamily.TRIG_Q\n"
+        "    b = s.family is not ModelFamily.TRIG_Q\n"
+        "    c = s.family in (ModelFamily.SEXTIC_I, ModelFamily.SEXTIC_II)\n"
+        "    d = s.family == ModelFamily.MP_CROSSED\n"
+        "    e = s.info.coordinate is Coordinate.COS\n"
+    )
+    assert [line for _, line in _family_comparisons(tree)] == [2, 3, 4, 5]
