@@ -143,7 +143,7 @@ def _solve_document(spec: ModelSpec, solutions: list[BetheSolution]) -> dict:
 
 def _verify_document(spec: ModelSpec, tols: Tolerances) -> dict:
     solutions = solve(spec)
-    grid = default_grid(spec, 12)
+    points = default_grid(spec, 12).points
     checks = []
 
     worst_res = max((s.residual_max for s in solutions), default=0.0)
@@ -160,14 +160,14 @@ def _verify_document(spec: ModelSpec, tols: Tolerances) -> dict:
             "passed": worst_gap <= tols.eigenvalue_match,
         }
     )
-    worst_zero = max(zero_mode_residual(spec, x) for x in grid.points)
+    worst_zero = float(zero_mode_residual(spec, points).max())
     checks.append(
         {"name": "zero_mode", "value": worst_zero, "passed": worst_zero <= tols.zero_mode}
     )
-    worst_schro = 0.0
-    for sol in solutions:
-        for x in grid.points:
-            worst_schro = max(worst_schro, schrodinger_residual(spec, sol, x))
+    worst_schro = max(
+        (float(schrodinger_residual(spec, sol, points).max()) for sol in solutions),
+        default=0.0,
+    )
     checks.append(
         {
             "name": "schrodinger_pointwise",

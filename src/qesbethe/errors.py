@@ -67,5 +67,9 @@ class DegenerateRoots(QesError):
     """Two Bethe roots coincide below separation tolerance."""
 
 
+class MissingLimitParameter(QesError, ValueError):
+    """A limit case was stated without a parameter its tag requires."""
+
+
 class LimitViolation(QesError):
     """A closed-form limit check failed beyond its error budget."""

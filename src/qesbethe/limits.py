@@ -26,7 +26,7 @@ from typing import Any
 
 from .bethe import bae_residual, newton_polish, solve
 from .config import Tolerances
-from .errors import LimitViolation, UnsupportedFamily
+from .errors import LimitViolation, MissingLimitParameter, UnsupportedFamily
 from .hamiltonian import build_matrix
 from .models import (
     ModelFamily,
@@ -56,6 +56,19 @@ RESTRICTION_TAGS = frozenset(
     {LimitTag.MP_FROM_MP, LimitTag.WILSON, LimitTag.CDH, LimitTag.AW, LimitTag.Q_UNIVERSAL}
 )
 
+# The parameters each case reads; q-universal also takes optional a, b, c
+# (default 0), which leave its spectrum unchanged.
+REQUIRED_PARAMS: dict[LimitTag, tuple[str, ...]] = {
+    LimitTag.CH_FROM_MP: ("a1", "a2"),
+    LimitTag.MP_FROM_MP: ("a1", "beta"),
+    LimitTag.CH_FROM_SEXTIC: ("b", "c"),
+    LimitTag.MP_FROM_SEXTIC: ("c",),
+    LimitTag.WILSON: ("b", "c", "d", "e"),
+    LimitTag.CDH: ("b", "c", "d"),
+    LimitTag.AW: ("a", "b", "c", "d", "q"),
+    LimitTag.Q_UNIVERSAL: ("q",),
+}
+
 
 @dataclass(frozen=True)
 class LimitCase:
@@ -79,8 +92,13 @@ class LimitReport:
 
 
 def limit_case(tag: LimitTag | str, M: int, **params: Any) -> LimitCase:
+    """The limit statement; raises MissingLimitParameter when a parameter
+    that the tag requires is absent."""
     if isinstance(tag, str):
         tag = LimitTag(tag)
+    missing = [name for name in REQUIRED_PARAMS[tag] if name not in params]
+    if missing:
+        raise MissingLimitParameter(f"limit case {tag.value} requires parameters {missing}")
     return LimitCase(tag, int(M), dict(params))
 
 

@@ -30,7 +30,10 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Mapping
 
+import numpy as np
+
 from .errors import PoleOfPotential, SectorMismatch, UnsupportedFamily
+from .numerics import scalar_or_array
 
 HALF_EXCLUSION = 1e-6  # centrifugal families reject parameters this close to 1/2
 POLE_TOL = 1e-12
@@ -299,68 +302,75 @@ def v_phase(spec: ModelSpec) -> complex:
     return 1.0 + 0j
 
 
-def eta(spec: ModelSpec, x: complex) -> complex:
-    """Sinusoidal coordinate: x, x^2 or cos x depending on the family."""
-    x = complex(x)
+def eta(spec: ModelSpec, x):
+    """Sinusoidal coordinate: x, x^2 or cos x depending on the family.
+    Elementwise over an array of points; a scalar gives a Python complex."""
+    x = np.asarray(x, dtype=complex)
     coordinate = spec.info.coordinate
     if coordinate is Coordinate.X:
-        return x
-    if coordinate is Coordinate.COS:
-        return cmath.cos(x)
-    return x * x
+        out = x
+    elif coordinate is Coordinate.COS:
+        out = np.cos(x)
+    else:
+        out = x * x
+    return scalar_or_array(out)
 
 
-def potential_v(spec: ModelSpec, x: complex) -> complex:
-    """V(x); raises PoleOfPotential on denominator zeros."""
-    x = complex(x)
+def _raise_on_pole(pole: np.ndarray, x: np.ndarray, what: str) -> None:
+    if pole.any():
+        raise PoleOfPotential(f"{what} pole at {x[pole].flat[0]}")
+
+
+def potential_v(spec: ModelSpec, x):
+    """V(x), elementwise over an array of points; raises PoleOfPotential on
+    denominator zeros, naming the first such point."""
+    x = np.asarray(x, dtype=complex)
     if spec.info.coordinate is Coordinate.COS:
-        return potential_v_z(spec, cmath.exp(1j * x))
-    num = v_phase(spec)
+        return potential_v_z(spec, np.exp(1j * x))
+    num = np.full_like(x, v_phase(spec))
     for p in numerator_constants(spec):
-        num *= p + 1j * x
+        num = num * (p + 1j * x)
     if spec.info.kinematic_denominator:
         den = 2j * x * (2j * x + 1.0)
-        if abs(den) < POLE_TOL:
-            raise PoleOfPotential(f"V(x) pole at x = {x}")
-        return num / den
-    return num
+        _raise_on_pole(np.abs(den) < POLE_TOL, x, "V(x)")
+        num = num / den
+    return scalar_or_array(num)
 
 
-def potential_v_star(spec: ModelSpec, x: complex) -> complex:
+def potential_v_star(spec: ModelSpec, x):
     """Analytic conjugate V(x)*: parameters conjugated, x left free."""
-    x = complex(x)
+    x = np.asarray(x, dtype=complex)
     if spec.info.coordinate is Coordinate.COS:
-        return potential_v_star_z(spec, cmath.exp(1j * x))
-    num = v_phase(spec).conjugate()
+        return potential_v_star_z(spec, np.exp(1j * x))
+    num = np.full_like(x, v_phase(spec).conjugate())
     for p in numerator_constants(spec):
-        num *= p.conjugate() - 1j * x
+        num = num * (p.conjugate() - 1j * x)
     if spec.info.kinematic_denominator:
         den = -2j * x * (-2j * x + 1.0)
-        if abs(den) < POLE_TOL:
-            raise PoleOfPotential(f"V*(x) pole at x = {x}")
-        return num / den
-    return num
+        _raise_on_pole(np.abs(den) < POLE_TOL, x, "V*(x)")
+        num = num / den
+    return scalar_or_array(num)
 
 
-def potential_v_z(spec: ModelSpec, z: complex) -> complex:
+def potential_v_z(spec: ModelSpec, z):
     """Trigonometric-family V as a function of z = e^{ix}."""
     if spec.info.coordinate is not Coordinate.COS:
         raise UnsupportedFamily("z-form potential is defined for trig-q only")
+    z = np.asarray(z, dtype=complex)
     q = spec.real_param("q")
     den = (1.0 - z * z) * (1.0 - q * z * z)
-    if abs(den) < POLE_TOL:
-        raise PoleOfPotential(f"V(z) pole at z = {z}")
-    num = 1.0 + 0j
+    _raise_on_pole(np.abs(den) < POLE_TOL, z, "V(z)")
+    num = np.ones_like(z)
     for p in numerator_constants(spec):
-        num *= 1.0 - p * z
-    return num / den
+        num = num * (1.0 - p * z)
+    return scalar_or_array(num / den)
 
 
-def potential_v_star_z(spec: ModelSpec, z: complex) -> complex:
+def potential_v_star_z(spec: ModelSpec, z):
     if spec.info.coordinate is not Coordinate.COS:
         raise UnsupportedFamily("z-form potential is defined for trig-q only")
-    if abs(z) < POLE_TOL:
-        raise PoleOfPotential("V*(z) needs z != 0")
+    z = np.asarray(z, dtype=complex)
+    _raise_on_pole(np.abs(z) < POLE_TOL, z, "V*(z)")
     return potential_v_z(spec, 1.0 / z)
 
 
@@ -391,8 +401,8 @@ def compensation_coefficient(spec: ModelSpec) -> complex:
     raise UnsupportedFamily(fam.value)
 
 
-def compensation_alpha(spec: ModelSpec, x: complex) -> complex:
-    """alpha_M(x) = compensation_coefficient * eta(x)."""
+def compensation_alpha(spec: ModelSpec, x):
+    """alpha_M(x) = compensation_coefficient * eta(x), elementwise."""
     return compensation_coefficient(spec) * eta(spec, x)
 
 

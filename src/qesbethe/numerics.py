@@ -454,34 +454,80 @@ def newton_solve(
 # ---------------------------------------------------------------------------
 
 
-def log_gamma(z: complex) -> complex:
-    """Principal branch of log Gamma(z)."""
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):
-        raise PoleOfGamma(f"log-gamma pole at z = {z.real:g}")
-    from scipy.special import loggamma  # only log-gamma needs scipy
-    return complex(loggamma(z))
+# Stirling series of log Gamma: B_2k / (2k (2k - 1)) for k = 1..8.  Once
+# Re z >= LOG_GAMMA_SHIFT the first omitted term is below 1e-17.
+_STIRLING = (
+    1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156, -3617 / 122400,
+)
+LOG_GAMMA_SHIFT = 10.0
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+MAX_Q_TERMS = 1_000_000
+_Q_BLOCK = 512  # q-Pochhammer factors multiplied per broadcast
 
 
-def q_pochhammer_inf(a: complex, q: float, max_terms: int = 1_000_000) -> complex:
-    """(a; q)_infinity = prod_{n >= 0} (1 - a q^n), truncated once
-    |a q^n| < 1e-17.
+def scalar_or_array(out: np.ndarray):
+    """A 0-d result as a Python scalar, any other as the array."""
+    return out.item() if out.ndim == 0 else out
 
-    Requires 0 < q < 1 and |a| <= 1/q; the boundary |a| = 1/q is admitted
-    because half-step shifts of unit-modulus arguments land exactly there.
+
+def gamma_poles(z) -> np.ndarray:
+    """Mask of the entries of z that are poles of Gamma (0, -1, -2, ...)."""
+    z = np.asarray(z, dtype=complex)
+    return (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.floor(z.real))
+
+
+def log_gamma(z):
+    """Principal branch of log Gamma(z), elementwise.
+
+    Arguments are shifted up by n = ceil(LOG_GAMMA_SHIFT - Re z) where that
+    is positive, evaluated by the Stirling series, and the shift is undone
+    by subtracting sum_{k<n} log(z + k).  That sum of principal logarithms
+    is analytic on C minus (-inf, 0], so the result is the principal branch
+    there (Hare, J. Algorithms 25 (1997) 221); on the cut itself it is the
+    limit from Im z = +0 (or -0, following the sign of the zero).
+    A scalar argument gives a Python complex.
+    """
+    z = np.asarray(z, dtype=complex)
+    poles = gamma_poles(z)
+    if poles.any():
+        raise PoleOfGamma(f"log-gamma pole at z = {z[poles].flat[0].real:g}")
+    shift = np.ceil(np.maximum(LOG_GAMMA_SHIFT - z.real, 0.0))
+    w = z + shift
+    inv = 1.0 / w
+    inv2 = inv * inv
+    series = np.zeros_like(w)
+    for c in reversed(_STIRLING):
+        series = series * inv2 + c
+    out = (w - 0.5) * np.log(w) - w + _HALF_LOG_2PI + series * inv
+    n_max = int(shift.max(initial=0.0))
+    if n_max:
+        k = np.arange(n_max)
+        logs = np.log(z[..., None] + k)
+        out = out - np.where(k < shift[..., None], logs, 0.0).sum(axis=-1)
+    return scalar_or_array(out)
+
+
+def q_pochhammer_inf(a, q: float):
+    """(a; q)_infinity = prod_{n >= 0} (1 - a q^n), elementwise over a.
+
+    The product is truncated once max|a| q^n < 1e-17; the term count is
+    fixed up front from max|a| and q, and the factors are multiplied as one
+    broadcast over (a, n), in blocks of at most _Q_BLOCK terms.  Requires
+    0 < q < 1 and |a| <= 1/q; the boundary |a| = 1/q is admitted because
+    half-step shifts of unit-modulus arguments land exactly there.  A
+    scalar argument gives a Python complex.
     """
     if not (0.0 < q < 1.0):
         raise DivergentProduct(f"q = {q!r} outside (0, 1)")
-    a = complex(a)
-    if abs(a) > (1.0 + 1e-9) / q:
-        raise DivergentProduct(f"|a| = {abs(a):.6g} exceeds 1/q = {1.0 / q:.6g}")
-    out = 1.0 + 0j
-    term = a
-    count = 0
-    while abs(term) >= 1e-17:
-        out *= 1.0 - term
-        term *= q
-        count += 1
-        if count > max_terms:
-            raise DivergentProduct("q-Pochhammer truncation did not engage")
-    return out
+    a = np.asarray(a, dtype=complex)
+    a_max = float(np.abs(a).max(initial=0.0))
+    if a_max > (1.0 + 1e-9) / q:
+        raise DivergentProduct(f"|a| = {a_max:.6g} exceeds 1/q = {1.0 / q:.6g}")
+    terms = math.ceil(math.log(1e-17 / a_max) / math.log(q)) if a_max >= 1e-17 else 0
+    if terms > MAX_Q_TERMS:
+        raise DivergentProduct(f"q-Pochhammer needs {terms} factors at q = {q!r}")
+    out = np.ones_like(a)
+    for start in range(0, terms, _Q_BLOCK):
+        powers = q ** np.arange(start, min(start + _Q_BLOCK, terms), dtype=float)
+        out = out * np.prod(1.0 - a[..., None] * powers, axis=-1)
+    return scalar_or_array(out)

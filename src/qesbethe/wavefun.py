@@ -14,6 +14,11 @@ The Schroedinger residual below re-evaluates the transformed Hamiltonian
 pointwise, shift by shift, with no polynomial algebra involved; it is an
 intentionally independent code path from the matrix construction, so that
 a common-mode bug in one of them cannot hide in both.
+
+Every check takes an array of points (a scalar works too) and evaluates
+them in one batch: all Gamma (or q-Pochhammer) arguments of a call go
+through a single kernel call, and the shifted wavefunctions are one product
+over (points x roots).
 """
 
 from __future__ import annotations
@@ -22,8 +27,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bethe import BetheSolution
-from .errors import PoleOfPotential, QesError
+from .errors import PoleOfGamma, PoleOfPotential, QesError
 from .models import (
     Coordinate,
     ModelFamily,
@@ -38,7 +45,7 @@ from .models import (
     potential_v_z,
     v_phase,
 )
-from .numerics import log_gamma, q_pochhammer_inf
+from .numerics import gamma_poles, log_gamma, q_pochhammer_inf, scalar_or_array
 
 EPS = 1e-300
 
@@ -59,159 +66,173 @@ def default_grid(spec: ModelSpec, n: int = 20) -> GridSpec:
     return GridSpec(pts)
 
 
-def _log_linear_factors(spec: ModelSpec, x: complex, conjugated: bool) -> complex:
-    """log of the numerator of V (or V*) as a sum of logs of linear factors;
-    2 pi i ambiguities cancel once the difference of two such logs is
-    exponentiated."""
-    out = cmath.log(v_phase(spec).conjugate() if conjugated else v_phase(spec))
-    for p in numerator_constants(spec):
-        term = (p.conjugate() - 1j * x) if conjugated else (p + 1j * x)
-        if term == 0:
-            raise PoleOfPotential(f"numerator factor vanishes at x = {x}")
-        out += cmath.log(term)
-    return out
+def _points(x) -> np.ndarray:
+    """The points of x as a flat complex array."""
+    return np.asarray(x, dtype=complex).ravel()
 
 
-def _log_phi0_squared_x(spec: ModelSpec, x: complex) -> complex:
-    fam = spec.family
-    out = 0j
-    if fam is ModelFamily.MP_CROSSED:
-        beta = spec.real_param("beta")
-        out += 2.0 * beta * x
-        for p in numerator_constants(spec):
-            out += log_gamma(p + 1j * x) + log_gamma(p.conjugate() - 1j * x)
-        return out
-    for p in numerator_constants(spec):
-        out += log_gamma(p + 1j * x) + log_gamma(p - 1j * x)
+def _shaped(values: np.ndarray, x):
+    """Values at the flattened points of x, back in the shape of x (a
+    Python scalar for a scalar x)."""
+    return scalar_or_array(values.reshape(np.shape(x)))
+
+
+def _raise_at(error: type, bad: np.ndarray, arg: np.ndarray, x: np.ndarray, what: str) -> None:
+    """Raise ``error`` naming the first bad argument and its grid point;
+    ``bad`` and ``arg`` have the points along their last axis."""
+    if bad.any():
+        k = tuple(np.argwhere(bad)[0])
+        raise error(f"{what} at {arg[k]} (grid point x = {x[k[-1]]})")
+
+
+def _log_potential(spec: ModelSpec, x: np.ndarray, shift: complex, conjugated: bool) -> np.ndarray:
+    """log V(x + shift), or log V*(x + shift), as a sum of logs of linear
+    factors; 2 pi i ambiguities cancel once the difference of two such logs
+    is exponentiated."""
+    name = "V*" if conjugated else "V"
+    y = x + shift
+    p = np.asarray(numerator_constants(spec), dtype=complex)[:, None]
+    factors = p.conj() - 1j * y if conjugated else p + 1j * y
+    _raise_at(PoleOfPotential, (factors == 0).any(axis=0), y, x, f"{name} numerator factor vanishes")
+    phase = v_phase(spec)
+    out = cmath.log(phase.conjugate() if conjugated else phase) + np.log(factors).sum(axis=0)
     if spec.info.kinematic_denominator:
-        out -= log_gamma(2j * x) + log_gamma(-2j * x)
+        t = -2j * y if conjugated else 2j * y
+        den = t * (t + 1.0)
+        _raise_at(PoleOfPotential, np.abs(den) < EPS, y, x, f"{name} pole")
+        out = out - np.log(den)
     return out
 
 
-def phi0_squared(spec: ModelSpec, x: complex) -> complex:
-    """Square of the pseudo ground state at x."""
-    x = complex(x)
+def _log_phi0_squared_x(spec: ModelSpec, x: np.ndarray, shifts: tuple[complex, ...]) -> np.ndarray:
+    """log phi0^2 at x + s for each shift s, shape (len(shifts), x.size);
+    every Gamma argument of the call goes through one log_gamma call."""
+    p = np.asarray(numerator_constants(spec), dtype=complex)[:, None, None]
+    y = np.stack([x + s for s in shifts])
+    iy = 1j * y
+    conj_p = p.conj() if spec.family is ModelFamily.MP_CROSSED else p
+    parts = [p + iy, conj_p - iy]
+    if spec.info.kinematic_denominator:
+        parts += [2.0 * iy[None], -2.0 * iy[None]]
+    args = np.concatenate(parts)
+    _raise_at(PoleOfGamma, gamma_poles(args), args, x, "phi0^2 meets a Gamma pole")
+    terms = log_gamma(args)
+    n = 2 * len(p)
+    out = terms[:n].sum(axis=0) - terms[n:].sum(axis=0)
+    if spec.family is ModelFamily.MP_CROSSED:
+        out = out + 2.0 * spec.real_param("beta") * y
+    return out
+
+
+def phi0_squared(spec: ModelSpec, x):
+    """Square of the pseudo ground state at x (a point or an array)."""
+    pts = _points(x)
     if spec.info.coordinate is Coordinate.COS:
-        return phi0_squared_z(spec, cmath.exp(1j * x))
-    return cmath.exp(_log_phi0_squared_x(spec, x))
+        return _shaped(phi0_squared_z(spec, np.exp(1j * pts)), x)
+    return _shaped(np.exp(_log_phi0_squared_x(spec, pts, (0.0,))[0]), x)
 
 
-def zero_mode_residual(spec: ModelSpec, x: complex) -> float:
-    """Relative violation of the squared zero-mode identity at x.
+def zero_mode_residual(spec: ModelSpec, x):
+    """Relative violation of the squared zero-mode identity at x (a point
+    or an array).
 
     Both sides are combined in log space, so overflow-scale Gamma products
     cancel before exponentiation.
     """
-    x = complex(x)
+    pts = _points(x)
     if spec.info.coordinate is Coordinate.COS:
         q = spec.real_param("q")
-        z = cmath.exp(1j * x)
+        z = np.exp(1j * pts)
         sq = math.sqrt(q)
-        lhs = potential_v_star_z(spec, sq * z) * phi0_squared_z(spec, sq * z)
-        rhs = potential_v_z(spec, z / sq) * phi0_squared_z(spec, z / sq)
-        return abs(lhs - rhs) / max(abs(lhs), abs(rhs), EPS)
-    xm = x - 0.5j
-    xp = x + 0.5j
-    w_lhs = _log_v_star(spec, xm) + _log_phi0_squared_x(spec, xm)
-    w_rhs = _log_v(spec, xp) + _log_phi0_squared_x(spec, xp)
-    delta = cmath.exp(w_lhs - w_rhs)
-    return abs(delta - 1.0) / max(1.0, abs(delta))
+        w = np.stack([sq * z, z / sq])
+        # V*(w) = V(1/w): both potentials in one call
+        v = potential_v_z(spec, np.stack([1.0 / w[0], w[1]]))
+        lhs, rhs = v * phi0_squared_z(spec, w)
+        res = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), EPS)
+        return _shaped(res, x)
+    log_v_star = _log_potential(spec, pts, -0.5j, conjugated=True)
+    log_v = _log_potential(spec, pts, 0.5j, conjugated=False)
+    log_phi = _log_phi0_squared_x(spec, pts, (-0.5j, 0.5j))
+    delta = np.exp((log_v_star + log_phi[0]) - (log_v + log_phi[1]))
+    return _shaped(np.abs(delta - 1.0) / np.maximum(1.0, np.abs(delta)), x)
 
 
-def phi0_squared_z(spec: ModelSpec, z: complex) -> complex:
-    """Trigonometric phi0^2 directly in the z variable (|z| need not be 1)."""
+def phi0_squared_z(spec: ModelSpec, z):
+    """Trigonometric phi0^2 directly in the z variable (|z| need not be 1),
+    at a point or an array of them; every q-Pochhammer argument goes
+    through one q_pochhammer_inf call."""
     q = spec.real_param("q")
-    num = q_pochhammer_inf(z * z, q) * q_pochhammer_inf(1.0 / (z * z), q)
-    den = 1.0 + 0j
-    for p in numerator_constants(spec):
-        den *= q_pochhammer_inf(p * z, q) * q_pochhammer_inf(p / z, q)
-    if abs(den) < EPS:
-        raise QesError(f"pseudo-ground-state denominator vanished at z = {z}")
-    return num / den
+    w = np.asarray(z, dtype=complex)
+    p = np.asarray(numerator_constants(spec), dtype=complex).reshape((-1,) + (1,) * w.ndim)
+    w2 = w * w
+    poch = q_pochhammer_inf(np.concatenate([[w2, 1.0 / w2], p * w, p / w]), q)
+    num = poch[0] * poch[1]
+    den = np.prod(poch[2:], axis=0)
+    small = np.abs(den) < EPS
+    if small.any():
+        raise QesError(f"pseudo-ground-state denominator vanished at z = {w[small].flat[0]}")
+    return scalar_or_array(num / den)
 
 
-def _log_v(spec: ModelSpec, x: complex) -> complex:
-    out = _log_linear_factors(spec, x, conjugated=False)
-    if spec.info.kinematic_denominator:
-        den = 2j * x * (2j * x + 1.0)
-        if abs(den) < EPS:
-            raise PoleOfPotential(f"V pole at x = {x}")
-        out -= cmath.log(den)
-    return out
+def _psi_at_eta(sol: BetheSolution, e: np.ndarray) -> np.ndarray:
+    """prod_l (e - eta_l) elementwise: one product over (points x roots)."""
+    roots = np.asarray(sol.roots.roots_eta, dtype=complex)
+    return np.prod(e[..., None] - roots, axis=-1)
 
 
-def _log_v_star(spec: ModelSpec, x: complex) -> complex:
-    out = _log_linear_factors(spec, x, conjugated=True)
-    if spec.info.kinematic_denominator:
-        den = -2j * x * (-2j * x + 1.0)
-        if abs(den) < EPS:
-            raise PoleOfPotential(f"V* pole at x = {x}")
-        out -= cmath.log(den)
-    return out
-
-
-def eigenfunction_value(spec: ModelSpec, sol: BetheSolution, x: complex) -> complex:
+def eigenfunction_value(spec: ModelSpec, sol: BetheSolution, x):
     """Polynomial part Psi(x) = prod (eta(x) - eta_l), times x in the odd
-    sextic sector, evaluated from the Bethe roots."""
-    out = 1.0 + 0j
-    ex = eta(spec, x)
-    for eta_l in sol.roots.roots_eta:
-        out *= ex - eta_l
+    sextic sector, evaluated from the Bethe roots at a point or an array."""
+    pts = np.asarray(x, dtype=complex)
+    out = _psi_at_eta(sol, np.asarray(eta(spec, pts)))
     if spec.sector is Sector.ODD:
-        out *= x
-    return out
+        out = out * pts
+    return scalar_or_array(out)
 
 
-def schrodinger_residual(spec: ModelSpec, sol: BetheSolution, x: complex) -> float:
-    """Pointwise |H~ Psi - E Psi| / scale at x, by direct evaluation of the
-    shifted wavefunction (independent of the matrix construction)."""
-    x = complex(x)
-    e_val = sol.E_formula
-    psi = eigenfunction_value(spec, sol, x)
+def schrodinger_residual(spec: ModelSpec, sol: BetheSolution, x):
+    """Pointwise |H~ Psi - E Psi| / scale at x (a point or an array), by
+    direct evaluation of the shifted wavefunction (independent of the
+    matrix construction)."""
+    pts = _points(x)
     if spec.info.coordinate is Coordinate.COS:
         q = spec.real_param("q")
-        z = cmath.exp(1j * x)
-        psi_m = _trig_psi_shift(spec, sol, q * z)
-        psi_p = _trig_psi_shift(spec, sol, z / q)
+        z = np.exp(1j * pts)
+        w = np.stack([q * z, z / q])
+        psi, psi_m, psi_p = _psi_at_eta(sol, np.concatenate([[eta(spec, pts)], 0.5 * (w + 1.0 / w)]))
         v = potential_v_z(spec, z)
         vs = potential_v_star_z(spec, z)
     else:
-        psi_m = eigenfunction_value(spec, sol, x - 1j)
-        psi_p = eigenfunction_value(spec, sol, x + 1j)
-        v = potential_v(spec, x)
-        vs = potential_v_star(spec, x)
+        psi, psi_m, psi_p = eigenfunction_value(spec, sol, np.stack([pts, pts - 1j, pts + 1j]))
+        v = potential_v(spec, pts)
+        vs = potential_v_star(spec, pts)
     t1 = v * (psi_m - psi)
     t2 = vs * (psi_p - psi)
-    t3 = compensation_alpha(spec, x) * psi
+    t3 = compensation_alpha(spec, pts) * psi
     lhs = t1 + t2 + t3
-    rhs = e_val * psi
-    scale = max(abs(rhs), abs(t1), abs(t2), abs(t3), EPS)
-    return abs(lhs - rhs) / scale
-
-
-def _trig_psi_shift(spec: ModelSpec, sol: BetheSolution, z: complex) -> complex:
-    ez = 0.5 * (z + 1.0 / z)
-    out = 1.0 + 0j
-    for eta_l in sol.roots.roots_eta:
-        out *= ez - eta_l
-    return out
+    rhs = sol.E_formula * psi
+    scale = np.maximum(np.abs(np.stack([rhs, t1, t2, t3])).max(axis=0), EPS)
+    return _shaped(np.abs(lhs - rhs) / scale, x)
 
 
 def grid_rows(spec: ModelSpec, sol: BetheSolution, grid: GridSpec) -> list[dict]:
     """CSV-ready rows: point, phi0^2, Psi and the pointwise residual."""
-    rows = []
-    for x in grid.points:
-        p2 = phi0_squared(spec, x)
-        psi = eigenfunction_value(spec, sol, x)
-        rows.append(
-            {
-                "x_re": x.real,
-                "x_im": x.imag,
-                "phi0sq_re": p2.real,
-                "phi0sq_im": p2.imag,
-                "psi_re": psi.real,
-                "psi_im": psi.imag,
-                "residual": schrodinger_residual(spec, sol, x),
-            }
-        )
-    return rows
+    pts = np.asarray(grid.points, dtype=complex)
+    columns = zip(
+        grid.points,
+        phi0_squared(spec, pts).tolist(),
+        eigenfunction_value(spec, sol, pts).tolist(),
+        schrodinger_residual(spec, sol, pts).tolist(),
+    )
+    return [
+        {
+            "x_re": x.real,
+            "x_im": x.imag,
+            "phi0sq_re": p2.real,
+            "phi0sq_im": p2.imag,
+            "psi_re": psi.real,
+            "psi_im": psi.imag,
+            "residual": residual,
+        }
+        for x, p2, psi, residual in columns
+    ]

@@ -138,28 +138,34 @@ class TestRepeatedCalls:
         assert len(json.loads(out)["solutions"]) == 2
 
 
-def test_scipy_loaded_only_for_log_gamma(child_env):
-    """Oracle and homotopy solves, limits and dump-matrix never import
-    scipy.special; verify (which needs log-gamma) still works afterwards.
-    Runs in a child process because pytest has already imported scipy."""
+def test_no_command_imports_scipy(child_env):
+    """All five commands, verify and grid included, run on numpy alone: no
+    scipy module is ever imported.  Runs in a child process because pytest
+    has already imported scipy."""
     script = textwrap.dedent(
         """
         import contextlib, io, sys
-        import qesbethe, qesbethe.cli, qesbethe.homotopy
         from qesbethe.cli import main
 
         mp = ["--family", "mp-crossed", "--a1", "1.2", "--a2", "0.8",
               "--beta", "0.6", "--M", "3"]
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["solve", *mp]) == 0
-            assert main(["solve", *mp, "--seed", "homotopy"]) == 0
-            assert main(["limits", "--case", "aw", "--q", "0.5", "--a", "0.3",
-                         "--b", "0.3", "--c", "0.3", "--d", "0.3", "--M", "2"]) == 0
-            assert main(["dump-matrix", *mp]) == 0
-        assert "scipy.special" not in sys.modules, "scipy.special was imported"
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["verify", *mp]) == 0
-        assert "scipy.special" in sys.modules
+        trig = ["--family", "trig-q", "--a", "0.3", "--b", "-0.2", "--c", "0.25",
+                "--d", "0.4", "--e", "-0.35", "--q", "0.6", "--M", "3"]
+        cent = ["--family", "centrifugal-i", "--b", "1.2", "--c", "0.7", "--d", "2.2",
+                "--e", "0.9", "--f", "1.6", "--M", "2"]
+        commands = [
+            ["solve", *mp], ["solve", *mp, "--seed", "homotopy"],
+            ["limits", "--case", "aw", "--q", "0.5", "--a", "0.3", "--b", "0.3",
+             "--c", "0.3", "--d", "0.3", "--M", "2"],
+            ["dump-matrix", *mp],
+            ["verify", *mp], ["verify", *trig], ["verify", *cent],
+            ["grid", *mp], ["grid", *trig], ["grid", *cent],
+        ]
+        for args in commands:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(args) == 0, args
+            loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            assert not loaded, (args, loaded)
         """
     )
     proc = subprocess.run(
@@ -219,6 +225,11 @@ class TestLimitsCommand:
         jsonschema.validate(doc, SCHEMA)
         assert doc["passed"] and doc["reduced_bae"]["passed"]
         np.testing.assert_allclose(doc["rows"][1]["expected"][0], 0.9919, rtol=1e-12)
+
+    def test_missing_parameter_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(["limits", "--case", "aw", "--q", "0.5", "--M", "2"], capsys)
+        assert code == 1 and out == ""
+        assert err == "qesbethe: error: limit case aw requires parameters ['a', 'b', 'c', 'd']\n"
 
     def test_asymptotic_case(self, capsys):
         code, out, _ = run_cli(

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from qesbethe.bethe import bae_residual, solve
-from qesbethe.errors import UnsupportedFamily
+from qesbethe.errors import MissingLimitParameter, UnsupportedFamily
 from qesbethe.hamiltonian import build_matrix
 from qesbethe.limits import (
+    REQUIRED_PARAMS,
+    RESTRICTION_TAGS,
     LimitTag,
     closed_form_E,
     convergence_ratio,
@@ -162,3 +164,34 @@ class TestReducedBae:
                 assert res <= bound
             else:
                 assert res > bound
+
+
+FULL_PARAMS = {
+    LimitTag.CH_FROM_MP: dict(a1=1.0, a2=1.0),
+    LimitTag.MP_FROM_MP: dict(a1=1.1, beta=0.3),
+    LimitTag.CH_FROM_SEXTIC: dict(b=0.8, c=1.4),
+    LimitTag.MP_FROM_SEXTIC: dict(c=1.2),
+    LimitTag.WILSON: dict(b=0.8, c=1.3, d=2.0, e=0.6),
+    LimitTag.CDH: dict(b=0.8, c=1.3, d=2.0),
+    LimitTag.AW: dict(a=0.3, b=0.3, c=0.3, d=0.3, q=0.5),
+    LimitTag.Q_UNIVERSAL: dict(q=0.45),
+}
+
+
+@pytest.mark.parametrize(
+    "tag, name", [(tag, name) for tag in LimitTag for name in REQUIRED_PARAMS[tag]]
+)
+def test_missing_parameter_is_named(tag, name):
+    params = dict(FULL_PARAMS[tag])
+    del params[name]
+    with pytest.raises(MissingLimitParameter, match=rf"{tag.value} requires parameters \['{name}'\]"):
+        limit_case(tag, 2, **params)
+
+
+@pytest.mark.parametrize("tag", list(LimitTag))
+def test_required_parameters_suffice(tag):
+    assert set(FULL_PARAMS[tag]) == set(REQUIRED_PARAMS[tag])
+    case = limit_case(tag, 2, **FULL_PARAMS[tag])
+    assert verify_limit(case).passed
+    if tag in RESTRICTION_TAGS:
+        assert reduced_bae_check(case)["passed"]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.special
 
 from qesbethe.errors import (
     DegenerateLeadingCoefficient,
@@ -33,6 +34,10 @@ from qesbethe.numerics import (
     q_pochhammer_inf,
     symmetric_laurent_to_eta,
 )
+from qesbethe.models import Coordinate, model_spec, numerator_constants
+from qesbethe.wavefun import default_grid
+
+from conftest import ALL_FAMILIES, draw_params
 
 
 def coeffs_close(p: PolynomialC, expected, atol=1e-12):
@@ -241,7 +246,75 @@ class TestLogGamma:
         np.testing.assert_allclose(descended, log_gamma(z), rtol=1e-12)
 
 
+    @staticmethod
+    def assert_matches_scipy(z):
+        ref = scipy.special.loggamma(z)
+        got = log_gamma(z)
+        assert got.shape == z.shape
+        err = np.abs(got - ref) / np.maximum(1.0, np.abs(ref))
+        assert err.max() <= 1e-13, z.flat[err.argmax()]
+
+    def test_matches_scipy_on_square(self):
+        re, im = np.meshgrid(np.linspace(-30, 30, 241), np.linspace(-30, 30, 241))
+        z = (re + 1j * im).ravel()
+        self.assert_matches_scipy(z[~((z.imag == 0) & (z.real == np.round(z.real)) & (z.real <= 0))])
+
+    def test_matches_scipy_on_random_points(self, rng):
+        z = rng.uniform(-30, 30, 20000) + 1j * rng.uniform(-30, 30, 20000)
+        self.assert_matches_scipy(z.reshape(100, 200))
+
+    def test_matches_scipy_on_family_arguments(self, rng):
+        """p +- i(x +- i/2) and +-2i(x +- i/2) on every default grid."""
+        for family in ALL_FAMILIES:
+            for _ in range(5):
+                spec = model_spec(family, M=2, sector="even" if family.startswith("sextic") else None,
+                                  **draw_params(family, rng))
+                if spec.info.coordinate is Coordinate.COS:
+                    continue
+                p = np.asarray(numerator_constants(spec))[:, None]
+                for n in (12, 20):
+                    x = np.asarray(default_grid(spec, n).points)
+                    for y in (x - 0.5j, x + 0.5j):
+                        args = [p + 1j * y, p - 1j * y, p.conj() - 1j * y, 2j * y, -2j * y]
+                        self.assert_matches_scipy(np.concatenate([np.ravel(a) for a in args]))
+
+    def test_scalar_in_scalar_out(self):
+        assert isinstance(log_gamma(2.5 + 1j), complex)
+        assert log_gamma(np.asarray([2.5 + 1j])).shape == (1,)
+
+    def test_pole_in_array(self):
+        with pytest.raises(PoleOfGamma, match="-3"):
+            log_gamma(np.asarray([1.5, -3.0, 2.0]))
+
+
+def sequential_q_pochhammer(a: complex, q: float) -> complex:
+    """Reference: multiply factors one at a time until |a q^n| < 1e-17."""
+    out, term = 1.0 + 0j, complex(a)
+    while abs(term) >= 1e-17:
+        out *= 1.0 - term
+        term *= q
+    return out
+
+
 class TestQPochhammer:
+    @pytest.mark.parametrize("q", [0.02, 0.3, 0.5, 0.8, 0.9, 0.97])
+    def test_batched_equals_sequential(self, q, rng):
+        """rtol 1e-14 up to q = 0.9 (at most 373 factors; the verified
+        range q <= 0.8 takes at most 177); beyond, n eps for n factors,
+        since the rounding of either product grows with n."""
+        a = rng.uniform(-1, 1, (4, 25)) + 1j * rng.uniform(-1, 1, (4, 25))
+        a = a / np.abs(a) * rng.uniform(0, 1 / q, a.shape)  # |a| up to 1/q
+        got = q_pochhammer_inf(a, q)
+        assert got.shape == a.shape
+        want = np.vectorize(lambda v: sequential_q_pochhammer(v, q))(a)
+        factors = math.log(1e-17 * q) / math.log(q)
+        rtol = 1e-14 if q <= 0.9 else factors * np.finfo(float).eps
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=0)
+
+    def test_term_count_guard(self):
+        with pytest.raises(DivergentProduct, match="factors"):
+            q_pochhammer_inf(0.5, 1.0 - 1e-9)
+
     def test_zero_argument(self):
         assert q_pochhammer_inf(0.0, 0.5) == 1.0
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qesbethe.bethe import solve
-from qesbethe.errors import PoleOfGamma
+from qesbethe.errors import PoleOfGamma, PoleOfPotential
 from qesbethe.models import model_spec
 from qesbethe.numerics import q_pochhammer_inf
 from qesbethe.wavefun import (
@@ -134,3 +134,45 @@ class TestGridRows:
                 rtol=1e-12,
             )
             assert row["residual"] <= 1e-8
+
+
+class TestBatchedEqualsScalar:
+    """An array of points gives, point by point, what one call per point
+    gives, in the shape of the input.  numpy's vectorised log/exp may round
+    array lanes differently from a lone element, so values agree to a few
+    ulp of their log-space size (rtol 1e-13) and the residuals, which are
+    relative errors themselves, to atol 1e-14."""
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_every_check(self, family, rng):
+        spec = spec_for(family, 3, rng)
+        pts = np.asarray(default_grid(spec, 12).points + tuple(random_admissible_points(spec, rng, 8)))
+        pts = pts.reshape(4, 5)
+
+        def check(fn, *args, **tol):
+            batch = fn(spec, *args, pts)
+            assert batch.shape == pts.shape
+            one_by_one = [[fn(spec, *args, x) for x in row] for row in pts]
+            np.testing.assert_allclose(batch, one_by_one, **tol)
+
+        check(zero_mode_residual, rtol=0, atol=1e-14)
+        check(phi0_squared, rtol=1e-13)
+        for sol in solve(spec):
+            check(schrodinger_residual, sol, rtol=0, atol=1e-14)
+            check(eigenfunction_value, sol, rtol=1e-13)
+
+    def test_scalar_in_scalar_out(self):
+        spec = model_spec("sextic-i", M=2, sector="even", a=1.0, b=2.0, c=3.0)
+        assert isinstance(zero_mode_residual(spec, 0.7), float)
+        assert isinstance(phi0_squared(spec, 0.7), complex)
+        assert isinstance(schrodinger_residual(spec, solve(spec)[0], 0.7), float)
+
+    def test_potential_pole_names_the_point(self):
+        spec = model_spec("centrifugal-i", M=1, b=1.2, c=0.7, d=2.2, e=0.9, f=1.6)
+        with pytest.raises(PoleOfPotential, match=r"grid point x = 0\.5j"):
+            zero_mode_residual(spec, [1.0, 0.5j, 2.0])  # V*(x - i/2) = V*(0)
+
+    def test_gamma_pole_names_the_point(self):
+        spec = model_spec("centrifugal-i", M=1, b=1.2, c=0.7, d=2.2, e=0.9, f=1.6)
+        with pytest.raises(PoleOfGamma, match=r"grid point x = 0j"):
+            phi0_squared(spec, [1.0, 2.0, 0.0])
