@@ -3,14 +3,17 @@ eigensolver, damped Newton iteration and the two special functions
 (complex log-gamma, q-Pochhammer) the model layer is built from.
 
 Polynomials are dense complex coefficient sequences in a single variable,
-stored in ascending powers.  Degrees stay small (a few tens), so every
-operation is the straightforward O(n^2) algorithm; no FFT or sparse paths.
-All functions here are pure: they never mutate their arguments and hold no
-global state.
+stored in ascending powers; many polynomials that undergo the same
+operation are the rows of one 2-D array.  Degrees stay small (a few tens),
+so every operation is the straightforward O(n^2) algorithm; no FFT or
+sparse paths.  All functions here are pure: they never mutate their
+arguments, and the only state they keep is a bounded memo of read-only
+integer tables (binomial and Chebyshev coefficients).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -95,81 +98,6 @@ class PolynomialC:
 def _check_var(p: PolynomialC, q: PolynomialC) -> None:
     if p.var != q.var:
         raise ValueError(f"variable mismatch: {p.var!r} vs {q.var!r}")
-
-
-def poly_one(var: str = "x") -> PolynomialC:
-    return PolynomialC((1,), var)
-
-
-def poly_monomial(k: int, var: str = "x", coeff: complex = 1.0) -> PolynomialC:
-    return PolynomialC((0,) * k + (coeff,), var)
-
-
-def poly_shift(p: PolynomialC, c: complex) -> PolynomialC:
-    """Taylor shift: return q with q(x) = p(x + c).
-
-    Uses the Ruffini-Horner cascade (Pascal recurrence), which is exact up
-    to rounding and avoids the conditioning problems of sample/interpolate.
-    """
-    n = len(p.coeffs)
-    if n <= 1 or c == 0:
-        return p
-    b = list(p.coeffs)
-    for i in range(n - 1):
-        for j in range(n - 2, i - 1, -1):
-            b[j] = b[j] + c * b[j + 1]
-    return PolynomialC(tuple(b), p.var)
-
-
-def poly_mul(p: PolynomialC, q: PolynomialC) -> PolynomialC:
-    """Convolution product."""
-    _check_var(p, q)
-    if not p.coeffs or not q.coeffs:
-        return PolynomialC((), p.var)
-    out = np.convolve(np.asarray(p.coeffs), np.asarray(q.coeffs))
-    return PolynomialC(tuple(out), p.var)
-
-
-def poly_divide_exact(p: PolynomialC, d: PolynomialC, tol: float = 1e-9) -> PolynomialC:
-    """Synthetic division p / d whose remainder must vanish.
-
-    The remainder is checked against ``tol * inf_norm(p)`` and discarded;
-    a larger remainder raises InexactDivision.
-    """
-    _check_var(p, d)
-    if not d.coeffs:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if not p.coeffs:
-        return PolynomialC((), p.var)
-    dd = d.degree
-    pd = p.degree
-    rem = list(p.coeffs)
-    lead = d.coeffs[-1]
-    qdeg = pd - dd
-    if qdeg < 0:
-        quot: list[complex] = []
-    else:
-        quot = [0j] * (qdeg + 1)
-        for k in range(qdeg, -1, -1):
-            q_k = rem[k + dd] / lead
-            quot[k] = q_k
-            for j in range(dd + 1):
-                rem[k + j] -= q_k * d.coeffs[j]
-    rnorm = max(abs(r) for r in rem)
-    if rnorm > tol * p.inf_norm():
-        raise InexactDivision(
-            f"division remainder {rnorm:.3e} exceeds {tol:.1e} * |p| = "
-            f"{tol * p.inf_norm():.3e}"
-        )
-    return PolynomialC(tuple(quot), p.var)
-
-
-def poly_from_roots(roots: Sequence[complex], var: str = "x") -> PolynomialC:
-    """Monic polynomial prod (var - r)."""
-    out = poly_one(var)
-    for r in roots:
-        out = poly_mul(out, PolynomialC((-r, 1), var))
-    return out
 
 
 def poly_roots(p: PolynomialC, assume_exact_leading: bool = False) -> list[complex]:
@@ -257,85 +185,124 @@ class LaurentC:
         return max((abs(c) for c in self.coeffs), default=0.0)
 
 
-def laurent_one() -> LaurentC:
-    return LaurentC(0, (1,))
+# ---------------------------------------------------------------------------
+# Coefficient rows: one operation applied to many polynomials at once
+# ---------------------------------------------------------------------------
+#
+# A 2-D complex array holds one polynomial per row, ascending coefficients
+# along the row.  Laurent rows share one window; the caller tracks the
+# exponent of its first column.
 
 
-def laurent_mul(p: LaurentC, q: LaurentC) -> LaurentC:
-    if not p.coeffs or not q.coeffs:
-        return LaurentC(0, ())
-    out = np.convolve(np.asarray(p.coeffs), np.asarray(q.coeffs))
-    return LaurentC(p.lo + q.lo, tuple(out))
+@functools.lru_cache(maxsize=128)
+def binomial_shift(n: int, c: complex) -> np.ndarray:
+    """Read-only n x n matrix whose row k holds the ascending coefficients
+    of (x + c)^k, so that ``rows @ binomial_shift(n, c)`` is every row
+    polynomial p(x) turned into p(x + c).
 
-
-def laurent_scale_arg(p: LaurentC, s: complex) -> LaurentC:
-    """Return q with q(z) = p(s * z): coefficient of z^k picks up s^k."""
-    return LaurentC(p.lo, tuple(c * s ** (p.lo + k) for k, c in enumerate(p.coeffs)))
-
-
-def laurent_divide_exact(p: LaurentC, d: LaurentC, tol: float = 1e-9) -> LaurentC:
-    """Exact Laurent division: shift both operands to plain polynomials and
-    divide, tracking the exponent offset."""
-    if not d.coeffs:
-        raise ZeroDivisionError("division by the zero Laurent polynomial")
-    if not p.coeffs:
-        return LaurentC(0, ())
-    pp = PolynomialC(p.coeffs, "z")
-    dd = PolynomialC(d.coeffs, "z")
-    q = poly_divide_exact(pp, dd, tol)
-    return LaurentC(p.lo - d.lo, q.coeffs)
-
-
-def chebyshev_t_coefficients(n: int) -> list[tuple[float, ...]]:
-    """Coefficient rows of the Chebyshev polynomials T_0 .. T_n (ascending
-    powers), from the recurrence T_{k+1} = 2 x T_k - T_{k-1}."""
-    rows: list[tuple[float, ...]] = [(1.0,), (0.0, 1.0)]
-    while len(rows) <= n:
-        prev, last = rows[-2], rows[-1]
-        nxt = [0.0] + [2.0 * c for c in last]
-        for k, c in enumerate(prev):
-            nxt[k] -= c
-        rows.append(tuple(nxt))
-    return rows[: n + 1]
-
-
-def symmetric_laurent_to_eta(f: LaurentC, asym_tol: float = 1e-10) -> tuple[complex, ...]:
-    """Re-express a z-inversion-symmetric Laurent polynomial in powers of
-    eta = (z + 1/z)/2, using z^k + z^-k = 2 T_k(eta).
-
-    Returns the full ascending eta-coefficient tuple.  Raises
-    InversionAsymmetry if f(z) != f(1/z) beyond ``asym_tol`` relative.
+    Built by the Pascal recurrence; for |c| = 1 on the axes (c = 1, +-i)
+    every entry is exact while the binomial coefficients stay below 2^53.
     """
-    if not f.coeffs:
-        return ()
-    norm = f.inf_norm()
-    top = max(f.hi, -f.lo)
-    sym = []
-    for k in range(top + 1):
-        up, dn = f.coeff(k), f.coeff(-k)
-        if abs(up - dn) > asym_tol * norm:
-            raise InversionAsymmetry(
-                f"Laurent polynomial not z -> 1/z symmetric at |k|={k}: "
-                f"{up} vs {dn}"
-            )
-        sym.append(0.5 * (up + dn))
-    rows = chebyshev_t_coefficients(top)
-    out = [0j] * (top + 1)
-    out[0] += sym[0]
-    for k in range(1, top + 1):
-        for j, c in enumerate(rows[k]):
-            out[j] += 2.0 * c * sym[k]
-    return tuple(out)
-
-
-def eta_power_as_laurent(k: int) -> LaurentC:
-    """eta^k with eta = (z + 1/z)/2, as a Laurent polynomial in z."""
-    base = LaurentC(-1, (0.5, 0.0, 0.5))
-    out = laurent_one()
-    for _ in range(k):
-        out = laurent_mul(out, base)
+    out = np.zeros((n, n), dtype=complex)
+    if n:
+        out[0, 0] = 1.0
+    for k in range(1, n):
+        out[k, 1 : k + 1] = out[k - 1, :k]
+        out[k, :k] += c * out[k - 1, :k]
+    out.flags.writeable = False
     return out
 
+
+def convolve_rows(rows: np.ndarray, kernel) -> np.ndarray:
+    """Every row multiplied by one polynomial (row-wise convolution), as one
+    product with the banded Toeplitz matrix of the kernel."""
+    kernel = np.asarray(kernel, dtype=complex)
+    n = rows.shape[1]
+    width = n + kernel.size - 1
+    # row i of the band starts i*(width + 1) into the flat buffer, which is
+    # column i of row i once the buffer is read with rows of `width`
+    flat = np.zeros(n * (width + 1), dtype=complex)
+    flat.reshape(n, width + 1)[:, : kernel.size] = kernel
+    return rows @ flat[: n * width].reshape(n, width)
+
+
+def divide_rows_exact(
+    rows: np.ndarray, divisor, tol: float
+) -> tuple[np.ndarray, dict[int, InexactDivision]]:
+    """Synthetic division of every row by one divisor whose remainder must
+    vanish.
+
+    Returns the quotient rows and, for each row whose remainder exceeds
+    ``tol`` times the row's largest coefficient, the InexactDivision that
+    names it (a zero row divides exactly).  The divisor's top coefficient
+    must be non-zero.
+    """
+    d = np.asarray(divisor, dtype=complex)
+    dd = d.size - 1
+    # In place, one coefficient of every row at a time (rows along the
+    # contiguous axis): position k + dd turns into the quotient coefficient
+    # q_k, and the positions below it keep the running remainder.
+    rem = np.array(np.transpose(rows), dtype=complex)
+    lead, low = d[-1], d[:-1, None]
+    for k in range(rem.shape[0] - dd - 1, -1, -1):
+        q_k = rem[k + dd]
+        q_k /= lead
+        rem[k : k + dd] -= low * q_k
+    quot = rem[dd:].T.copy()
+    rnorm = np.abs(rem[:dd]).max(axis=0, initial=0.0)
+    pnorm = np.abs(rows).max(axis=1, initial=0.0)
+    errors = {
+        int(i): InexactDivision(
+            f"division remainder {rnorm[i]:.3e} exceeds {tol:.1e} * |p| = "
+            f"{tol * pnorm[i]:.3e}"
+        )
+        for i in np.flatnonzero(rnorm > tol * pnorm)
+    }
+    return quot, errors
+
+
+@functools.lru_cache(maxsize=64)
+def chebyshev_matrix(n: int) -> np.ndarray:
+    """Read-only n x n matrix taking the symmetric parts (c_k + c_-k)/2,
+    k < n, of a z -> 1/z symmetric Laurent polynomial to its ascending
+    coefficients in eta = (z + 1/z)/2: row 0 is T_0 and row k >= 1 is
+    2 T_k, because z^k + z^-k = 2 T_k(eta)."""
+    t = np.zeros((n, n))
+    t[:2, :2] = np.eye(min(n, 2))
+    for k in range(2, n):
+        t[k, 1:] = 2.0 * t[k - 1, :-1]
+        t[k] -= t[k - 2]
+    t[1:] *= 2.0
+    t.flags.writeable = False
+    return t
+
+
+def symmetric_rows_to_eta(
+    rows: np.ndarray, lo: int, asym_tol: float = 1e-10
+) -> tuple[np.ndarray, dict[int, InversionAsymmetry]]:
+    """Ascending eta-coefficients of every Laurent row (exponents lo, lo+1,
+    ...), each of which must satisfy f(z) = f(1/z).
+
+    Returns the eta rows and, for each row whose coefficients of z^k and
+    z^-k differ by more than ``asym_tol`` times its largest coefficient,
+    the InversionAsymmetry that names the lowest such |k|.
+    """
+    n_rows, n = rows.shape
+    top = max(lo + n - 1, -lo, 0)
+    full = np.zeros((n_rows, 2 * top + 1), dtype=complex)
+    full[:, top + lo : top + lo + n] = rows
+    up = full[:, top:]
+    dn = full[:, top::-1]
+    norm = np.abs(rows).max(axis=1, initial=0.0)
+    bad = np.abs(up - dn) > asym_tol * norm[:, None]
+    errors = {}
+    for i in np.flatnonzero(bad.any(axis=1)):
+        k = int(bad[i].argmax())
+        errors[int(i)] = InversionAsymmetry(
+            f"Laurent polynomial not z -> 1/z symmetric at |k|={k}: "
+            f"{complex(up[i, k])} vs {complex(dn[i, k])}"
+        )
+    return (0.5 * (up + dn)) @ chebyshev_matrix(top + 1), errors
 
 # ---------------------------------------------------------------------------
 # Dense eigensolver
@@ -368,17 +335,15 @@ def eig_general(a: np.ndarray, tol: float = 1e-10) -> EigenDecomposition:
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigensolver failed for dim {n}: {exc}") from exc
     scale = np.linalg.norm(a, 2) if n > 1 else abs(a[0, 0])
-    vecs = []
-    for k in range(n):
-        vec = v[:, k] / np.linalg.norm(v[:, k])
-        resid = np.linalg.norm(a @ vec - w[k] * vec)
-        if resid > tol * max(scale, 1e-300):
-            raise NoConvergence(
-                f"eigenpair residual {resid:.3e} above {tol:.1e} * ||A|| "
-                f"(dim {n})"
-            )
-        vecs.append(vec)
-    return EigenDecomposition(tuple(complex(x) for x in w), tuple(vecs))
+    v = v / np.linalg.norm(v, axis=0)
+    resid = np.linalg.norm(a @ v - v * w, axis=0)
+    bad = np.flatnonzero(resid > tol * max(scale, 1e-300))
+    if bad.size:
+        raise NoConvergence(
+            f"eigenpair residual {resid[bad[0]]:.3e} above {tol:.1e} * ||A|| "
+            f"(dim {n})"
+        )
+    return EigenDecomposition(tuple(complex(x) for x in w), tuple(v.T))
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +427,7 @@ _STIRLING = (
 LOG_GAMMA_SHIFT = 10.0
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 MAX_Q_TERMS = 1_000_000
-_Q_BLOCK = 512  # q-Pochhammer factors multiplied per broadcast
+_Q_BUDGET = 4096  # elements of one q-Pochhammer broadcast temporary
 
 
 def scalar_or_array(out: np.ndarray):
@@ -512,10 +477,12 @@ def q_pochhammer_inf(a, q: float):
 
     The product is truncated once max|a| q^n < 1e-17; the term count is
     fixed up front from max|a| and q, and the factors are multiplied as one
-    broadcast over (a, n), in blocks of at most _Q_BLOCK terms.  Requires
-    0 < q < 1 and |a| <= 1/q; the boundary |a| = 1/q is admitted because
-    half-step shifts of unit-modulus arguments land exactly there.  A
-    scalar argument gives a Python complex.
+    broadcast over (a, n), in blocks of terms sized so that each broadcast
+    temporary holds at most _Q_BUDGET elements (one term per block once
+    a.size exceeds it).  Requires 0 < q < 1 and |a| <= 1/q; the boundary
+    |a| = 1/q is admitted because half-step shifts of unit-modulus
+    arguments land exactly there.  A scalar argument gives a Python
+    complex.
     """
     if not (0.0 < q < 1.0):
         raise DivergentProduct(f"q = {q!r} outside (0, 1)")
@@ -527,7 +494,8 @@ def q_pochhammer_inf(a, q: float):
     if terms > MAX_Q_TERMS:
         raise DivergentProduct(f"q-Pochhammer needs {terms} factors at q = {q!r}")
     out = np.ones_like(a)
-    for start in range(0, terms, _Q_BLOCK):
-        powers = q ** np.arange(start, min(start + _Q_BLOCK, terms), dtype=float)
+    block = max(1, _Q_BUDGET // max(a.size, 1))
+    for start in range(0, terms, block):
+        powers = q ** np.arange(start, min(start + block, terms), dtype=float)
         out = out * np.prod(1.0 - a[..., None] * powers, axis=-1)
     return scalar_or_array(out)

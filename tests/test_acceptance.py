@@ -24,7 +24,6 @@ from qesbethe.limits import (
     verify_limit,
 )
 from qesbethe.models import model_spec
-from qesbethe.numerics import poly_monomial
 from qesbethe.wavefun import (
     default_grid,
     phi0_squared,
@@ -33,6 +32,7 @@ from qesbethe.wavefun import (
 )
 
 from conftest import ALL_FAMILIES, draw_params, spec_for
+from reference_algebra import poly_monomial
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "src/qesbethe/schema/result.schema.json").read_text()

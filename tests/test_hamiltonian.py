@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,16 +11,27 @@ from qesbethe.errors import (
     SubspaceLeak,
     UnsupportedFamily,
 )
+from qesbethe import hamiltonian
 from qesbethe.hamiltonian import (
+    LEAK_TOL,
     apply_htilde,
-    basis_polynomial,
+    apply_htilde_z,
+    basis_rows,
     build_matrix,
     matrix_dump_dict,
 )
-from qesbethe.models import model_spec
-from qesbethe.numerics import PolynomialC, poly_monomial
+from qesbethe.models import model_spec, sector_dimension
+from qesbethe.numerics import PolynomialC
 
+import reference_algebra
 from conftest import ALL_FAMILIES, draw_params, spec_for
+from reference_algebra import poly_monomial
+
+# small q: the Laurent image of column 4 loses its z -> 1/z symmetry
+SMALL_Q = {
+    "a": -0.9398719807268364, "b": -0.3818273713280253, "c": -0.5078527658045231,
+    "d": 0.34278857787486716, "e": -0.25879689678089307, "q": 0.027745383598455645,
+}
 
 
 class TestApply:
@@ -127,20 +139,117 @@ class TestBuildMatrix:
 
     def test_odd_sector_basis_carries_prefactor(self):
         spec = model_spec("sextic-i", M=5, sector="odd", a=1, b=1, c=1)
-        assert basis_polynomial(spec, 2).coeffs == (0, 0, 0, 0, 0, 1)
+        rows, lo = basis_rows(spec, 3)
+        assert lo == 0
+        np.testing.assert_array_equal(rows[2], [0, 0, 0, 0, 0, 1])
 
     def test_trig_asymmetric_image_raises_typed_error(self):
         # small q: the Laurent image of column 4 loses its z -> 1/z symmetry
-        params = {
-            "a": -0.9398719807268364, "b": -0.3818273713280253, "c": -0.5078527658045231,
-            "d": 0.34278857787486716, "e": -0.25879689678089307, "q": 0.027745383598455645,
-        }
         with pytest.raises(InversionAsymmetry) as exc:
-            build_matrix(model_spec("trig-q", M=4, **params))
+            build_matrix(model_spec("trig-q", M=4, **SMALL_Q))
         assert isinstance(exc.value, QesError) and isinstance(exc.value, ValueError)
         message = str(exc.value)
         assert "trig-q" in message and "M=4" in message
         assert "q=0.027745383598455645" in message and "z -> 1/z" in message
+
+
+_NUMBER = re.compile(r"[-+]?\d+\.\d+e[-+]\d+")
+
+
+def assert_same_message(got: Exception, want: Exception) -> None:
+    """Same type and wording; the %.3e figures agree to their printed digits."""
+    assert type(got) is type(want)
+    assert _NUMBER.sub("#", str(got)) == _NUMBER.sub("#", str(want))
+    np.testing.assert_allclose(
+        [float(v) for v in _NUMBER.findall(str(got))],
+        [float(v) for v in _NUMBER.findall(str(want))],
+        rtol=1e-2,
+    )
+
+
+def raised(call, *args) -> Exception:
+    with pytest.raises(QesError) as exc:
+        call(*args)
+    return exc.value
+
+
+class TestAgainstPerColumnReference:
+    """The batched build against the per-column PolynomialC/Laurent algebra
+    of ``reference_algebra``."""
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_matrix_matches_reference(self, family, rng):
+        # 1e-12 * max|entry|.  For trig-q the change to eta sums the
+        # coefficients of T_k, whose absolute sum is |T_M(i)| at k = M, so
+        # rounding in the Laurent image (a few ulp, in a different order on
+        # each side) grows by up to that factor; both sides are only that
+        # accurate (about 1e-11 at M = 10 against a 60-digit evaluation).
+        # trig-q stops at M = 10: from M = 11 both sides fail their own
+        # leak, symmetry or division checks on several percent of the
+        # draws, not always on the same draws.
+        trig = family == "trig-q"
+        for M in (0, 1, 2, 5, 8, 10) if trig else (0, 1, 2, 5, 10, 16, 24, 32):
+            growth = abs(np.polynomial.chebyshev.Chebyshev.basis(M)(1j)) if trig else 1.0
+            for _ in range(3):
+                spec = spec_for(family, M, rng)
+                want = reference_algebra.build_matrix(spec)
+                got = build_matrix(spec).matrix
+                assert got.shape == want.shape
+                tol = 1e-12 * growth * np.max(np.abs(want))
+                assert np.max(np.abs(got - want)) <= tol, (family, M, spec.sector)
+
+    def test_one_column_calls_match_reference(self, rng):
+        for family in ALL_FAMILIES:
+            spec = spec_for(family, 6, rng)
+            for k in range(4):
+                psi = reference_algebra.basis_polynomial(spec, k)
+                if family == "trig-q":
+                    got, want = apply_htilde_z(spec, psi), reference_algebra.apply_htilde_z(spec, psi)
+                    span = range(min(got.lo, want.lo), max(got.hi, want.hi) + 1)
+                    diff = max(abs(got.coeff(e) - want.coeff(e)) for e in span)
+                else:
+                    got, want = apply_htilde(spec, psi), reference_algebra.apply_htilde(spec, psi)
+                    assert got.degree == want.degree
+                    diff = float(np.max(np.abs(np.subtract(got.coeffs, want.coeffs))))
+                assert diff <= 1e-12 * want.inf_norm()
+
+    def test_inexact_division_names_first_odd_column(self):
+        spec = model_spec("centrifugal-i", M=2, b=1.2, c=0.7, d=2.2, e=0.9, f=1.6)
+        degrees = (0, 2, 3, 4, 5)  # x^3 is the first column the division rejects
+        columns = [poly_monomial(n, "x") for n in degrees]
+        for k, psi in enumerate(columns):
+            if k in (2, 4):
+                assert_same_message(
+                    raised(apply_htilde, spec, psi),
+                    raised(reference_algebra.apply_htilde, spec, psi),
+                )
+        rows = np.eye(6)[list(degrees)]
+        _, _, inexact = hamiltonian._images(spec, rows, 0)
+        assert sorted(inexact) == [2, 4]
+        assert_same_message(
+            raised(hamiltonian._subspace_matrix, spec, rows, 0, 3, LEAK_TOL),
+            raised(reference_algebra.subspace_matrix, spec, columns, 3),
+        )
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_leak_names_out_of_sector_column(self, family, rng):
+        spec = spec_for(family, 4, rng)
+        dim = sector_dimension(spec)
+        rows, lo = basis_rows(spec, dim + 1)  # the last one lies outside the sector
+        columns = [reference_algebra.basis_polynomial(spec, k) for k in range(dim + 1)]
+        got = raised(hamiltonian._subspace_matrix, spec, rows, lo, dim, LEAK_TOL)
+        want = raised(reference_algebra.subspace_matrix, spec, columns, dim)
+        assert isinstance(got, SubspaceLeak)
+        assert str(got).startswith(f"column {dim} of {family} (M=4) leaks")
+        assert_same_message(got, want)
+
+    def test_inversion_asymmetry_names_same_column(self):
+        spec = model_spec("trig-q", M=4, **SMALL_Q)
+        got = raised(build_matrix, spec)
+        want = raised(reference_algebra.build_matrix, spec)
+        assert isinstance(got, InversionAsymmetry) and isinstance(want, InversionAsymmetry)
+        head = re.compile(r"^(column \d+ of .*?): .*\|k\|=(\d+):")
+        assert head.match(str(got)).groups() == head.match(str(want)).groups()
 
 
 class TestDump:

@@ -5,10 +5,12 @@ import pytest
 import scipy.optimize
 import scipy.special
 
+from qesbethe import numerics
 from qesbethe.errors import (
     DegenerateLeadingCoefficient,
     DivergentProduct,
     InexactDivision,
+    InversionAsymmetry,
     NoConvergence,
     PoleOfGamma,
     SingularJacobian,
@@ -17,27 +19,34 @@ from qesbethe.numerics import (
     LaurentC,
     NewtonOptions,
     PolynomialC,
-    chebyshev_t_coefficients,
+    binomial_shift,
+    chebyshev_matrix,
+    convolve_rows,
+    divide_rows_exact,
     eig_general,
-    eta_power_as_laurent,
-    laurent_divide_exact,
-    laurent_mul,
-    laurent_scale_arg,
     log_gamma,
     newton_solve,
-    poly_divide_exact,
-    poly_from_roots,
-    poly_monomial,
-    poly_mul,
     poly_roots,
-    poly_shift,
     q_pochhammer_inf,
-    symmetric_laurent_to_eta,
+    symmetric_rows_to_eta,
 )
 from qesbethe.models import Coordinate, model_spec, numerator_constants
 from qesbethe.wavefun import default_grid
 
 from conftest import ALL_FAMILIES, draw_params
+from reference_algebra import (
+    chebyshev_t_coefficients,
+    eta_power_as_laurent,
+    laurent_divide_exact,
+    laurent_mul,
+    laurent_scale_arg,
+    poly_divide_exact,
+    poly_from_roots,
+    poly_monomial,
+    poly_mul,
+    poly_shift,
+    symmetric_laurent_to_eta,
+)
 
 
 def coeffs_close(p: PolynomialC, expected, atol=1e-12):
@@ -76,6 +85,18 @@ class TestPolyShift:
                 assert abs(a - b) <= tol * scale
 
 
+    def test_binomial_rows_are_shifted_monomials(self):
+        # exact: the binomial coefficients stay below 2^53 through n = 56
+        for n in (1, 2, 7, 40, 57):
+            for c in (1j, -1j, 1.0):
+                table = binomial_shift(n, c)
+                for k in range(n):
+                    want = poly_shift(poly_monomial(k, "x"), c).coeffs
+                    assert tuple(table[k, : k + 1]) == want
+                    assert not table[k, k + 1 :].any()
+        assert not binomial_shift(5, 1j).flags.writeable
+
+
 class TestPolyMul:
     def test_difference_of_squares(self):
         p = PolynomialC((1, 1), "x")
@@ -89,6 +110,14 @@ class TestPolyMul:
         # (x-1)(x+1)(x-i) = x^3 - i x^2 - x + i
         p = poly_from_roots([1, -1, 1j], "x")
         coeffs_close(p, [1j, -1, -1j, 1])
+
+
+    def test_rows_equal_np_convolve(self, rng):
+        rows = rng.standard_normal((5, 9)) + 1j * rng.standard_normal((5, 9))
+        kernel = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        got = convolve_rows(rows, kernel)
+        for row, out in zip(rows, got):
+            np.testing.assert_allclose(out, np.convolve(row, kernel), rtol=0, atol=1e-14)
 
 
 class TestPolyDivideExact:
@@ -111,6 +140,34 @@ class TestPolyDivideExact:
     def test_zero_divisor_rejected(self):
         with pytest.raises(ZeroDivisionError):
             poly_divide_exact(PolynomialC((1,), "x"), PolynomialC((), "x"))
+
+
+    def test_rows_match_one_at_a_time(self, rng):
+        d = PolynomialC((0, 0, 4, 0, 16), "x")  # the centrifugal denominator product
+        rows = []
+        for _ in range(6):
+            q = PolynomialC(tuple(rng.standard_normal(7) + 1j * rng.standard_normal(7)), "x")
+            rows.append(list(poly_mul(q, d).coeffs))
+        rows[2][1] += 1e-3  # perturbed: not divisible
+        rows[4][0] += 1e-3
+        rows.append([0j] * 11)  # a zero row divides exactly
+        quot, errors = divide_rows_exact(np.array(rows), d.coeffs, 1e-9)
+        assert sorted(errors) == [2, 4]
+        for i, row in enumerate(rows):
+            p = PolynomialC(tuple(row), "x")
+            if i in errors:
+                with pytest.raises(InexactDivision) as exc:
+                    poly_divide_exact(p, d, 1e-9)
+                assert str(errors[i]) == str(exc.value)
+            else:
+                want = np.zeros(quot.shape[1], dtype=complex)
+                coeffs = poly_divide_exact(p, d, 1e-9).coeffs
+                want[: len(coeffs)] = coeffs
+                np.testing.assert_allclose(quot[i], want, rtol=0, atol=1e-13)
+
+    def test_row_shorter_than_divisor_fails(self):
+        quot, errors = divide_rows_exact(np.array([[1.0, 2.0]]), [1.0, 0.0, 1.0], 1e-9)
+        assert quot.shape == (1, 0) and list(errors) == [0]
 
 
 class TestPolyRoots:
@@ -178,6 +235,15 @@ class TestEig:
         for lam, vec in zip(d.eigenvalues, d.eigenvectors):
             assert np.linalg.norm(a @ vec - lam * vec) <= 1e-10 * np.linalg.norm(a, 2)
             np.testing.assert_allclose(np.linalg.norm(vec), 1.0, rtol=1e-12)
+
+    def test_first_failing_pair_named(self, monkeypatch):
+        a = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        w, v = np.linalg.eig(a)
+        bad = w.copy()
+        bad[1:] += [1e-3, 1e-1]  # pairs 1 and 2 fail; 1 is reported
+        monkeypatch.setattr(np.linalg, "eig", lambda _: (bad, v))
+        with pytest.raises(NoConvergence, match=r"residual 1\.000e-03 above"):
+            eig_general(a)
 
     def test_dim_guard(self):
         with pytest.raises(ValueError):
@@ -335,6 +401,15 @@ class TestQPochhammer:
             rhs = (1 - a) * q_pochhammer_inf(a * q, q)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
+    def test_block_size_leaves_value(self, rng, monkeypatch):
+        """The broadcast block only bounds memory: any budget gives the
+        same product up to the rounding of the product order."""
+        a = rng.uniform(-0.7, 0.7, 300) + 1j * rng.uniform(-0.7, 0.7, 300)
+        want = q_pochhammer_inf(a, 0.8)
+        for budget in (1, 7, 299, 10**6):
+            monkeypatch.setattr(numerics, "_Q_BUDGET", budget)
+            np.testing.assert_allclose(q_pochhammer_inf(a, 0.8), want, rtol=1e-14, atol=0)
+
     def test_preconditions(self):
         with pytest.raises(DivergentProduct):
             q_pochhammer_inf(0.5, 1.5)
@@ -381,3 +456,27 @@ class TestLaurent:
     def test_asymmetry_rejected(self):
         with pytest.raises(ValueError):
             symmetric_laurent_to_eta(LaurentC(-1, (1.0, 0.0, 2.0)))
+
+    def test_chebyshev_matrix_rows(self):
+        rows = chebyshev_t_coefficients(9)
+        table = chebyshev_matrix(10)
+        assert tuple(table[0, :1]) == rows[0]
+        for k in range(1, 10):
+            assert tuple(table[k, : k + 1]) == tuple(2.0 * c for c in rows[k])
+            assert not table[k, k + 1 :].any()
+
+    def test_symmetric_rows_match_one_at_a_time(self):
+        powers = [eta_power_as_laurent(k) for k in range(6)]
+        rows = np.zeros((7, 11), dtype=complex)  # exponents -5 .. 5
+        for k, f in enumerate(powers):
+            rows[k, f.lo + 5 : f.hi + 6] = f.coeffs
+        rows[6, [4, 6]] = [1.0, 2.0]  # z^-1 + 2z: asymmetric at |k| = 1
+        eta, errors = symmetric_rows_to_eta(rows, -5)
+        for k, f in enumerate(powers):
+            want = symmetric_laurent_to_eta(f)
+            np.testing.assert_allclose(eta[k, : len(want)], want, atol=1e-13)
+            assert not eta[k, len(want) :].any()
+        assert list(errors) == [6]
+        with pytest.raises(InversionAsymmetry) as exc:
+            symmetric_laurent_to_eta(LaurentC(-1, (1.0, 0.0, 2.0)))
+        assert str(errors[6]) == str(exc.value)

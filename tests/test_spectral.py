@@ -5,7 +5,7 @@ import pytest
 
 from qesbethe.hamiltonian import build_matrix
 from qesbethe.models import model_spec
-from qesbethe.numerics import PolynomialC, poly_mul
+from qesbethe.numerics import PolynomialC
 from qesbethe.spectral import (
     canonical_z_from_eta,
     extract_roots,
@@ -13,6 +13,7 @@ from qesbethe.spectral import (
 )
 
 from conftest import ALL_FAMILIES, spec_for
+from reference_algebra import poly_mul
 
 
 class TestOracleSpectrum:

@@ -71,3 +71,55 @@ def test_guard_sees_each_comparison_form():
         "    e = s.info.coordinate is Coordinate.COS\n"
     )
     assert [line for _, line in _family_comparisons(tree)] == [2, 3, 4, 5]
+
+
+# build_matrix applies H~ to all basis columns in one pass; a loop calling
+# apply_htilde / apply_htilde_z per column would be a second route.
+
+
+def _per_column_loops(tree: ast.AST, root: str) -> list[int]:
+    """Lines of loops (for, while, comprehensions) that call an apply_htilde*
+    function, inside ``root`` or any module function it reaches."""
+    functions = {
+        node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+    }
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    seen, todo, found = set(), [root], []
+    while todo:
+        name = todo.pop()
+        if name in seen or name not in functions:
+            continue
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                todo.append(node.func.id)
+            if isinstance(node, loops):
+                calls = [sub.func.id for sub in ast.walk(node)
+                         if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)]
+                if any(c.startswith("apply_htilde") for c in calls):
+                    found.append(node.lineno)
+    return found
+
+
+def test_build_matrix_has_no_per_column_route():
+    tree = ast.parse((SRC / "hamiltonian.py").read_text())
+    assert "build_matrix" in {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    lines = _per_column_loops(tree, "build_matrix")
+    assert not lines, f"build_matrix reaches a per-column apply_htilde loop at lines {lines}"
+
+
+def test_per_column_guard_sees_each_loop_form():
+    tree = ast.parse(
+        "def build_matrix(spec):\n"
+        "    return helper(spec)\n"
+        "def helper(spec):\n"
+        "    for k in range(3):\n"
+        "        apply_htilde(spec, k)\n"
+        "    cols = [apply_htilde_z(spec, k) for k in range(3)]\n"
+        "    while spec:\n"
+        "        spec = apply_htilde(spec, 0)\n"
+        "def unreached(spec):\n"
+        "    for k in range(3):\n"
+        "        apply_htilde(spec, k)\n"
+    )
+    assert sorted(_per_column_loops(tree, "build_matrix")) == [4, 6, 7]
