@@ -286,7 +286,7 @@ def newton_polish(
     try:
         solved = v0 + units * newton_solve(
             g_rel, np.zeros_like(v0), NewtonOptions(tol=0.1 * target)
-        )
+        ).x
     except SingularJacobian:
         return seed, SolutionFlags(
             polished=False, degenerate=seed.degenerate, jacobian_singular=True
@@ -478,7 +478,7 @@ def _complete_truncated_roots(spec: ModelSpec, near: RootSet) -> RootSet | None:
         )
 
     try:
-        w = newton_solve(g_far, np.ones(missing, dtype=complex), NewtonOptions(tol=1e-8))
+        w = newton_solve(g_far, np.ones(missing, dtype=complex), NewtonOptions(tol=1e-8)).x
         far = [f * complex(t) for f, t in zip(far, w)]
     except (NoConvergence, SingularJacobian):
         pass  # hand the raw estimates to the full polish

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from pathlib import Path
 from typing import Any, Sequence
@@ -41,6 +42,15 @@ VERIFY_TOLERANCES = ("bae_residual", "eigenvalue_match", "zero_mode", "schroding
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads only -5 and -.5 style words as values and takes a
+        # negative number in exponent notation (-1e-5), or an RE,IM pair
+        # starting with a minus sign (-1.2,0.4), for an option.  No option
+        # starts with a digit, so every word opening with -digit or -.digit
+        # is a value; a malformed one fails in _parse_complex.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message: str):  # usage errors exit 1, not argparse's 2
         self.exit(1, f"{self.prog}: error: {message}\n")
 

@@ -13,12 +13,21 @@ escaped roots at x ~ -u/(2 beta) with u running over the zeros of a
 generalized Laguerre polynomial of degree M - m and parameter
 2m + 2 Re(a1 + a2) - 1, which seeds the first continuation step exactly.
 The trigonometric escaped roots are seeded on a geometric q-ladder
-z ~ -(abcde) q^{2m + 2k}; legs whose Newton correction fails are simply
-dropped, and the caller falls back to oracle seeding for those states.
+z ~ -(abcde) q^{2m + 2k}.
+
+Each leg takes CONTINUATION_STEPS equal steps in the continuation
+parameter.  Every step is a Newton correction that starts from the last
+step's Jacobian, rescaled to the new relative units, and holds it while
+||f|| keeps at least halving (simplified Newton, ``numerics.newton_solve``);
+a fresh finite-difference Jacobian is built only when it does not.
 
 Start root sets come from the start model's matrix, which is upper
 triangular in the graded basis because the start model is exactly solvable;
 eigen-coefficients follow from back substitution, not from a QR solver.
+
+A leg that fails anywhere (roots of its start eigenpolynomial, a Newton
+correction, the eigenvalue formula) or lands on no oracle eigenvalue is
+dropped on its own; the caller seeds that state from the oracle instead.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ from .bethe import (
     roots_from_native,
     trig_far_ladder,
 )
-from .errors import NoConvergence, QesError, SingularJacobian
+from .errors import QesError
 from .hamiltonian import build_matrix
 from .models import Coordinate, ModelSpec
 from .numerics import NewtonOptions, PolynomialC, newton_solve, poly_roots
@@ -91,23 +100,54 @@ def laguerre_nodes(n: int, alpha: float) -> np.ndarray:
     return np.linalg.eigvalsh(jacobi + np.diag(off, 1) + np.diag(off, -1))
 
 
-def _step_newton(spec: ModelSpec, native: np.ndarray, tol: float) -> np.ndarray:
+def _step_newton(
+    spec: ModelSpec, native: np.ndarray, tol: float, jacobian: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """One continuation step: Newton-correct ``native`` onto the Bethe
+    equations of ``spec``, in units relative to ``native``.
+
+    ``jacobian`` is the previous step's final Jacobian in the native
+    variables (None on a leg's first step); it is rescaled to this step's
+    units and held by simplified Newton.  Returns the corrected variables
+    and this step's final Jacobian, again in the native variables.
+    """
     g = _residual_map(spec)
     units = np.where(np.abs(native) > 1e-250, np.abs(native), 1.0)
-    w = newton_solve(
+    report = newton_solve(
         lambda t: g(native + units * t),
         np.zeros_like(native),
         NewtonOptions(tol=tol, max_iter=60),
+        jacobian=None if jacobian is None else jacobian * units,
     )
-    return native + units * w
+    return native + units * report.x, (
+        None if report.jacobian is None else report.jacobian / units
+    )
+
+
+def _continuation_leg(spec: ModelSpec, m: int, poly: PolynomialC, target: float) -> np.ndarray:
+    """Native Bethe variables of the deformed state that continues the
+    degree-m start eigenpolynomial ``poly``; raises QesError when the leg
+    fails."""
+    finite = poly_roots(poly) if poly.degree >= 1 else []
+    native = _native_variables(spec, root_set_from_eta(spec, finite))
+    if target == 0.0:
+        return native
+    far = _far_seeds(spec, m, target / CONTINUATION_STEPS)
+    native = np.asarray(list(native) + far, dtype=complex)
+    jacobian = None
+    for k in range(CONTINUATION_STEPS):
+        spec_t = _continued(spec, (k + 1) / CONTINUATION_STEPS * target)
+        tol = STEP_TOL if k + 1 < CONTINUATION_STEPS else 0.1 * STEP_TOL
+        native, jacobian = _step_newton(spec_t, native, tol, jacobian)
+    return native
 
 
 def homotopy_root_sets(
     spec: ModelSpec, oracle_eigenvalues: list[complex]
 ) -> dict[int, RootSet]:
     """Root sets obtained by continuation, keyed by the index of the oracle
-    eigenvalue each one reproduces.  States whose continuation fails are
-    left out."""
+    eigenvalue each one reproduces.  States whose continuation fails, from
+    the start roots on, are left out."""
     if spec.info.continuation is None:
         return {}
     target = spec.real_param(spec.info.continuation)
@@ -118,20 +158,8 @@ def homotopy_root_sets(
     out: dict[int, RootSet] = {}
     taken: dict[int, float] = {}
     for m, (_lam0, poly) in enumerate(states):
-        finite = poly_roots(poly) if poly.degree >= 1 else []
-        native = _native_variables(spec, root_set_from_eta(spec, finite))
-        if target != 0.0:
-            far = _far_seeds(spec, m, target / CONTINUATION_STEPS)
-            native = np.asarray(list(native) + far, dtype=complex)
-            try:
-                for k in range(CONTINUATION_STEPS):
-                    spec_t = _continued(spec, (k + 1) / CONTINUATION_STEPS * target)
-                    tol = STEP_TOL if k + 1 < CONTINUATION_STEPS else 0.1 * STEP_TOL
-                    native = _step_newton(spec_t, native, tol)
-            except (NoConvergence, SingularJacobian, QesError):
-                continue
-        roots = roots_from_native(spec, native)
         try:
+            roots = roots_from_native(spec, _continuation_leg(spec, m, poly, target))
             e_val = eigenvalue_from_roots(spec, roots, degree=spec.M)
         except (ValueError, QesError):
             continue

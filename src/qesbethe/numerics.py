@@ -360,34 +360,89 @@ class NewtonOptions:
     cond_limit: float = 1e12
 
 
+@dataclass(frozen=True)
+class NewtonReport:
+    """Result of ``newton_solve``: the root, the last Jacobian the iteration
+    stepped with (the supplied one if no step was needed; None when there
+    was neither), the Newton iterations taken and how many of them built a
+    finite-difference Jacobian."""
+
+    x: np.ndarray
+    jacobian: np.ndarray | None
+    iterations: int
+    fd_jacobians: int
+
+
+def _fd_jacobian(f, x: np.ndarray, fd_scale: float) -> np.ndarray:
+    """Central finite-difference Jacobian, per-component step
+    fd_scale * max(1, |x_k|)."""
+    n = x.size
+    jac = np.empty((n, n), dtype=complex)
+    for k in range(n):
+        h = fd_scale * max(1.0, abs(x[k]))
+        xp = x.copy()
+        xm = x.copy()
+        xp[k] += h
+        xm[k] -= h
+        jac[:, k] = (np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * h)
+    return jac
+
+
 def newton_solve(
     f: Callable[[np.ndarray], np.ndarray],
     x0: Sequence[complex],
     opts: NewtonOptions = NewtonOptions(),
-) -> np.ndarray:
+    jacobian: np.ndarray | None = None,
+) -> NewtonReport:
     """Damped Newton iteration on a residual map C^N -> C^N.
 
-    The Jacobian comes from central finite differences with per-component
-    step 1e-6 * max(1, |x_k|); the update is halved (at most ``max_halvings``
-    times) whenever the full step fails to reduce ||f||_inf.
+    Without ``jacobian`` every iteration builds a central finite-difference
+    Jacobian (step 1e-6 * max(1, |x_k|)) and halves the update (at most
+    ``max_halvings`` times) whenever the full step fails to reduce
+    ||f||_inf.
+
+    With ``jacobian`` (simplified Newton, for a sequence of nearby
+    problems): an iteration holding a Jacobian takes the full step and
+    keeps it only if ||f||_inf at least halves or meets ``tol``.  Otherwise
+    the step is discarded, a fresh finite-difference Jacobian is built
+    (with the same condition check), the damped step above is taken with
+    it, and that Jacobian is held from then on under the same rule.  A
+    held Jacobian that is stale, or singular, never raises on its own:
+    ``max_iter`` bounds the iterations that build a Jacobian, and the held
+    steps between them number at most log2(||f(x0)||_inf / tol) + 1
+    because each one halves ||f||_inf.
     """
     x = np.asarray(list(x0), dtype=complex)
     n = x.size
     if n == 0:
-        return x
+        return NewtonReport(x, jacobian, 0, 0)
+    hold = jacobian is not None
+    jac = jacobian
+    iterations = fd_jacobians = 0
     fx = np.asarray(f(x), dtype=complex)
     fnorm = float(np.max(np.abs(fx)))
-    for _ in range(opts.max_iter):
-        if fnorm <= opts.tol:
-            return x
-        jac = np.empty((n, n), dtype=complex)
-        for k in range(n):
-            h = opts.fd_scale * max(1.0, abs(x[k]))
-            xp = x.copy()
-            xm = x.copy()
-            xp[k] += h
-            xm[k] -= h
-            jac[:, k] = (np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * h)
+    while True:
+        if fnorm <= opts.tol:  # a NaN norm goes on, to raise below
+            return NewtonReport(x, jac, iterations, fd_jacobians)
+        iterations += 1
+        if hold:
+            try:
+                xn = x + np.linalg.solve(jac, -fx)
+            except np.linalg.LinAlgError:
+                pass  # exactly singular: refresh below
+            else:
+                fn = np.asarray(f(xn), dtype=complex)
+                fnew = float(np.max(np.abs(fn)))
+                if fnew <= 0.5 * fnorm or fnew <= opts.tol:
+                    x, fx, fnorm = xn, fn, fnew
+                    continue
+        if fd_jacobians == opts.max_iter:
+            raise NoConvergence(
+                f"Newton did not reach tol {opts.tol:.1e} within {opts.max_iter} "
+                f"iterations (||f|| = {fnorm:.3e})"
+            )
+        jac = _fd_jacobian(f, x, opts.fd_scale)
+        fd_jacobians += 1
         cond = np.linalg.cond(jac)
         if not np.isfinite(cond) or cond > opts.cond_limit:
             raise SingularJacobian(f"Jacobian condition estimate {cond:.3e}")
@@ -406,12 +461,6 @@ def newton_solve(
                 f"{opts.max_halvings} halvings"
             )
         x, fx, fnorm = xn, fn, fnew
-    if fnorm <= opts.tol:
-        return x
-    raise NoConvergence(
-        f"Newton did not reach tol {opts.tol:.1e} within {opts.max_iter} "
-        f"iterations (||f|| = {fnorm:.3e})"
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,48 @@ class TestLimitsCommand:
         assert "exact_limit" in err
 
 
+class TestNegativeValues:
+    """Negative numbers in exponent notation and RE,IM pairs that start
+    with a minus sign are values, written apart or after '='."""
+
+    @staticmethod
+    def assert_both_forms(capsys, head, flag, value, tail):
+        code, out, err = run_cli([*head, flag, value, *tail], capsys)
+        assert code == 0, err
+        assert run_cli([*head, f"{flag}={value}", *tail], capsys) == (0, out, err)
+        return json.loads(out)
+
+    def test_solve_exponent(self, capsys):
+        doc = self.assert_both_forms(
+            capsys, ["solve", "--family", "mp-crossed", "--a1", "1.2,0.3", "--a2", "0.9,-0.4"],
+            "--beta", "-1e-5", ["--M", "2"],
+        )
+        assert doc["spec"]["params"]["beta"] == -1e-5
+
+    def test_solve_pair(self, capsys):
+        doc = self.assert_both_forms(
+            capsys, ["solve", "--family", "trig-q", "--a", "0.5", "--c", "0.25", "--d", "0.4",
+                     "--e", "-3.5E-1", "--q", "0.6"],
+            "--b", "-2e-1,0", ["--M", "2"],
+        )
+        assert doc["spec"]["params"]["b"] == -0.2 and doc["spec"]["params"]["e"] == -0.35
+
+    def test_limits_exponent(self, capsys):
+        doc = self.assert_both_forms(
+            capsys, ["limits", "--case", "mp-from-mp", "--a1", "1.0"], "--beta", "-3e-1",
+            ["--M", "2"],
+        )
+        assert doc["passed"]
+
+    def test_limits_pair(self, capsys):
+        doc = self.assert_both_forms(
+            capsys, ["limits", "--case", "aw", "--b", "0.2", "--c", "-2.5e-1", "--d", "0.4",
+                     "--q", "0.5"],
+            "--a", "-3e-1,0", ["--M", "2"],
+        )
+        assert doc["passed"]
+
+
 class TestGridCommand:
     def test_csv_columns(self, capsys):
         code, out, _ = run_cli(

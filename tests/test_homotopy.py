@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 import scipy.special
 
+from conftest import spec_for
+from qesbethe import homotopy
 from qesbethe.bethe import solve
-from qesbethe.homotopy import laguerre_nodes
+from qesbethe.errors import DegenerateLeadingCoefficient
+from qesbethe.homotopy import CONTINUATION_STEPS, laguerre_nodes
 from qesbethe.models import model_spec
 
 
@@ -46,3 +49,50 @@ class TestHomotopySeeding:
         sols = solve(spec, seed_mode="homotopy")
         assert all(s.seed_source == "oracle" for s in sols)
         assert all(s.residual_max <= 1e-9 for s in sols)
+
+    def test_failed_start_state_falls_back_alone(self, monkeypatch):
+        real = homotopy.poly_roots
+
+        def failing(poly, *args, **kwargs):
+            if poly.degree == 2:
+                raise DegenerateLeadingCoefficient("forced for the degree-2 start state")
+            return real(poly, *args, **kwargs)
+
+        monkeypatch.setattr(homotopy, "poly_roots", failing)
+        spec = model_spec("mp-crossed", M=4, a1=1.2, a2=0.8, beta=0.9)
+        sols = solve(spec, seed_mode="homotopy")
+        assert len(sols) == spec.M + 1
+        assert [s.seed_source for s in sols].count("oracle") == 1
+        for s in sols:
+            assert s.residual_max <= 1e-9
+            assert s.discrepancy <= 1e-8 * max(1.0, abs(s.E_oracle))
+
+
+@pytest.mark.parametrize("M", (4, 6, 8))
+@pytest.mark.parametrize("family", ("mp-crossed", "trig-q"))
+def test_homotopy_coverage_with_carried_jacobian(family, M, rng, monkeypatch):
+    """Every state of acceptance-range draws is reached by continuation,
+    meets criterion 1 and matches the oracle-seeded eigenvalue, while each
+    leg builds fewer finite-difference Jacobians than it takes Newton
+    iterations."""
+    reports = []
+    real = homotopy.newton_solve
+
+    def recorded(*args, **kwargs):
+        reports.append(real(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(homotopy, "newton_solve", recorded)
+    for _ in range(3):
+        spec = spec_for(family, M, rng)
+        reports.clear()
+        sols = solve(spec, seed_mode="homotopy")
+        assert all(s.seed_source == "homotopy" for s in sols)
+        for h, o in zip(sols, solve(spec)):
+            assert h.residual_max <= 1e-9
+            assert h.discrepancy <= 1e-8 * max(1.0, abs(h.E_oracle))
+            assert abs(h.E_formula - o.E_formula) <= 1e-9 * max(1.0, abs(o.E_formula))
+        assert len(reports) == (M + 1) * CONTINUATION_STEPS
+        for leg in range(M + 1):
+            steps = reports[leg * CONTINUATION_STEPS : (leg + 1) * CONTINUATION_STEPS]
+            assert sum(r.fd_jacobians for r in steps) < sum(r.iterations for r in steps)

@@ -252,19 +252,20 @@ class TestEig:
 
 class TestNewton:
     def test_square_root_of_minus_one(self):
-        sol = newton_solve(lambda v: np.array([v[0] ** 2 + 1]), [0.9j])
+        sol = newton_solve(lambda v: np.array([v[0] ** 2 + 1]), [0.9j]).x
         np.testing.assert_allclose(sol[0], 1j, atol=1e-10)
 
     def test_linear_single_step(self):
-        sol = newton_solve(lambda v: np.array([v[0] - 5.0]), [0.0])
+        sol = newton_solve(lambda v: np.array([v[0] - 5.0]), [0.0]).x
         np.testing.assert_allclose(sol[0], 5.0, atol=1e-12)
 
-    def test_two_variable_system(self):
-        # x + y = 3, x y = 2 has the solution (1, 2) near this start
-        def f(v):
-            return np.array([v[0] + v[1] - 3.0, v[0] * v[1] - 2.0])
+    @staticmethod
+    def pair_system(v):
+        # x + y = 3, x y = 2 has the solution (1, 2) near the start below
+        return np.array([v[0] + v[1] - 3.0, v[0] * v[1] - 2.0])
 
-        sol = newton_solve(f, [0.9, 2.2])
+    def test_two_variable_system(self):
+        sol = newton_solve(self.pair_system, [0.9, 2.2]).x
         np.testing.assert_allclose(sorted(s.real for s in sol), [1.0, 2.0], atol=1e-10)
 
     def test_singular_jacobian(self):
@@ -278,6 +279,54 @@ class TestNewton:
                 [100.0],
                 NewtonOptions(max_iter=3),
             )
+
+    def test_fresh_jacobian_every_iteration_without_one(self):
+        report = newton_solve(self.pair_system, [0.9, 2.2])
+        assert report.iterations == report.fd_jacobians >= 2
+
+    def test_exact_jacobian_builds_none(self):
+        x0 = np.array([0.9, 2.2], dtype=complex)
+        exact = np.array([[1.0, 1.0], [x0[1], x0[0]]])
+        report = newton_solve(self.pair_system, x0, jacobian=exact)
+        assert report.fd_jacobians == 0 < report.iterations
+        np.testing.assert_allclose(report.x, [1.0, 2.0], atol=1e-10)
+
+    def test_wrong_jacobian_is_replaced(self):
+        opts = NewtonOptions(tol=1e-14)
+        fresh = newton_solve(self.pair_system, [0.9, 2.2], opts).x
+        report = newton_solve(self.pair_system, [0.9, 2.2], opts, jacobian=10.0 * np.eye(2))
+        assert report.fd_jacobians >= 1
+        assert np.max(np.abs(report.x - fresh)) <= 1e-12
+        assert not np.allclose(report.jacobian, 10.0 * np.eye(2))
+
+    def test_stalled_held_step_refreshes(self):
+        # the held Jacobian points the wrong way, so its full step grows
+        # ||f||; a damped step with it would stall after every halving
+        report = newton_solve(
+            lambda v: np.array([v[0] - 5.0]),
+            [0.0],
+            NewtonOptions(max_iter=1),
+            jacobian=np.array([[-1.0]]),
+        )
+        assert report.fd_jacobians == 1
+        np.testing.assert_allclose(report.x, [5.0], atol=1e-12)
+
+    def test_singular_held_jacobian_refreshes(self):
+        report = newton_solve(self.pair_system, [0.9, 2.2], jacobian=np.zeros((2, 2)))
+        assert report.fd_jacobians >= 1
+        np.testing.assert_allclose(report.x, [1.0, 2.0], atol=1e-10)
+
+    def test_held_steps_do_not_count_against_max_iter(self):
+        # a Jacobian 1.6x too large contracts ||f|| by 0.375 per held step,
+        # so reaching 1e-11 takes about 26 held iterations
+        report = newton_solve(
+            lambda v: np.array([v[0] - 5.0]),
+            [0.0],
+            NewtonOptions(max_iter=1),
+            jacobian=np.array([[1.6]]),
+        )
+        assert report.fd_jacobians == 0 and report.iterations > 20
+        np.testing.assert_allclose(report.x, [5.0], atol=1e-10)
 
 
 class TestLogGamma:

@@ -123,3 +123,62 @@ def test_per_column_guard_sees_each_loop_form():
         "        apply_htilde(spec, k)\n"
     )
     assert sorted(_per_column_loops(tree, "build_matrix")) == [4, 6, 7]
+
+
+# newton_solve is the one Newton loop: the continuation legs reuse its
+# Jacobian through its ``jacobian`` argument, so a second loop (and the
+# linear solves it would need) in homotopy or bethe would escape the
+# homotopy.newton_solve span that times all continuation work.
+
+LINEAR_SOLVES = {"solve", "cond"}
+
+
+def _linear_solves(tree: ast.AST) -> list[tuple[str, int]]:
+    """(enclosing function, line) of every use of numpy.linalg.solve or
+    numpy.linalg.cond: attribute access through ``linalg`` or an import
+    from ``numpy.linalg``."""
+    found = []
+
+    def visit(node: ast.AST, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in LINEAR_SOLVES
+            and ast.unparse(node.value).split(".")[-1] == "linalg"
+        ):
+            found.append((function, node.lineno))
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            if any(alias.name in LINEAR_SOLVES for alias in node.names):
+                found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_linear_solves_only_in_newton_solve():
+    stray, seen = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for function, line in _linear_solves(tree):
+            if (path.name, function) == ("numerics.py", "newton_solve"):
+                seen.append(line)
+            else:
+                stray.append(f"{path.name}:{line} in {function}")
+    assert seen, "newton_solve no longer solves with its Jacobian"
+    assert not stray, "numpy.linalg.solve/cond outside newton_solve: " + ", ".join(stray)
+
+
+def test_linear_solve_guard_sees_each_form():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "from numpy.linalg import solve\n"
+        "def f(a, b):\n"
+        "    x = np.linalg.solve(a, b)\n"
+        "    c = numpy.linalg.cond(a)\n"
+        "    s = linalg.solve\n"
+        "    return np.linalg.eig(a), np.linalg.norm(b), x, c, s\n"
+    )
+    assert _linear_solves(tree) == [("<module>", 2), ("f", 4), ("f", 5), ("f", 6)]
