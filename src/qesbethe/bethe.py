@@ -517,25 +517,20 @@ def solve(spec: ModelSpec, seed_mode: str = "oracle") -> list[BetheSolution]:
         seed = homotopy_seeds.get(idx)
         source = "homotopy"
         if seed is None or len(seed) != expected:
-            source = "oracle"
-            if actual == expected and not pair.truncated:
-                seed = extract_roots(pair, spec, expected=actual)
-            elif pair.truncated:
+            source, seed = "oracle", None
+            if pair.truncated:
                 try:
-                    near = _chain_near_roots(spec, idx)
-                    seed = _complete_truncated_roots(spec, near)
+                    seed = _complete_truncated_roots(spec, _chain_near_roots(spec, idx))
                 except (NoConvergence, SingularJacobian):
-                    seed = None
-                if seed is None:
-                    seed = extract_roots(pair, spec, expected=actual)
-                    anomalous = True
-                    degree = sector_degrees(spec)[actual]
-            elif compensation_vanishes(spec):
+                    pass
+            if seed is None:
+                # a lower-degree eigenpolynomial is a state of its own at an
+                # exactly solvable point, and an anomaly anywhere else
                 seed = extract_roots(pair, spec, expected=actual)
                 degree = sector_degrees(spec)[actual]
-            else:
-                seed, anomalous = extract_roots(pair, spec, expected=actual), True
-                degree = sector_degrees(spec)[actual]
+                anomalous = actual != expected and (
+                    pair.truncated or not compensation_vanishes(spec)
+                )
         roots, flags = newton_polish(spec, seed)
         residuals = bae_residual(spec, roots, allow_degenerate=True)
         if flags.degenerate or roots.degenerate or anomalous:

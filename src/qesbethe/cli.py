@@ -23,14 +23,7 @@ from .bethe import BetheSolution, solve
 from .config import Tolerances
 from .errors import LimitViolation, QesError
 from .hamiltonian import build_matrix, matrix_dump_dict
-from .limits import (
-    EXACT_TAGS,
-    RESTRICTION_TAGS,
-    LimitTag,
-    limit_case,
-    reduced_bae_check,
-    verify_limit,
-)
+from .limits import LIMITS, LimitTag, limit_case, reduced_bae_check, verify_limit
 from .models import FAMILIES, ModelFamily, ModelSpec, model_spec, spec_from_json, spec_to_json_dict
 from .wavefun import default_grid, grid_rows, schrodinger_residual, zero_mode_residual
 
@@ -195,8 +188,9 @@ def _verify_document(spec: ModelSpec, tols: Tolerances) -> dict:
 
 def _limit_document(args: argparse.Namespace) -> dict:
     tag = LimitTag(args.case)
-    applied = (("exact_limit",) if tag in EXACT_TAGS else ()) + (
-        ("reduced_bae",) if tag in RESTRICTION_TAGS else ()
+    info = LIMITS[tag]
+    applied = (() if info.large else ("exact_limit",)) + (
+        ("reduced_bae",) if info.restricted else ()
     )
     tols = _tolerances_from_args(args, applied, f"limits --case {tag.value}")
     params: dict[str, Any] = {}
@@ -228,7 +222,7 @@ def _limit_document(args: argparse.Namespace) -> dict:
         "passed": report.passed,
         "meta": _meta(tols.as_dict(applied)),
     }
-    if tag in RESTRICTION_TAGS:
+    if info.restricted:
         try:
             reduced = reduced_bae_check(case, tols)
             doc["reduced_bae"] = {

@@ -23,11 +23,6 @@ class InversionAsymmetry(QesError, ValueError):
     symmetry beyond tolerance, so it has no expansion in eta."""
 
 
-class DegenerateLeadingCoefficient(QesError):
-    """Root finding rejected a polynomial whose leading coefficient is
-    negligible relative to the coefficient norm."""
-
-
 class NoConvergence(QesError):
     """An iterative method exhausted its iteration budget."""
 

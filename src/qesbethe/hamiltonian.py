@@ -231,9 +231,7 @@ def basis_rows(spec: ModelSpec, dim: int) -> tuple[np.ndarray, int]:
     return rows, lo
 
 
-def _subspace_matrix(
-    spec: ModelSpec, rows: np.ndarray, lo: int, dim: int, leak_tol: float
-) -> np.ndarray:
+def _subspace_matrix(spec: ModelSpec, rows: np.ndarray, lo: int, dim: int) -> np.ndarray:
     """(dim x rows) coordinates of H~ on each coefficient row in the first
     ``dim`` basis vectors.
 
@@ -254,7 +252,7 @@ def _subspace_matrix(
     overflow = outside.max(axis=1)
     cols = coeffs[:, positions]
     scale = np.maximum(np.abs(cols).max(axis=1), np.abs(image).max(axis=1, initial=1e-300))
-    leaking = np.flatnonzero(overflow > leak_tol * scale).tolist()
+    leaking = np.flatnonzero(overflow > LEAK_TOL * scale).tolist()
     failing = set(inexact) | set(asymmetric) | set(leaking)
     if failing:
         k = min(failing)
@@ -267,17 +265,17 @@ def _subspace_matrix(
             ) from asymmetric[k]
         raise SubspaceLeak(
             f"column {k} of {spec.family.value} (M={spec.M}) leaks "
-            f"{overflow[k]:.3e} > {leak_tol:.1e} * {scale[k]:.3e}"
+            f"{overflow[k]:.3e} > {LEAK_TOL:.1e} * {scale[k]:.3e}"
         )
     return np.ascontiguousarray(cols.T)
 
 
-def build_matrix(spec: ModelSpec, leak_tol: float = LEAK_TOL) -> OperatorMatrix:
+def build_matrix(spec: ModelSpec) -> OperatorMatrix:
     """Assemble the matrix of H~ on the invariant subspace, verifying that
     no column leaks outside it."""
     dim = sector_dimension(spec)
     rows, lo = basis_rows(spec, dim)
-    return OperatorMatrix(spec, dim, _subspace_matrix(spec, rows, lo, dim, leak_tol))
+    return OperatorMatrix(spec, dim, _subspace_matrix(spec, rows, lo, dim))
 
 
 def matrix_dump_dict(om: OperatorMatrix) -> dict:

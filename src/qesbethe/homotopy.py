@@ -1,5 +1,6 @@
 """Continuation seeding: solve the Bethe equations by tracking root sets
-from an exactly solvable parameter point, without using oracle eigenvectors.
+from an exactly solvable parameter point, without using the deformed
+model's oracle eigenvectors.
 
 Supported paths:
 
@@ -21,9 +22,10 @@ step's Jacobian, rescaled to the new relative units, and holds it while
 ||f|| keeps at least halving (simplified Newton, ``numerics.newton_solve``);
 a fresh finite-difference Jacobian is built only when it does not.
 
-Start root sets come from the start model's matrix, which is upper
-triangular in the graded basis because the start model is exactly solvable;
-eigen-coefficients follow from back substitution, not from a QR solver.
+Start states come from the same oracle and root extraction as every other
+solve: ``oracle_spectrum`` of the start model's matrix, whose graded branch
+gives each exactly solvable state its true degree m, then ``extract_roots``.
+A start spectrum the oracle flags degenerate seeds no leg at all.
 
 A leg that fails anywhere (roots of its start eigenpolynomial, a Newton
 correction, the eigenvalue formula) or lands on no oracle eigenvalue is
@@ -46,8 +48,8 @@ from .bethe import (
 from .errors import QesError
 from .hamiltonian import build_matrix
 from .models import Coordinate, ModelSpec
-from .numerics import NewtonOptions, PolynomialC, newton_solve, poly_roots
-from .spectral import RootSet, root_set_from_eta
+from .numerics import NewtonOptions, newton_solve
+from .spectral import OracleEigenpair, RootSet, extract_roots, oracle_spectrum
 
 CONTINUATION_STEPS = 12
 STEP_TOL = 1e-10
@@ -56,25 +58,6 @@ STEP_TOL = 1e-10
 def _continued(spec: ModelSpec, value: float) -> ModelSpec:
     """The model with its continuation parameter set to ``value``."""
     return dc_replace(spec, params={**spec.params, spec.info.continuation: value})
-
-
-def _triangular_eigen_polys(spec: ModelSpec) -> list[tuple[complex, PolynomialC]]:
-    """Eigenpairs of an exactly solvable model by back substitution on its
-    graded-triangular matrix."""
-    om = build_matrix(spec)
-    t = om.matrix
-    out = []
-    for m in range(om.dim):
-        lam = t[m, m]
-        c = np.zeros(om.dim, dtype=complex)
-        c[m] = 1.0
-        for j in range(m - 1, -1, -1):
-            gap = lam - t[j, j]
-            if abs(gap) < 1e-12 * max(1.0, abs(lam)):
-                raise QesError("start spectrum is degenerate; cannot seed")
-            c[j] = np.dot(t[j, j + 1 : m + 1], c[j + 1 : m + 1]) / gap
-        out.append((complex(lam), PolynomialC(tuple(c[: m + 1]), "eta")))
-    return out
 
 
 def _far_seeds(spec: ModelSpec, m: int, t1: float) -> list[complex]:
@@ -124,12 +107,13 @@ def _step_newton(
     )
 
 
-def _continuation_leg(spec: ModelSpec, m: int, poly: PolynomialC, target: float) -> np.ndarray:
+def _continuation_leg(
+    spec: ModelSpec, start: ModelSpec, pair: OracleEigenpair, target: float
+) -> np.ndarray:
     """Native Bethe variables of the deformed state that continues the
-    degree-m start eigenpolynomial ``poly``; raises QesError when the leg
-    fails."""
-    finite = poly_roots(poly) if poly.degree >= 1 else []
-    native = _native_variables(spec, root_set_from_eta(spec, finite))
+    start eigenpair ``pair``; raises QesError when the leg fails."""
+    m = pair.eigenpoly.degree
+    native = _native_variables(spec, extract_roots(pair, start, expected=m))
     if target == 0.0:
         return native
     far = _far_seeds(spec, m, target / CONTINUATION_STEPS)
@@ -151,15 +135,18 @@ def homotopy_root_sets(
     if spec.info.continuation is None:
         return {}
     target = spec.real_param(spec.info.continuation)
+    start = _continued(spec, 0.0)
     try:
-        states = _triangular_eigen_polys(_continued(spec, 0.0))
+        states = oracle_spectrum(build_matrix(start))
     except QesError:
+        return {}
+    if any(pair.degenerate for pair in states):
         return {}
     out: dict[int, RootSet] = {}
     taken: dict[int, float] = {}
-    for m, (_lam0, poly) in enumerate(states):
+    for pair in states:
         try:
-            roots = roots_from_native(spec, _continuation_leg(spec, m, poly, target))
+            roots = roots_from_native(spec, _continuation_leg(spec, start, pair, target))
             e_val = eigenvalue_from_roots(spec, roots, degree=spec.M)
         except (ValueError, QesError):
             continue

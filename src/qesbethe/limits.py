@@ -8,6 +8,12 @@ at first order: the gap is required to fit inside C / large for a generous
 budget constant, and to shrink by close to a factor of ten when the large
 parameter grows tenfold, which is the operative test of O(1/large) scaling.
 
+Each tag's facts (family, parameters read, pinned and sent to ``large``,
+whether an exact restriction exists) live in one ``LIMITS`` record, from
+which the limit-point and restricted models are built; only the closed-form
+eigenvalues are a per-tag formula.  The reduced Bethe-equation check is an
+ordinary ``solve`` of the restricted model, read off per solution.
+
 Note on the Askey-Wilson line: the restriction e = 0 turns the
 trigonometric Hamiltonian into the standard Askey-Wilson q-difference
 operator whose degree-m eigenvalue is (q^-m - 1)(1 - abcd q^(m-1)); this is
@@ -24,10 +30,16 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
-from .bethe import bae_residual, newton_polish, solve
+from .bethe import solve
 from .config import Tolerances
 from .errors import LimitViolation, MissingLimitParameter, UnsupportedFamily
-from .hamiltonian import build_matrix
+
+# The benchmark's span recorder (bench/spans.py) wraps these names in this
+# module; everything here reaches them through ``solve`` now, but the names
+# stay bound until the recorder's target list drops them.
+from .bethe import bae_residual, newton_polish  # noqa: F401
+from .hamiltonian import build_matrix  # noqa: F401
+from .spectral import extract_roots, oracle_spectrum  # noqa: F401
 from .models import (
     ModelFamily,
     ModelSpec,
@@ -35,7 +47,6 @@ from .models import (
     model_spec,
     sector_degrees,
 )
-from .spectral import extract_roots, oracle_spectrum
 
 BUDGET_CONSTANT = 100.0
 
@@ -51,22 +62,49 @@ class LimitTag(Enum):
     Q_UNIVERSAL = "q-universal"
 
 
-EXACT_TAGS = frozenset({LimitTag.CH_FROM_MP, LimitTag.AW, LimitTag.Q_UNIVERSAL})
-RESTRICTION_TAGS = frozenset(
-    {LimitTag.MP_FROM_MP, LimitTag.WILSON, LimitTag.CDH, LimitTag.AW, LimitTag.Q_UNIVERSAL}
-)
+@dataclass(frozen=True)
+class LimitInfo:
+    """Everything about one limit case but its closed form: the family
+    that degenerates, the parameters the case reads (``optional`` ones
+    default to 0), the parameters pinned at the limit point, those sent to
+    ``large`` (none for an exact case; the computed eigenvalue is divided
+    by ``large`` once per name), and whether a factor-deleted or
+    zero-parameter model realizes the limit exactly for the reduced
+    Bethe-equation check."""
 
-# The parameters each case reads; q-universal also takes optional a, b, c
-# (default 0), which leave its spectrum unchanged.
-REQUIRED_PARAMS: dict[LimitTag, tuple[str, ...]] = {
-    LimitTag.CH_FROM_MP: ("a1", "a2"),
-    LimitTag.MP_FROM_MP: ("a1", "beta"),
-    LimitTag.CH_FROM_SEXTIC: ("b", "c"),
-    LimitTag.MP_FROM_SEXTIC: ("c",),
-    LimitTag.WILSON: ("b", "c", "d", "e"),
-    LimitTag.CDH: ("b", "c", "d"),
-    LimitTag.AW: ("a", "b", "c", "d", "q"),
-    LimitTag.Q_UNIVERSAL: ("q",),
+    family: ModelFamily
+    required: tuple[str, ...]
+    optional: tuple[str, ...] = ()
+    pinned: tuple[tuple[str, float], ...] = ()
+    large: tuple[str, ...] = ()
+    restricted: bool = False
+
+
+LIMITS: dict[LimitTag, LimitInfo] = {
+    LimitTag.CH_FROM_MP: LimitInfo(
+        ModelFamily.MP_CROSSED, ("a1", "a2"), pinned=(("beta", 0.0),)
+    ),
+    LimitTag.MP_FROM_MP: LimitInfo(
+        ModelFamily.MP_CROSSED, ("a1", "beta"), large=("a2",), restricted=True
+    ),
+    LimitTag.CH_FROM_SEXTIC: LimitInfo(ModelFamily.SEXTIC_I, ("b", "c"), large=("a",)),
+    LimitTag.MP_FROM_SEXTIC: LimitInfo(ModelFamily.SEXTIC_I, ("c",), large=("a", "b")),
+    LimitTag.WILSON: LimitInfo(
+        ModelFamily.CENTRIFUGAL_I, ("b", "c", "d", "e"), large=("f",), restricted=True
+    ),
+    LimitTag.CDH: LimitInfo(
+        ModelFamily.CENTRIFUGAL_I, ("b", "c", "d"), large=("e", "f"), restricted=True
+    ),
+    LimitTag.AW: LimitInfo(
+        ModelFamily.TRIG_Q, ("a", "b", "c", "d", "q"), pinned=(("e", 0.0),), restricted=True
+    ),
+    LimitTag.Q_UNIVERSAL: LimitInfo(
+        ModelFamily.TRIG_Q,
+        ("q",),
+        optional=("a", "b", "c"),
+        pinned=(("d", 0.0), ("e", 0.0)),
+        restricted=True,
+    ),
 }
 
 
@@ -96,7 +134,7 @@ def limit_case(tag: LimitTag | str, M: int, **params: Any) -> LimitCase:
     that the tag requires is absent."""
     if isinstance(tag, str):
         tag = LimitTag(tag)
-    missing = [name for name in REQUIRED_PARAMS[tag] if name not in params]
+    missing = [name for name in LIMITS[tag].required if name not in params]
     if missing:
         raise MissingLimitParameter(f"limit case {tag.value} requires parameters {missing}")
     return LimitCase(tag, int(M), dict(params))
@@ -133,94 +171,26 @@ def closed_form_E(case: LimitCase, m: int) -> complex:
 
 def _limit_spec(case: LimitCase, large: float | None) -> tuple[ModelSpec, float]:
     """Concrete model at the limit point, plus the eigenvalue divisor."""
-    p = case.params
-    tag = case.tag
-    if tag is LimitTag.CH_FROM_MP:
-        return (
-            model_spec(ModelFamily.MP_CROSSED, M=case.M, a1=p["a1"], a2=p["a2"], beta=0.0),
-            1.0,
-        )
-    if tag is LimitTag.AW:
-        return (
-            model_spec(
-                ModelFamily.TRIG_Q,
-                M=case.M,
-                a=p["a"], b=p["b"], c=p["c"], d=p["d"], e=0.0, q=p["q"],
-            ),
-            1.0,
-        )
-    if tag is LimitTag.Q_UNIVERSAL:
-        spec = model_spec(
-            ModelFamily.TRIG_Q,
-            M=case.M,
-            a=p.get("a", 0.0), b=p.get("b", 0.0), c=p.get("c", 0.0),
-            d=0.0, e=0.0, q=p["q"],
-        )
-        return spec, 1.0
-    if large is None:
-        raise ValueError(f"{tag.value} is an asymptotic case and needs `large`")
-    if tag is LimitTag.MP_FROM_MP:
-        return (
-            model_spec(
-                ModelFamily.MP_CROSSED, M=case.M, a1=p["a1"], a2=large, beta=p["beta"]
-            ),
-            large,
-        )
-    if tag is LimitTag.CH_FROM_SEXTIC:
-        return (
-            model_spec(ModelFamily.SEXTIC_I, M=case.M, a=large, b=p["b"], c=p["c"]),
-            large,
-        )
-    if tag is LimitTag.MP_FROM_SEXTIC:
-        return (
-            model_spec(ModelFamily.SEXTIC_I, M=case.M, a=large, b=large, c=p["c"]),
-            large * large,
-        )
-    if tag is LimitTag.WILSON:
-        return (
-            model_spec(
-                ModelFamily.CENTRIFUGAL_I, M=case.M,
-                b=p["b"], c=p["c"], d=p["d"], e=p["e"], f=large,
-            ),
-            large,
-        )
-    if tag is LimitTag.CDH:
-        return (
-            model_spec(
-                ModelFamily.CENTRIFUGAL_I, M=case.M,
-                b=p["b"], c=p["c"], d=p["d"], e=large, f=large,
-            ),
-            large * large,
-        )
-    raise UnsupportedFamily(tag.value)
+    info = LIMITS[case.tag]
+    if info.large and large is None:
+        raise ValueError(f"{case.tag.value} is an asymptotic case and needs `large`")
+    params = {name: case.params[name] for name in info.required}
+    params.update({name: case.params.get(name, 0.0) for name in info.optional})
+    params.update(info.pinned)
+    params.update({name: large for name in info.large})
+    spec = model_spec(info.family, M=case.M, **params)
+    return spec, math.prod([large] * len(info.large), start=1.0)
 
 
 def restricted_spec(case: LimitCase) -> ModelSpec:
     """Factor-deleted (or zero-parameter) model realizing the restriction
-    exactly, for the reduced Bethe-equation checks."""
-    p = case.params
-    tag = case.tag
-    if tag is LimitTag.MP_FROM_MP:
-        base = model_spec(
-            ModelFamily.MP_CROSSED, M=case.M, a1=p["a1"], a2=1.0, beta=p["beta"]
-        )
-        return drop_factors(base, ("a2",))
-    if tag is LimitTag.WILSON:
-        base = model_spec(
-            ModelFamily.CENTRIFUGAL_I, M=case.M,
-            b=p["b"], c=p["c"], d=p["d"], e=p["e"], f=1.0,
-        )
-        return drop_factors(base, ("f",))
-    if tag is LimitTag.CDH:
-        base = model_spec(
-            ModelFamily.CENTRIFUGAL_I, M=case.M,
-            b=p["b"], c=p["c"], d=p["d"], e=1.0, f=1.0,
-        )
-        return drop_factors(base, ("e", "f"))
-    if tag in (LimitTag.AW, LimitTag.Q_UNIVERSAL):
-        spec, _ = _limit_spec(case, None)
-        return spec
-    raise UnsupportedFamily(f"{tag.value} has no exact restriction point")
+    exactly, for the reduced Bethe-equation checks: the large parameters
+    are set to 1 and then deleted from the potential."""
+    info = LIMITS[case.tag]
+    if not info.restricted:
+        raise UnsupportedFamily(f"{case.tag.value} has no exact restriction point")
+    spec, _ = _limit_spec(case, 1.0)
+    return drop_factors(spec, info.large) if info.large else spec
 
 
 def verify_limit(
@@ -229,7 +199,7 @@ def verify_limit(
     """Compare the computed spectrum of the (possibly rescaled) model with
     the closed-form limit values, degree by degree: to ``tols.exact_limit``
     for the exact cases, to the first-order budget for the asymptotic ones."""
-    if case.tag in EXACT_TAGS:
+    if not LIMITS[case.tag].large:
         large = None
     spec, scale = _limit_spec(case, large)
     solutions = solve(spec)
@@ -277,23 +247,13 @@ def convergence_ratio(case: LimitCase, large_lo: float = 1e4, large_hi: float = 
 
 
 def reduced_bae_check(case: LimitCase, tols: Tolerances = Tolerances()) -> dict[str, Any]:
-    """Verify that the polynomial zeros of the restricted model satisfy the
+    """Verify that the solved roots of the restricted model satisfy the
     reduced Bethe equations to ``tols.reduced_bae`` (the general residual
     specializes by itself, since the restricted potential carries the
     deleted factors)."""
-    spec = restricted_spec(case)
-    om = build_matrix(spec)
-    pairs = oracle_spectrum(om)
-    worst = 0.0
-    rows = []
-    for pair in pairs:
-        degree = pair.eigenpoly.degree
-        roots = extract_roots(pair, spec, expected=degree)
-        roots, _flags = newton_polish(spec, roots)
-        res = bae_residual(spec, roots, allow_degenerate=True)
-        worst_here = max(res, default=0.0)
-        worst = max(worst, worst_here)
-        rows.append({"degree": degree, "residual_max": worst_here})
+    solutions = solve(restricted_spec(case))
+    rows = [{"degree": len(s.roots), "residual_max": s.residual_max} for s in solutions]
+    worst = max((s.residual_max for s in solutions), default=0.0)
     passed = worst <= tols.reduced_bae
     if not passed:
         raise LimitViolation(

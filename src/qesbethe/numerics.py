@@ -21,7 +21,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (
-    DegenerateLeadingCoefficient,
     DivergentProduct,
     InexactDivision,
     InversionAsymmetry,
@@ -31,6 +30,11 @@ from .errors import (
 )
 
 MAX_EIG_DIM = 256
+EIG_RESIDUAL_TOL = 1e-10  # ||A v - lambda v|| / ||A|| accepted per eigenpair
+ASYM_TOL = 1e-10  # relative z^k vs z^-k mismatch tolerated in a symmetric row
+FD_SCALE = 1e-6  # finite-difference step, relative to max(1, |x_k|)
+MAX_HALVINGS = 20  # damping halvings of one Newton step
+COND_LIMIT = 1e12  # largest Jacobian condition estimate Newton steps with
 
 # ---------------------------------------------------------------------------
 # Polynomials
@@ -100,22 +104,13 @@ def _check_var(p: PolynomialC, q: PolynomialC) -> None:
         raise ValueError(f"variable mismatch: {p.var!r} vs {q.var!r}")
 
 
-def poly_roots(p: PolynomialC, assume_exact_leading: bool = False) -> list[complex]:
+def poly_roots(p: PolynomialC) -> list[complex]:
     """All deg(p) roots with multiplicity, via balanced companion-matrix
-    eigenvalues.
-
-    A leading coefficient below 1e-14 of the coefficient norm is rejected
-    as noise unless ``assume_exact_leading`` is set, which callers use for
-    polynomials made monic by construction (their wide coefficient range is
-    genuine, not cancellation debris).
-    """
+    eigenvalues.  The leading coefficient is taken as exact, however small
+    against the others: eigenpolynomials are monic by construction, and
+    their wide coefficient range is genuine, not cancellation debris."""
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
-    norm = p.inf_norm()
-    if not assume_exact_leading and abs(p.coeffs[-1]) < 1e-14 * norm:
-        raise DegenerateLeadingCoefficient(
-            f"leading coefficient {abs(p.coeffs[-1]):.3e} below 1e-14 * {norm:.3e}"
-        )
     rr = np.roots(np.asarray(p.coeffs)[::-1])
     return [complex(r) for r in rr]
 
@@ -278,13 +273,13 @@ def chebyshev_matrix(n: int) -> np.ndarray:
 
 
 def symmetric_rows_to_eta(
-    rows: np.ndarray, lo: int, asym_tol: float = 1e-10
+    rows: np.ndarray, lo: int
 ) -> tuple[np.ndarray, dict[int, InversionAsymmetry]]:
     """Ascending eta-coefficients of every Laurent row (exponents lo, lo+1,
     ...), each of which must satisfy f(z) = f(1/z).
 
     Returns the eta rows and, for each row whose coefficients of z^k and
-    z^-k differ by more than ``asym_tol`` times its largest coefficient,
+    z^-k differ by more than ASYM_TOL times its largest coefficient,
     the InversionAsymmetry that names the lowest such |k|.
     """
     n_rows, n = rows.shape
@@ -294,7 +289,7 @@ def symmetric_rows_to_eta(
     up = full[:, top:]
     dn = full[:, top::-1]
     norm = np.abs(rows).max(axis=1, initial=0.0)
-    bad = np.abs(up - dn) > asym_tol * norm[:, None]
+    bad = np.abs(up - dn) > ASYM_TOL * norm[:, None]
     errors = {}
     for i in np.flatnonzero(bad.any(axis=1)):
         k = int(bad[i].argmax())
@@ -314,14 +309,14 @@ class EigenDecomposition:
     """Full eigen-decomposition of a general complex matrix.
 
     Eigenvectors are unit-normalized in the Euclidean norm and satisfy
-    ||A v - lambda v|| <= tol * ||A|| as checked at construction time.
+    ||A v - lambda v|| <= EIG_RESIDUAL_TOL * ||A|| as checked at construction time.
     """
 
     eigenvalues: tuple[complex, ...]
     eigenvectors: tuple[np.ndarray, ...]
 
 
-def eig_general(a: np.ndarray, tol: float = 1e-10) -> EigenDecomposition:
+def eig_general(a: np.ndarray) -> EigenDecomposition:
     """Eigen-decomposition of a general (non-normal) complex matrix via
     LAPACK's balanced Hessenberg + shifted-QR driver."""
     a = np.asarray(a, dtype=complex)
@@ -337,10 +332,10 @@ def eig_general(a: np.ndarray, tol: float = 1e-10) -> EigenDecomposition:
     scale = np.linalg.norm(a, 2) if n > 1 else abs(a[0, 0])
     v = v / np.linalg.norm(v, axis=0)
     resid = np.linalg.norm(a @ v - v * w, axis=0)
-    bad = np.flatnonzero(resid > tol * max(scale, 1e-300))
+    bad = np.flatnonzero(resid > EIG_RESIDUAL_TOL * max(scale, 1e-300))
     if bad.size:
         raise NoConvergence(
-            f"eigenpair residual {resid[bad[0]]:.3e} above {tol:.1e} * ||A|| "
+            f"eigenpair residual {resid[bad[0]]:.3e} above {EIG_RESIDUAL_TOL:.1e} * ||A|| "
             f"(dim {n})"
         )
     return EigenDecomposition(tuple(complex(x) for x in w), tuple(v.T))
@@ -355,9 +350,6 @@ def eig_general(a: np.ndarray, tol: float = 1e-10) -> EigenDecomposition:
 class NewtonOptions:
     tol: float = 1e-11
     max_iter: int = 100
-    max_halvings: int = 20
-    fd_scale: float = 1e-6
-    cond_limit: float = 1e12
 
 
 @dataclass(frozen=True)
@@ -373,13 +365,13 @@ class NewtonReport:
     fd_jacobians: int
 
 
-def _fd_jacobian(f, x: np.ndarray, fd_scale: float) -> np.ndarray:
+def _fd_jacobian(f, x: np.ndarray) -> np.ndarray:
     """Central finite-difference Jacobian, per-component step
-    fd_scale * max(1, |x_k|)."""
+    FD_SCALE * max(1, |x_k|)."""
     n = x.size
     jac = np.empty((n, n), dtype=complex)
     for k in range(n):
-        h = fd_scale * max(1.0, abs(x[k]))
+        h = FD_SCALE * max(1.0, abs(x[k]))
         xp = x.copy()
         xm = x.copy()
         xp[k] += h
@@ -397,8 +389,8 @@ def newton_solve(
     """Damped Newton iteration on a residual map C^N -> C^N.
 
     Without ``jacobian`` every iteration builds a central finite-difference
-    Jacobian (step 1e-6 * max(1, |x_k|)) and halves the update (at most
-    ``max_halvings`` times) whenever the full step fails to reduce
+    Jacobian (step FD_SCALE * max(1, |x_k|)) and halves the update (at most
+    MAX_HALVINGS times) whenever the full step fails to reduce
     ||f||_inf.
 
     With ``jacobian`` (simplified Newton, for a sequence of nearby
@@ -441,14 +433,14 @@ def newton_solve(
                 f"Newton did not reach tol {opts.tol:.1e} within {opts.max_iter} "
                 f"iterations (||f|| = {fnorm:.3e})"
             )
-        jac = _fd_jacobian(f, x, opts.fd_scale)
+        jac = _fd_jacobian(f, x)
         fd_jacobians += 1
         cond = np.linalg.cond(jac)
-        if not np.isfinite(cond) or cond > opts.cond_limit:
+        if not np.isfinite(cond) or cond > COND_LIMIT:
             raise SingularJacobian(f"Jacobian condition estimate {cond:.3e}")
         step = np.linalg.solve(jac, -fx)
         lam = 1.0
-        for _halving in range(opts.max_halvings + 1):
+        for _halving in range(MAX_HALVINGS + 1):
             xn = x + lam * step
             fn = np.asarray(f(xn), dtype=complex)
             fnew = float(np.max(np.abs(fn)))
@@ -458,7 +450,7 @@ def newton_solve(
         else:
             raise NoConvergence(
                 f"Newton stalled at ||f|| = {fnorm:.3e} after "
-                f"{opts.max_halvings} halvings"
+                f"{MAX_HALVINGS} halvings"
             )
         x, fx, fnorm = xn, fn, fnew
 

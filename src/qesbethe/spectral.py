@@ -160,17 +160,13 @@ def canonical_z_from_eta(eta_l: complex) -> complex:
 
 
 def roots_of_eta_poly(spec: ModelSpec, poly: PolynomialC) -> RootSet:
-    """Root set of a monic eta-polynomial, sorted by (Re, Im) of eta."""
+    """Root set of a monic eta-polynomial, sorted by (Re, Im) of eta, with
+    canonical representatives in every coordinate and the close-pair
+    flag."""
     eta_roots = []
     if poly.degree >= 1:
-        eta_roots = poly_roots(poly, assume_exact_leading=True)
+        eta_roots = poly_roots(poly)
         eta_roots.sort(key=lambda r: (r.real, r.imag))
-    return root_set_from_eta(spec, eta_roots)
-
-
-def root_set_from_eta(spec: ModelSpec, eta_roots: list[complex]) -> RootSet:
-    """Root set with canonical representatives in every coordinate and the
-    close-pair flag, in the order given."""
     xs = tuple(canonical_x_from_eta(spec, r) for r in eta_roots)
     zs = None
     if spec.info.coordinate is Coordinate.COS:

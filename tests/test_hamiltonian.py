@@ -13,7 +13,6 @@ from qesbethe.errors import (
 )
 from qesbethe import hamiltonian
 from qesbethe.hamiltonian import (
-    LEAK_TOL,
     apply_htilde,
     apply_htilde_z,
     basis_rows,
@@ -227,7 +226,7 @@ class TestAgainstPerColumnReference:
         _, _, inexact = hamiltonian._images(spec, rows, 0)
         assert sorted(inexact) == [2, 4]
         assert_same_message(
-            raised(hamiltonian._subspace_matrix, spec, rows, 0, 3, LEAK_TOL),
+            raised(hamiltonian._subspace_matrix, spec, rows, 0, 3),
             raised(reference_algebra.subspace_matrix, spec, columns, 3),
         )
 
@@ -237,7 +236,7 @@ class TestAgainstPerColumnReference:
         dim = sector_dimension(spec)
         rows, lo = basis_rows(spec, dim + 1)  # the last one lies outside the sector
         columns = [reference_algebra.basis_polynomial(spec, k) for k in range(dim + 1)]
-        got = raised(hamiltonian._subspace_matrix, spec, rows, lo, dim, LEAK_TOL)
+        got = raised(hamiltonian._subspace_matrix, spec, rows, lo, dim)
         want = raised(reference_algebra.subspace_matrix, spec, columns, dim)
         assert isinstance(got, SubspaceLeak)
         assert str(got).startswith(f"column {dim} of {family} (M=4) leaks")

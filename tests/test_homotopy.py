@@ -5,9 +5,12 @@ import scipy.special
 from conftest import spec_for
 from qesbethe import homotopy
 from qesbethe.bethe import solve
-from qesbethe.errors import DegenerateLeadingCoefficient
-from qesbethe.homotopy import CONTINUATION_STEPS, laguerre_nodes
+from qesbethe.errors import NoConvergence
+from qesbethe.hamiltonian import build_matrix
+from qesbethe.homotopy import CONTINUATION_STEPS, homotopy_root_sets, laguerre_nodes
 from qesbethe.models import model_spec
+from qesbethe.numerics import NewtonReport
+from qesbethe.spectral import oracle_spectrum
 
 
 @pytest.mark.parametrize("n", range(1, 25))
@@ -51,14 +54,14 @@ class TestHomotopySeeding:
         assert all(s.residual_max <= 1e-9 for s in sols)
 
     def test_failed_start_state_falls_back_alone(self, monkeypatch):
-        real = homotopy.poly_roots
+        real = homotopy.extract_roots
 
-        def failing(poly, *args, **kwargs):
-            if poly.degree == 2:
-                raise DegenerateLeadingCoefficient("forced for the degree-2 start state")
-            return real(poly, *args, **kwargs)
+        def failing(pair, *args, **kwargs):
+            if pair.eigenpoly.degree == 2:
+                raise NoConvergence("forced for the degree-2 start state")
+            return real(pair, *args, **kwargs)
 
-        monkeypatch.setattr(homotopy, "poly_roots", failing)
+        monkeypatch.setattr(homotopy, "extract_roots", failing)
         spec = model_spec("mp-crossed", M=4, a1=1.2, a2=0.8, beta=0.9)
         sols = solve(spec, seed_mode="homotopy")
         assert len(sols) == spec.M + 1
@@ -66,6 +69,25 @@ class TestHomotopySeeding:
         for s in sols:
             assert s.residual_max <= 1e-9
             assert s.discrepancy <= 1e-8 * max(1.0, abs(s.E_oracle))
+
+    def test_every_start_state_of_a_wide_model_reaches_newton(self, monkeypatch):
+        """At M = 32 the start eigenpolynomials of the top degrees span
+        coefficient norms up to 1e19 against their exact monic leading
+        coefficient; each of the M + 1 legs must still get its roots and
+        take all of its continuation steps.  Newton is stubbed out, so the
+        legs land nowhere and only the step count is checked."""
+        calls = []
+
+        def recorded(f, x0, opts, jacobian=None):
+            calls.append(len(x0))
+            return NewtonReport(x0, None, 0, 0)
+
+        monkeypatch.setattr(homotopy, "newton_solve", recorded)
+        spec = spec_for("mp-crossed", 32, np.random.default_rng(7))
+        eigenvalues = [p.eigenvalue for p in oracle_spectrum(build_matrix(spec))]
+        homotopy_root_sets(spec, eigenvalues)
+        assert len(calls) == (spec.M + 1) * CONTINUATION_STEPS
+        assert set(calls) == {spec.M}
 
 
 @pytest.mark.parametrize("M", (4, 6, 8))

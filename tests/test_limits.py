@@ -7,8 +7,7 @@ from qesbethe.bethe import bae_residual, solve
 from qesbethe.errors import MissingLimitParameter, UnsupportedFamily
 from qesbethe.hamiltonian import build_matrix
 from qesbethe.limits import (
-    REQUIRED_PARAMS,
-    RESTRICTION_TAGS,
+    LIMITS,
     LimitTag,
     closed_form_E,
     convergence_ratio,
@@ -179,7 +178,7 @@ FULL_PARAMS = {
 
 
 @pytest.mark.parametrize(
-    "tag, name", [(tag, name) for tag in LimitTag for name in REQUIRED_PARAMS[tag]]
+    "tag, name", [(tag, name) for tag in LimitTag for name in LIMITS[tag].required]
 )
 def test_missing_parameter_is_named(tag, name):
     params = dict(FULL_PARAMS[tag])
@@ -190,8 +189,8 @@ def test_missing_parameter_is_named(tag, name):
 
 @pytest.mark.parametrize("tag", list(LimitTag))
 def test_required_parameters_suffice(tag):
-    assert set(FULL_PARAMS[tag]) == set(REQUIRED_PARAMS[tag])
+    assert set(FULL_PARAMS[tag]) == set(LIMITS[tag].required)
     case = limit_case(tag, 2, **FULL_PARAMS[tag])
     assert verify_limit(case).passed
-    if tag in RESTRICTION_TAGS:
+    if LIMITS[tag].restricted:
         assert reduced_bae_check(case)["passed"]

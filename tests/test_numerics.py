@@ -7,7 +7,6 @@ import scipy.special
 
 from qesbethe import numerics
 from qesbethe.errors import (
-    DegenerateLeadingCoefficient,
     DivergentProduct,
     InexactDivision,
     InversionAsymmetry,
@@ -184,11 +183,6 @@ class TestPolyRoots:
         np.testing.assert_allclose(
             sorted(r.real for r in poly_roots(p)), [1, 2, 3], atol=1e-10
         )
-
-    def test_degenerate_leading_coefficient(self):
-        p = PolynomialC((1.0, 1e-15), "x")
-        with pytest.raises(DegenerateLeadingCoefficient):
-            poly_roots(p)
 
     def test_round_trip_with_matching(self, rng):
         for _ in range(10):

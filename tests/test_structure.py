@@ -182,3 +182,55 @@ def test_linear_solve_guard_sees_each_form():
         "    return np.linalg.eig(a), np.linalg.norm(b), x, c, s\n"
     )
     assert _linear_solves(tree) == [("<module>", 2), ("f", 4), ("f", 5), ("f", 6)]
+
+
+# Root extraction has one route: spectral.extract_roots calls
+# numerics.poly_roots on an oracle eigenpolynomial.  A second caller (such as
+# a private eigensolver in homotopy or limits) would fork the treatment of
+# exactly solvable states again.
+
+ROOT_FINDER_MODULES = {"numerics.py", "spectral.py"}
+
+
+def _root_finder_uses(tree: ast.AST) -> list[int]:
+    """Lines that define, import or reference ``poly_roots``, bare or as an
+    attribute."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "poly_roots":
+            found.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "poly_roots":
+            found.append(node.lineno)
+        elif isinstance(node, ast.FunctionDef) and node.name == "poly_roots":
+            found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            if any(alias.name == "poly_roots" for alias in node.names):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_poly_roots_only_in_numerics_and_spectral():
+    stray, seen = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        lines = _root_finder_uses(ast.parse(path.read_text(), filename=str(path)))
+        if lines and path.name in ROOT_FINDER_MODULES:
+            seen.add(path.name)
+        elif lines:
+            stray.append(f"{path.name}:{lines}")
+    assert seen == ROOT_FINDER_MODULES, "poly_roots is no longer defined and used"
+    assert not stray, "poly_roots referenced outside numerics/spectral: " + ", ".join(stray)
+
+
+def test_root_finder_guard_sees_each_form():
+    tree = ast.parse(
+        "from .numerics import poly_roots as roots\n"
+        "from . import numerics\n"
+        "def poly_roots(p):\n"
+        "    return p\n"
+        "def f(p):\n"
+        "    a = numerics.poly_roots(p)\n"
+        "    b = poly_roots(p)\n"
+        "    c = [poly_roots]\n"
+        "    return roots(p), numerics.roots_of_eta_poly(p)\n"
+    )
+    assert _root_finder_uses(tree) == [1, 3, 6, 7, 8]
