@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -89,7 +89,7 @@ def _pairwise_separation(values: tuple[complex, ...]) -> float:
     return sep
 
 
-_Sides = Callable[[tuple[complex, ...]], list[tuple[complex, complex]]]
+_Sides = Callable[[Sequence[complex]], list[tuple[complex, complex]]]
 
 
 def _sides_x(spec: ModelSpec) -> _Sides:
@@ -103,7 +103,7 @@ def _sides_x(spec: ModelSpec) -> _Sides:
     odd = spec.sector is Sector.ODD
     phase2 = v_phase(spec).conjugate() ** 2  # e^{2 i beta} for the crossed model
 
-    def sides(xs: tuple[complex, ...]) -> list[tuple[complex, complex]]:
+    def sides(xs: Sequence[complex]) -> list[tuple[complex, complex]]:
         out = []
         for j, xj in enumerate(xs):
             lhs_num = 1.0 + 0j
@@ -139,7 +139,7 @@ def _sides_z(spec: ModelSpec) -> _Sides:
     q = spec.real_param("q")
     consts = numerator_constants(spec)
 
-    def sides(zs: tuple[complex, ...]) -> list[tuple[complex, complex]]:
+    def sides(zs: Sequence[complex]) -> list[tuple[complex, complex]]:
         etas = [0.5 * (z + 1.0 / z) for z in zs]
         out = []
         for j, zj in enumerate(zs):
@@ -252,9 +252,9 @@ def _residual_map(spec: ModelSpec):
     on_eta = coordinate is Coordinate.X_SQUARED and spec.sector is not Sector.ODD
 
     def g(v: np.ndarray) -> np.ndarray:
-        vals = tuple(complex(t) for t in v)
+        vals = v.tolist()
         if on_eta:
-            vals = tuple(cmath.sqrt(e) for e in vals)
+            vals = [cmath.sqrt(e) for e in vals]
         sides = sides_of(vals)
         return np.asarray(
             [lhs / rhs - 1.0 if rhs != 0 else lhs - rhs for lhs, rhs in sides],
@@ -268,40 +268,44 @@ def newton_polish(
     spec: ModelSpec,
     seed: RootSet,
     target: float = POLISH_TARGET,
-) -> tuple[RootSet, SolutionFlags]:
+) -> tuple[RootSet, SolutionFlags, tuple[float, ...]]:
     """Drive the seed roots onto the Bethe equations.
 
-    The iteration runs in coordinates relative to the seed, so root sets
-    spanning many orders of magnitude (the q-family's geometric ladders)
-    keep a well-scaled Jacobian.  Never fatal: on singular Jacobians or
+    Returns the root set, its flags and its Bethe residuals (as
+    ``bae_residual(spec, roots, allow_degenerate=True)``).  The iteration
+    runs in coordinates relative to the seed, so root sets spanning many
+    orders of magnitude (the q-family's geometric ladders) keep a
+    well-scaled Jacobian.  Never fatal: on singular Jacobians or
     non-convergence the seed comes back unchanged with the corresponding
     flag set.
     """
     if len(seed) == 0:
-        return seed, SolutionFlags(polished=True, degenerate=seed.degenerate)
+        return seed, SolutionFlags(polished=True, degenerate=seed.degenerate), ()
     v0 = _native_variables(spec, seed)
     units = np.where(np.abs(v0) > 1e-250, np.abs(v0), 1.0)
     g = _residual_map(spec)
     g_rel = lambda w: g(v0 + units * w)
+    seed_res = bae_residual(spec, seed, allow_degenerate=True)
     try:
         solved = v0 + units * newton_solve(
             g_rel, np.zeros_like(v0), NewtonOptions(tol=0.1 * target)
         ).x
     except SingularJacobian:
-        return seed, SolutionFlags(
+        flags = SolutionFlags(
             polished=False, degenerate=seed.degenerate, jacobian_singular=True
         )
+        return seed, flags, seed_res
     except NoConvergence:
-        return seed, SolutionFlags(polished=False, degenerate=seed.degenerate)
+        return seed, SolutionFlags(polished=False, degenerate=seed.degenerate), seed_res
     polished = roots_from_native(spec, solved)
     try:
         res = bae_residual(spec, polished)
     except DegenerateRoots:
-        return seed, SolutionFlags(polished=False, degenerate=True)
-    seed_res = bae_residual(spec, seed, allow_degenerate=True)
+        return seed, SolutionFlags(polished=False, degenerate=True), seed_res
     if max(res, default=0.0) <= max(target, max(seed_res, default=0.0)):
-        return polished, SolutionFlags(polished=True, degenerate=polished.degenerate)
-    return seed, SolutionFlags(polished=False, degenerate=seed.degenerate)
+        flags = SolutionFlags(polished=True, degenerate=polished.degenerate)
+        return polished, flags, res
+    return seed, SolutionFlags(polished=False, degenerate=seed.degenerate), seed_res
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +535,7 @@ def solve(spec: ModelSpec, seed_mode: str = "oracle") -> list[BetheSolution]:
                 anomalous = actual != expected and (
                     pair.truncated or not compensation_vanishes(spec)
                 )
-        roots, flags = newton_polish(spec, seed)
-        residuals = bae_residual(spec, roots, allow_degenerate=True)
+        roots, flags, residuals = newton_polish(spec, seed)
         if flags.degenerate or roots.degenerate or anomalous:
             flags = replace(flags, degenerate=True)
         e_formula = eigenvalue_from_roots(spec, roots, degree=degree)

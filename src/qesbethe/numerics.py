@@ -380,6 +380,14 @@ def _fd_jacobian(f, x: np.ndarray) -> np.ndarray:
     return jac
 
 
+def _inverse(jac: np.ndarray) -> np.ndarray | None:
+    """Inverse of a Jacobian to hold, or None when it is exactly singular."""
+    try:
+        return np.linalg.inv(jac)
+    except np.linalg.LinAlgError:
+        return None
+
+
 def newton_solve(
     f: Callable[[np.ndarray], np.ndarray],
     x0: Sequence[complex],
@@ -393,16 +401,20 @@ def newton_solve(
     MAX_HALVINGS times) whenever the full step fails to reduce
     ||f||_inf.
 
-    With ``jacobian`` (simplified Newton, for a sequence of nearby
-    problems): an iteration holding a Jacobian takes the full step and
-    keeps it only if ||f||_inf at least halves or meets ``tol``.  Otherwise
-    the step is discarded, a fresh finite-difference Jacobian is built
-    (with the same condition check), the damped step above is taken with
-    it, and that Jacobian is held from then on under the same rule.  A
-    held Jacobian that is stale, or singular, never raises on its own:
-    ``max_iter`` bounds the iterations that build a Jacobian, and the held
-    steps between them number at most log2(||f(x0)||_inf / tol) + 1
-    because each one halves ||f||_inf.
+    With ``jacobian`` (simplified or chord Newton, for a sequence of
+    nearby problems; Allgower & Georg, *Introduction to Numerical
+    Continuation Methods*, SIAM 2003, ch. 6): the held Jacobian is inverted
+    once, and an iteration holding it takes the full step x - J^-1 f(x),
+    one residual evaluation and one matrix-vector product, keeping it only
+    if ||f||_inf at least halves or meets ``tol``.  Otherwise the step is
+    discarded, a fresh finite-difference Jacobian is built (with the same
+    condition check), the damped step above is taken with it, and that
+    Jacobian is inverted and held from then on under the same rule.  A
+    held Jacobian that is stale, or singular, never raises on its own (a
+    singular one goes straight to the refresh): ``max_iter`` bounds the
+    iterations that build a Jacobian, and the held steps between them
+    number at most log2(||f(x0)||_inf / tol) + 1 because each one halves
+    ||f||_inf.  The report carries the Jacobian, never its inverse.
     """
     x = np.asarray(list(x0), dtype=complex)
     n = x.size
@@ -410,24 +422,21 @@ def newton_solve(
         return NewtonReport(x, jacobian, 0, 0)
     hold = jacobian is not None
     jac = jacobian
+    inv = _inverse(jac) if hold else None
     iterations = fd_jacobians = 0
     fx = np.asarray(f(x), dtype=complex)
-    fnorm = float(np.max(np.abs(fx)))
+    fnorm = float(np.abs(fx).max())
     while True:
         if fnorm <= opts.tol:  # a NaN norm goes on, to raise below
             return NewtonReport(x, jac, iterations, fd_jacobians)
         iterations += 1
-        if hold:
-            try:
-                xn = x + np.linalg.solve(jac, -fx)
-            except np.linalg.LinAlgError:
-                pass  # exactly singular: refresh below
-            else:
-                fn = np.asarray(f(xn), dtype=complex)
-                fnew = float(np.max(np.abs(fn)))
-                if fnew <= 0.5 * fnorm or fnew <= opts.tol:
-                    x, fx, fnorm = xn, fn, fnew
-                    continue
+        if inv is not None:
+            xn = x - inv @ fx
+            fn = np.asarray(f(xn), dtype=complex)
+            fnew = float(np.abs(fn).max())
+            if fnew <= 0.5 * fnorm or fnew <= opts.tol:
+                x, fx, fnorm = xn, fn, fnew
+                continue
         if fd_jacobians == opts.max_iter:
             raise NoConvergence(
                 f"Newton did not reach tol {opts.tol:.1e} within {opts.max_iter} "
@@ -439,11 +448,13 @@ def newton_solve(
         if not np.isfinite(cond) or cond > COND_LIMIT:
             raise SingularJacobian(f"Jacobian condition estimate {cond:.3e}")
         step = np.linalg.solve(jac, -fx)
+        if hold:
+            inv = _inverse(jac)
         lam = 1.0
         for _halving in range(MAX_HALVINGS + 1):
             xn = x + lam * step
             fn = np.asarray(f(xn), dtype=complex)
-            fnew = float(np.max(np.abs(fn)))
+            fnew = float(np.abs(fn).max())
             if fnew < fnorm or fnew <= opts.tol:
                 break
             lam *= 0.5

@@ -90,7 +90,7 @@ class TestNewtonPolish:
         exact = sols[2].roots
         noise = 1e-3 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
         seed = mp_rootset(*(np.asarray(exact.roots_x) + noise))
-        polished, flags = newton_polish(spec, seed)
+        polished, flags, _res = newton_polish(spec, seed)
         assert flags.polished
         np.testing.assert_allclose(
             sorted(r.real for r in polished.roots_x),
@@ -100,20 +100,20 @@ class TestNewtonPolish:
 
     def test_exact_seed_is_fixed_point(self):
         spec = model_spec("mp-crossed", M=1, a1=1, a2=1, beta=math.pi / 2)
-        polished, flags = newton_polish(spec, mp_rootset(1.0))
+        polished, flags, _res = newton_polish(spec, mp_rootset(1.0))
         assert flags.polished
         np.testing.assert_allclose(polished.roots_x, [1.0], atol=1e-12)
 
     def test_coincident_seed_flagged_not_fatal(self):
         spec = model_spec("mp-crossed", M=2, a1=1, a2=1, beta=0.5)
         seed = mp_rootset(0.7, 0.7)
-        polished, flags = newton_polish(spec, seed)
+        polished, flags, _res = newton_polish(spec, seed)
         assert flags.jacobian_singular or flags.degenerate or not flags.polished
         assert polished.roots_x  # the seed always comes back
 
     def test_empty_rootset_noop(self):
         spec = model_spec("mp-crossed", M=0, a1=1, a2=1, beta=0.5)
-        polished, flags = newton_polish(spec, mp_rootset())
+        polished, flags, _res = newton_polish(spec, mp_rootset())
         assert flags.polished and len(polished) == 0
 
 

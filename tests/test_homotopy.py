@@ -118,3 +118,35 @@ def test_homotopy_coverage_with_carried_jacobian(family, M, rng, monkeypatch):
         for leg in range(M + 1):
             steps = reports[leg * CONTINUATION_STEPS : (leg + 1) * CONTINUATION_STEPS]
             assert sum(r.fd_jacobians for r in steps) < sum(r.iterations for r in steps)
+
+
+@pytest.mark.parametrize("M", (4, 6, 8))
+@pytest.mark.parametrize("family", ("mp-crossed", "trig-q"))
+def test_held_steps_solve_no_linear_system(family, M, monkeypatch):
+    """A held Jacobian is inverted once, so each held step costs one
+    matrix-vector product: inside a continuation correction the only
+    linear solves are the damped steps taken with fresh finite-difference
+    Jacobians, one each."""
+    solves = []
+    real_solve = np.linalg.solve
+
+    def counted_solve(*args, **kwargs):
+        solves.append(None)
+        return real_solve(*args, **kwargs)
+
+    reports = []
+    real_newton = homotopy.newton_solve
+
+    def recorded(*args, **kwargs):
+        before = len(solves)
+        report = real_newton(*args, **kwargs)
+        reports.append((len(solves) - before, report))
+        return report
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(homotopy, "newton_solve", recorded)
+    spec = spec_for(family, M, np.random.default_rng(11))
+    assert all(s.seed_source == "homotopy" for s in solve(spec, seed_mode="homotopy"))
+    fd_jacobians = sum(r.fd_jacobians for _n, r in reports)
+    assert 0 < fd_jacobians < sum(r.iterations for _n, r in reports)
+    assert [n for n, _r in reports] == [r.fd_jacobians for _n, r in reports]

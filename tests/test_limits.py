@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qesbethe import bethe
 from qesbethe.bethe import bae_residual, solve
 from qesbethe.errors import MissingLimitParameter, UnsupportedFamily
 from qesbethe.hamiltonian import build_matrix
@@ -194,3 +195,13 @@ def test_required_parameters_suffice(tag):
     assert verify_limit(case).passed
     if LIMITS[tag].restricted:
         assert reduced_bae_check(case)["passed"]
+
+
+@pytest.mark.parametrize("tag", list(LimitTag))
+def test_spectrum_check_solves_no_roots(tag, monkeypatch):
+    # verify_limit compares eigenvalues only, so it must never polish roots
+    def no_polish(*args, **kwargs):
+        raise AssertionError("verify_limit polished Bethe roots")
+
+    monkeypatch.setattr(bethe, "newton_polish", no_polish)
+    assert verify_limit(limit_case(tag, 3, **FULL_PARAMS[tag])).passed

@@ -116,6 +116,25 @@ class TestSchrodingerResidual:
                 for x in default_grid(spec, 8).points:
                     assert schrodinger_residual(spec, sol, x) <= 1e-8
 
+    def test_beta_near_zero_miss_is_in_the_formula_eigenvalue(self):
+        """Just off beta = 0 the largest roots sit near 1/(2|beta|) and the
+        Bethe-formula eigenvalue loses digits (|E_formula - E_oracle| ~
+        6e-10): the check with E_formula reads about 2e-7 on the verify
+        grid, while the same roots with the oracle eigenvalue pass to
+        1e-12, so the check and the roots are sound."""
+        import dataclasses
+
+        spec = model_spec(
+            "mp-crossed", M=7,
+            a1=complex(2.4382823351740726, 0.7119514191580878),
+            a2=complex(0.7125707424400739, -0.745496478313193),
+            beta=-0.0004886281286418104,
+        )
+        points = default_grid(spec, 12).points
+        for sol in solve(spec):
+            exact = dataclasses.replace(sol, E_formula=sol.E_oracle)
+            assert schrodinger_residual(spec, exact, points).max() <= 1e-12
+
 
 class TestGridRows:
     def test_row_shape_and_consistency(self):
