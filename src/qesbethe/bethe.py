@@ -5,8 +5,8 @@ Each family's equation is evaluated as a pair (L_j, R_j) of denominator-free
 products; the reported residual is |L_j - R_j| / max(|L_j|, |R_j|, eps).
 Cross-multiplication removes every kinematic pole and all branch-cut
 ambiguity, which keeps the Newton iteration smooth in the sector-native
-variables (eta for the x^2-based even sectors, x for the linear and odd
-sectors, z for the trigonometric family).
+variables (``models.native_variable``).  Polished roots go back through
+``spectral.root_set``, like every other root set.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .models import (
     Sector,
     bethe_root_count,
     compensation_vanishes,
+    native_variable,
     numerator_constants,
     sector_degrees,
     symmetric_coefficients,
@@ -35,9 +36,11 @@ from .models import (
 from .numerics import NewtonOptions, newton_solve
 from .spectral import (
     RootSet,
-    canonical_x_from_eta,
     extract_roots,
+    min_separation,
+    native_values,
     oracle_spectrum,
+    root_set,
 )
 
 ROOT_SEPARATION_TOL = 1e-10
@@ -76,17 +79,6 @@ class BetheSolution:
 # ---------------------------------------------------------------------------
 # Cross-multiplied residuals
 # ---------------------------------------------------------------------------
-
-
-def _pairwise_separation(values: tuple[complex, ...]) -> float:
-    """Smallest relative pairwise distance (roots legitimately span many
-    orders of magnitude, so an absolute gap would misfire near zero)."""
-    sep = math.inf
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            scale = max(abs(values[i]), abs(values[j]), EPS)
-            sep = min(sep, abs(values[i] - values[j]) / scale)
-    return sep
 
 
 _Sides = Callable[[Sequence[complex]], list[tuple[complex, complex]]]
@@ -163,6 +155,12 @@ def _sides_z(spec: ModelSpec) -> _Sides:
     return sides
 
 
+def _sides(spec: ModelSpec) -> _Sides:
+    """(L_j, R_j) as a function of the z_j (trigonometric family) or the
+    x_j (every other family)."""
+    return _sides_z(spec) if native_variable(spec) == "z" else _sides_x(spec)
+
+
 def bae_residual(
     spec: ModelSpec,
     roots: RootSet,
@@ -171,19 +169,17 @@ def bae_residual(
     """Normalized cross-multiplied residual of every Bethe equation."""
     if len(roots) == 0:
         return ()
-    if spec.info.coordinate is Coordinate.COS:
-        if roots.roots_z is None:
-            raise ValueError("trig-q root set is missing z representatives")
-        native, sides = roots.roots_z, _sides_z(spec)
-    else:
-        native, sides = roots.roots_x, _sides_x(spec)
-    if not allow_degenerate and _pairwise_separation(native) < ROOT_SEPARATION_TOL:
+    variable = native_variable(spec)
+    native = getattr(roots, f"roots_{variable}")
+    if native is None:
+        raise ValueError(f"root set is missing its {variable} representatives")
+    if not allow_degenerate and min_separation(native) < ROOT_SEPARATION_TOL:
         raise DegenerateRoots(
             f"roots closer than {ROOT_SEPARATION_TOL:.1e}; the ansatz assumes "
             "distinct roots"
         )
     out = []
-    for lhs, rhs in sides(native):
+    for lhs, rhs in _sides(spec)(roots.roots_x if variable == "eta" else native):
         out.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs), EPS))
     return tuple(out)
 
@@ -193,52 +189,7 @@ def bae_residual(
 # ---------------------------------------------------------------------------
 
 
-def _native_variables(spec: ModelSpec, roots: RootSet) -> np.ndarray:
-    """Newton's variables: z for eta = cos x, x for eta = x and the odd
-    sector, eta itself otherwise."""
-    if spec.info.coordinate is Coordinate.COS:
-        return np.asarray(roots.roots_z, dtype=complex)
-    if spec.info.coordinate is Coordinate.X or spec.sector is Sector.ODD:
-        return np.asarray(roots.roots_x, dtype=complex)
-    return np.asarray(roots.roots_eta, dtype=complex)
-
-
-def roots_from_native(spec: ModelSpec, values: np.ndarray) -> RootSet:
-    """Rebuild a RootSet (canonical representatives, sorted) from the
-    sector-native coordinates."""
-    coordinate = spec.info.coordinate
-    vals = [complex(v) for v in values]
-    if coordinate is Coordinate.COS:
-        triples = []
-        for z in vals:
-            if abs(z) > 1.0:
-                z = 1.0 / z
-            eta_l = 0.5 * (z + 1.0 / z)
-            triples.append((eta_l, -1j * cmath.log(z), z))
-        triples.sort(key=lambda t: (t[0].real, t[0].imag))
-        return RootSet(
-            tuple(t[1] for t in triples),
-            tuple(t[0] for t in triples),
-            tuple(t[2] for t in triples),
-        )
-    if coordinate is Coordinate.X:
-        vals.sort(key=lambda v: (v.real, v.imag))
-        return RootSet(tuple(vals), tuple(vals))
-    if spec.sector is Sector.ODD:
-        pairs = [(v * v, v) for v in vals]
-        pairs.sort(key=lambda t: (t[0].real, t[0].imag))
-        xs = []
-        for _eta_l, x in pairs:
-            if x.real < 0 or (x.real == 0 and x.imag < 0):
-                x = -x
-            xs.append(x)
-        return RootSet(tuple(xs), tuple(t[0] for t in pairs))
-    etas = sorted(vals, key=lambda v: (v.real, v.imag))
-    xs = tuple(canonical_x_from_eta(spec, e) for e in etas)
-    return RootSet(xs, tuple(etas))
-
-
-def _residual_map(spec: ModelSpec):
+def residual_map(spec: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
     """Residual G_j(v) = L_j / R_j - 1 on the native variables.
 
     The ratio form is scale invariant, which matters: the difference
@@ -247,9 +198,8 @@ def _residual_map(spec: ModelSpec):
     re-sorting happens inside, so G stays smooth for the Jacobian.  The
     family facts are read once, here, not on every evaluation.
     """
-    coordinate = spec.info.coordinate
-    sides_of = _sides_z(spec) if coordinate is Coordinate.COS else _sides_x(spec)
-    on_eta = coordinate is Coordinate.X_SQUARED and spec.sector is not Sector.ODD
+    sides_of = _sides(spec)
+    on_eta = native_variable(spec) == "eta"
 
     def g(v: np.ndarray) -> np.ndarray:
         vals = v.tolist()
@@ -281,9 +231,9 @@ def newton_polish(
     """
     if len(seed) == 0:
         return seed, SolutionFlags(polished=True, degenerate=seed.degenerate), ()
-    v0 = _native_variables(spec, seed)
+    v0 = native_values(spec, seed)
     units = np.where(np.abs(v0) > 1e-250, np.abs(v0), 1.0)
-    g = _residual_map(spec)
+    g = residual_map(spec)
     g_rel = lambda w: g(v0 + units * w)
     seed_res = bae_residual(spec, seed, allow_degenerate=True)
     try:
@@ -297,9 +247,11 @@ def newton_polish(
         return seed, flags, seed_res
     except NoConvergence:
         return seed, SolutionFlags(polished=False, degenerate=seed.degenerate), seed_res
-    polished = roots_from_native(spec, solved)
+    polished = root_set(spec, solved)
     try:
-        res = bae_residual(spec, polished)
+        # root_set measured the gaps already: only a flagged set can be
+        # closer than ROOT_SEPARATION_TOL
+        res = bae_residual(spec, polished, allow_degenerate=not polished.degenerate)
     except DegenerateRoots:
         return seed, SolutionFlags(polished=False, degenerate=True), seed_res
     if max(res, default=0.0) <= max(target, max(seed_res, default=0.0)):
@@ -442,7 +394,7 @@ def _chain_near_roots(spec: ModelSpec, level: int) -> RootSet:
     to subspace degree ``level``, whose eigenvector is fully representable.
     """
     if level == 0:
-        return RootSet((), (), ())
+        return root_set(spec, ())
     sub = replace(spec, M=level)
     pairs = oracle_spectrum(build_matrix(sub))
     top = pairs[-1]
@@ -471,22 +423,19 @@ def _complete_truncated_roots(spec: ModelSpec, near: RootSet) -> RootSet | None:
     far = trig_far_ladder(spec, list(range(deg_rep, spec.M)))
     if any(abs(z) < 1e-280 for z in far):
         return None
-    near_zs = list(near.roots_z or ())
-    sides_z = _sides_z(spec)
-
-    def g_far(w: np.ndarray) -> np.ndarray:
-        zs = tuple(near_zs) + tuple(f * complex(t) for f, t in zip(far, w))
-        sides = sides_z(zs)
-        return np.asarray(
-            [lhs / rhs - 1.0 for lhs, rhs in sides[deg_rep:]], dtype=complex
-        )
-
+    near_zs = native_values(spec, near)
+    far = np.asarray(far, dtype=complex)
+    g = residual_map(spec)
     try:
-        w = newton_solve(g_far, np.ones(missing, dtype=complex), NewtonOptions(tol=1e-8)).x
-        far = [f * complex(t) for f, t in zip(far, w)]
+        w = newton_solve(
+            lambda w: g(np.concatenate([near_zs, far * w]))[deg_rep:],
+            np.ones(missing, dtype=complex),
+            NewtonOptions(tol=1e-8),
+        ).x
+        far = far * w
     except (NoConvergence, SingularJacobian):
         pass  # hand the raw estimates to the full polish
-    return roots_from_native(spec, np.asarray(near_zs + far, dtype=complex))
+    return root_set(spec, np.concatenate([near_zs, far]))
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +485,7 @@ def solve(spec: ModelSpec, seed_mode: str = "oracle") -> list[BetheSolution]:
                     pair.truncated or not compensation_vanishes(spec)
                 )
         roots, flags, residuals = newton_polish(spec, seed)
-        if flags.degenerate or roots.degenerate or anomalous:
+        if flags.degenerate or anomalous:
             flags = replace(flags, degenerate=True)
         e_formula = eigenvalue_from_roots(spec, roots, degree=degree)
         solutions.append(

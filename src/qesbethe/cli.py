@@ -25,13 +25,34 @@ from .errors import LimitViolation, QesError
 from .hamiltonian import build_matrix, matrix_dump_dict
 from .limits import LIMITS, LimitTag, limit_case, reduced_bae_check, verify_limit
 from .models import FAMILIES, ModelFamily, ModelSpec, model_spec, spec_from_json, spec_to_json_dict
-from .wavefun import default_grid, grid_rows, schrodinger_residual, zero_mode_residual
+from .wavefun import (
+    GRID_COLUMNS,
+    default_grid,
+    grid_rows,
+    schrodinger_residual,
+    zero_mode_residual,
+)
 
 # every family's parameters, one flag each: the one-letter names, then the rest
 _ALL_PARAM_FLAGS = tuple(
     sorted({n for info in FAMILIES.values() for n in info.param_names}, key=lambda n: (len(n), n))
 )
-VERIFY_TOLERANCES = ("bae_residual", "eigenvalue_match", "zero_mode", "schrodinger")
+# verify's checks: (check name, tolerance name, worst value over the model's
+# solutions and grid points); a check passes when its value is at most the
+# tolerance
+VERIFY_CHECKS = (
+    ("bae_residual", "bae_residual",
+     lambda spec, sols, pts: max((s.residual_max for s in sols), default=0.0)),
+    ("eigenvalue_match", "eigenvalue_match",
+     lambda spec, sols, pts: max(
+         (s.discrepancy / max(1.0, abs(s.E_oracle)) for s in sols), default=0.0)),
+    ("zero_mode", "zero_mode",
+     lambda spec, sols, pts: float(zero_mode_residual(spec, pts).max())),
+    ("schrodinger_pointwise", "schrodinger",
+     lambda spec, sols, pts: max(
+         (float(schrodinger_residual(spec, s, pts).max()) for s in sols), default=0.0)),
+)
+VERIFY_TOLERANCES = tuple(tol for _, tol, _ in VERIFY_CHECKS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -148,36 +169,9 @@ def _verify_document(spec: ModelSpec, tols: Tolerances) -> dict:
     solutions = solve(spec)
     points = default_grid(spec, 12).points
     checks = []
-
-    worst_res = max((s.residual_max for s in solutions), default=0.0)
-    checks.append(
-        {"name": "bae_residual", "value": worst_res, "passed": worst_res <= tols.bae_residual}
-    )
-    worst_gap = max(
-        (s.discrepancy / max(1.0, abs(s.E_oracle)) for s in solutions), default=0.0
-    )
-    checks.append(
-        {
-            "name": "eigenvalue_match",
-            "value": worst_gap,
-            "passed": worst_gap <= tols.eigenvalue_match,
-        }
-    )
-    worst_zero = float(zero_mode_residual(spec, points).max())
-    checks.append(
-        {"name": "zero_mode", "value": worst_zero, "passed": worst_zero <= tols.zero_mode}
-    )
-    worst_schro = max(
-        (float(schrodinger_residual(spec, sol, points).max()) for sol in solutions),
-        default=0.0,
-    )
-    checks.append(
-        {
-            "name": "schrodinger_pointwise",
-            "value": worst_schro,
-            "passed": worst_schro <= tols.schrodinger,
-        }
-    )
+    for name, tol, worst in VERIFY_CHECKS:
+        value = worst(spec, solutions, points)
+        checks.append({"name": name, "value": value, "passed": value <= getattr(tols, tol)})
     return {
         "spec": spec_to_json_dict(spec),
         "checks": checks,
@@ -304,6 +298,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             _emit(_to_json(doc), args.output)
             return 0 if doc["passed"] else 2
         if args.command == "grid":
+            if args.n < 1:
+                raise ValueError(f"--n must be at least 1, got {args.n}")
             spec = _spec_from_args(args)
             solutions = solve(spec)
             if not 0 <= args.solution < len(solutions):
@@ -311,18 +307,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                     f"--solution must be in 0..{len(solutions) - 1} for this model"
                 )
             rows = grid_rows(spec, solutions[args.solution], default_grid(spec, args.n))
-            header = "x_re,x_im,phi0sq_re,phi0sq_im,psi_re,psi_im,residual"
-            lines = [header]
-            for r in rows:
-                lines.append(
-                    ",".join(
-                        repr(r[k])
-                        for k in (
-                            "x_re", "x_im", "phi0sq_re", "phi0sq_im",
-                            "psi_re", "psi_im", "residual",
-                        )
-                    )
-                )
+            lines = [",".join(GRID_COLUMNS)]
+            lines += [",".join(repr(r[k]) for k in GRID_COLUMNS) for r in rows]
             _emit("\n".join(lines) + "\n", args.output)
             return 0
         if args.command == "dump-matrix":

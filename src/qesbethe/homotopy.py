@@ -38,18 +38,19 @@ from dataclasses import replace as dc_replace
 
 import numpy as np
 
-from .bethe import (
-    _native_variables,
-    _residual_map,
-    eigenvalue_from_roots,
-    roots_from_native,
-    trig_far_ladder,
-)
+from .bethe import eigenvalue_from_roots, residual_map, trig_far_ladder
 from .errors import QesError
 from .hamiltonian import build_matrix
 from .models import Coordinate, ModelSpec
 from .numerics import NewtonOptions, newton_solve
-from .spectral import OracleEigenpair, RootSet, extract_roots, oracle_spectrum
+from .spectral import (
+    OracleEigenpair,
+    RootSet,
+    extract_roots,
+    native_values,
+    oracle_spectrum,
+    root_set,
+)
 
 CONTINUATION_STEPS = 12
 STEP_TOL = 1e-10
@@ -94,7 +95,7 @@ def _step_newton(
     units and held by simplified Newton.  Returns the corrected variables
     and this step's final Jacobian, again in the native variables.
     """
-    g = _residual_map(spec)
+    g = residual_map(spec)
     units = np.where(np.abs(native) > 1e-250, np.abs(native), 1.0)
     report = newton_solve(
         lambda t: g(native + units * t),
@@ -113,7 +114,7 @@ def _continuation_leg(
     """Native Bethe variables of the deformed state that continues the
     start eigenpair ``pair``; raises QesError when the leg fails."""
     m = pair.eigenpoly.degree
-    native = _native_variables(spec, extract_roots(pair, start, expected=m))
+    native = native_values(spec, extract_roots(pair, start, expected=m))
     if target == 0.0:
         return native
     far = _far_seeds(spec, m, target / CONTINUATION_STEPS)
@@ -146,7 +147,7 @@ def homotopy_root_sets(
     taken: dict[int, float] = {}
     for pair in states:
         try:
-            roots = roots_from_native(spec, _continuation_leg(spec, start, pair, target))
+            roots = root_set(spec, _continuation_leg(spec, start, pair, target))
             e_val = eigenvalue_from_roots(spec, roots, degree=spec.M)
         except (ValueError, QesError):
             continue

@@ -57,7 +57,8 @@ class Sector(Enum):
 class Coordinate(Enum):
     """The sinusoidal coordinate eta.  It also fixes the subspace basis
     (powers of eta), the root representatives (x, x with Re x >= 0, or z =
-    e^{ix} with |z| <= 1) and the Newton variable (x, eta or z)."""
+    e^{ix} with |z| <= 1) and, with the sector, the Newton variable
+    (``native_variable``)."""
 
     X = "x"
     X_SQUARED = "x^2"
@@ -185,8 +186,8 @@ def model_spec(
     """Build and validate a model specification.
 
     ``validate=False`` bypasses the parameter-range checks (needed by the
-    formal-limit tests that pin parameters at excluded values); the sector
-    consistency check always runs.
+    formal-limit tests that pin parameters at excluded values); the
+    finiteness and sector consistency checks always run.
     """
     if isinstance(family, str):
         family = ModelFamily(family)
@@ -205,6 +206,9 @@ def model_spec(
     if missing:
         raise ValueError(f"missing parameters for {family.value}: {sorted(missing)}")
     cparams = {name: _as_complex(params[name]) for name in names}
+    for name, v in cparams.items():
+        if not cmath.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v!r}")
     _validate_sector(family, M, sector)
     if validate:
         _validate(family, cparams)
@@ -410,6 +414,18 @@ def compensation_vanishes(spec: ModelSpec) -> bool:
     """True when the deformation is switched off and the model is exactly
     solvable (restricted specs, beta = 0, or a vanishing q-deformation)."""
     return abs(compensation_coefficient(spec)) < 1e-14 * max(1.0, spec.M)
+
+
+def native_variable(spec: ModelSpec) -> str:
+    """The Newton variable of the Bethe equations, named like the
+    ``spectral.RootSet`` field that holds it: "z" for eta = cos x, "x" for
+    eta = x and the odd sector, "eta" for the other x^2 sectors."""
+    coordinate = spec.info.coordinate
+    if coordinate is Coordinate.COS:
+        return "z"
+    if coordinate is Coordinate.X or spec.sector is Sector.ODD:
+        return "x"
+    return "eta"
 
 
 def sector_degrees(spec: ModelSpec) -> range:

@@ -2,31 +2,38 @@
 monic eigen-polynomials in eta, and extract candidate Bethe roots.
 
 Eigenpairs are sorted by (Re, Im) of the eigenvalue; that order is the
-canonical one everywhere downstream, including JSON output.  Root
-representatives are fixed once and for all: for the x^2-based families the
-sign gauge is resolved to Re x > 0 (or Re x = 0, Im x >= 0), and for the
-trigonometric family to |z| <= 1 with ties broken by Im z >= 0.
+canonical one everywhere downstream, including JSON output.
+
+Every root set is built by ``root_set`` from the sector's Newton variable
+(``models.native_variable``), whether it comes from an eigenpolynomial, a
+Newton polish, a trigonometric ladder completion or a continuation leg.
+It fixes the representatives once and for all: for the x^2-based families
+the sign gauge is resolved to Re x > 0 (or Re x = 0, Im x >= 0), and for
+the trigonometric family to |z| <= 1 with ties on the unit circle broken by
+Im z >= 0; the roots are sorted by (Re, Im) of eta.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .models import (
     Coordinate,
     ModelSpec,
-    Sector,
     bethe_root_count,
     compensation_vanishes,
+    native_variable,
 )
 from .hamiltonian import OperatorMatrix
 from .numerics import PolynomialC, eig_general, poly_roots
 
 DEGENERATE_EIG_TOL = 1e-8
-DEGENERATE_ROOT_TOL = 1e-8
+DEGENERATE_ROOT_TOL = 1e-8  # root_set's close-pair flag, a min_separation bound
 TRIM_TOL = 1e-10
 NOISE_FLOOR = 1e-13
 
@@ -41,13 +48,11 @@ class OracleEigenpair:
     ``truncated`` marks a deformed-model state whose top coefficients fell
     below the double-precision noise floor (far-out roots spanning too many
     orders of magnitude); the representable part is kept and the caller is
-    expected to complete the root set.  ``prefactor_parity`` marks the odd
-    sextic sector, whose eigenfunctions carry an overall factor x.
+    expected to complete the root set.
     """
 
     eigenvalue: complex
     eigenpoly: PolynomialC
-    prefactor_parity: bool = False
     degenerate: bool = False
     truncated: bool = False
 
@@ -58,7 +63,8 @@ class RootSet:
 
     roots_eta are the zeros of the eigen-polynomial; roots_x the canonical
     representatives with eta(x_l) = eta_l; roots_z (trig-q only) the z
-    representatives with |z| <= 1.
+    representatives with |z| <= 1.  ``degenerate`` flags a close pair.
+    Built by ``root_set`` only.
     """
 
     roots_x: tuple[complex, ...]
@@ -91,7 +97,6 @@ def oracle_spectrum(om: OperatorMatrix) -> list[OracleEigenpair]:
     for i in range(om.dim - 1):
         if abs(values[i + 1] - values[i]) < DEGENERATE_EIG_TOL * scale:
             flags[i] = flags[i + 1] = True
-    odd = om.spec.sector is Sector.ODD
     graded = compensation_vanishes(om.spec)
     ladder_family = om.spec.info.coordinate is Coordinate.COS
     diag = np.diag(om.matrix)
@@ -124,12 +129,39 @@ def oracle_spectrum(om: OperatorMatrix) -> list[OracleEigenpair]:
             OracleEigenpair(
                 eigenvalue=values[rank],
                 eigenpoly=poly,
-                prefactor_parity=odd,
                 degenerate=flags[rank],
                 truncated=truncated,
             )
         )
     return pairs
+
+
+def min_separation(values: Sequence[complex]) -> float:
+    """Smallest relative pairwise distance |v_i - v_j| / max(|v_i|, |v_j|)
+    (roots legitimately span many orders of magnitude, so an absolute gap
+    would misfire near zero); inf for fewer than two values."""
+    v = np.asarray(values, dtype=complex)
+    if v.size < 2:
+        return math.inf
+    a = np.abs(v)
+    gap = np.abs(v[:, None] - v) / np.maximum(np.maximum.outer(a, a), 1e-300)
+    gap.flat[:: v.size + 1] = math.inf  # each value's distance to itself
+    return float(gap.min())
+
+
+def _gauge_x(x: complex) -> complex:
+    """The sign representative of +-x with Re x > 0, or Re x = 0, Im x >= 0."""
+    return -x if x.real < 0 or (x.real == 0 and x.imag < 0) else x
+
+
+def _gauge_z(z: complex) -> complex:
+    """The representative of z, 1/z with |z| <= 1, ties on the unit circle
+    broken by Im z >= 0."""
+    if abs(z) > 1.0:
+        z = 1.0 / z
+    if abs(abs(z) - 1.0) < 1e-12 and z.imag < 0:
+        z = z.conjugate()
+    return z
 
 
 def canonical_x_from_eta(spec: ModelSpec, eta_l: complex) -> complex:
@@ -138,12 +170,8 @@ def canonical_x_from_eta(spec: ModelSpec, eta_l: complex) -> complex:
     if coordinate is Coordinate.X:
         return eta_l
     if coordinate is Coordinate.COS:
-        z = canonical_z_from_eta(eta_l)
-        return -1j * cmath.log(z)
-    x = cmath.sqrt(eta_l)
-    if x.real < 0 or (x.real == 0 and x.imag < 0):
-        x = -x
-    return x
+        return -1j * cmath.log(canonical_z_from_eta(eta_l))
+    return _gauge_x(cmath.sqrt(eta_l))
 
 
 def canonical_z_from_eta(eta_l: complex) -> complex:
@@ -153,31 +181,46 @@ def canonical_z_from_eta(eta_l: complex) -> complex:
     big = eta_l + s if abs(eta_l + s) >= abs(eta_l - s) else eta_l - s
     if abs(big) < 1e-300:
         raise ValueError("degenerate eta: no z representative")
-    z = 1.0 / big
-    if abs(abs(z) - 1.0) < 1e-12 and z.imag < 0:
-        z = z.conjugate()  # tie on the unit circle: prefer Im z >= 0
-    return z
+    return _gauge_z(1.0 / big)
+
+
+def root_set(spec: ModelSpec, native: Sequence[complex]) -> RootSet:
+    """The root set whose Newton variables (``models.native_variable``)
+    are ``native``: gauge-fixed representatives in every coordinate, sorted
+    by (Re, Im) of eta, with the close-pair flag."""
+    variable = native_variable(spec)
+    values = [complex(v) for v in native]
+    if variable == "z":
+        zs = [_gauge_z(z) for z in values]
+        rows = [(0.5 * (z + 1.0 / z), -1j * cmath.log(z), z) for z in zs]
+    elif variable == "eta":
+        rows = [(e, _gauge_x(cmath.sqrt(e)), None) for e in values]
+    elif spec.info.coordinate is Coordinate.X:
+        rows = [(x, x, None) for x in values]
+    else:
+        rows = [(x * x, _gauge_x(x), None) for x in values]
+    rows.sort(key=lambda r: (r[0].real, r[0].imag))  # (eta, x, z) per root
+    etas = tuple(r[0] for r in rows)
+    xs = tuple(r[1] for r in rows)
+    zs = tuple(r[2] for r in rows) if variable == "z" else None
+    close = min_separation({"x": xs, "eta": etas, "z": zs}[variable]) < DEGENERATE_ROOT_TOL
+    return RootSet(xs, etas, zs, close)
+
+
+def native_values(spec: ModelSpec, roots: RootSet) -> np.ndarray:
+    """The Newton variables of ``roots``, the inverse of ``root_set``."""
+    return np.asarray(getattr(roots, f"roots_{native_variable(spec)}"), dtype=complex)
 
 
 def roots_of_eta_poly(spec: ModelSpec, poly: PolynomialC) -> RootSet:
-    """Root set of a monic eta-polynomial, sorted by (Re, Im) of eta, with
-    canonical representatives in every coordinate and the close-pair
-    flag."""
-    eta_roots = []
-    if poly.degree >= 1:
-        eta_roots = poly_roots(poly)
-        eta_roots.sort(key=lambda r: (r.real, r.imag))
-    xs = tuple(canonical_x_from_eta(spec, r) for r in eta_roots)
-    zs = None
-    if spec.info.coordinate is Coordinate.COS:
-        zs = tuple(canonical_z_from_eta(r) for r in eta_roots)
-    degenerate = False
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            scale = max(abs(xs[i]), abs(xs[j]), 1e-300)
-            if abs(xs[i] - xs[j]) < DEGENERATE_ROOT_TOL * max(1.0, scale):
-                degenerate = True
-    return RootSet(xs, tuple(eta_roots), zs, degenerate)
+    """Root set of a monic eta-polynomial (see ``root_set``)."""
+    eta_roots = poly_roots(poly) if poly.degree >= 1 else []
+    variable = native_variable(spec)
+    if variable == "z":
+        return root_set(spec, [canonical_z_from_eta(r) for r in eta_roots])
+    if variable == "x":
+        return root_set(spec, [canonical_x_from_eta(spec, r) for r in eta_roots])
+    return root_set(spec, eta_roots)
 
 
 def extract_roots(

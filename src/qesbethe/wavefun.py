@@ -48,6 +48,7 @@ from .models import (
 from .numerics import gamma_poles, log_gamma, q_pochhammer_inf, scalar_or_array
 
 EPS = 1e-300
+GRID_COLUMNS = ("x_re", "x_im", "phi0sq_re", "phi0sq_im", "psi_re", "psi_im", "residual")
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,8 @@ def default_grid(spec: ModelSpec, n: int = 20) -> GridSpec:
     """Deterministic admissible grid honoring the family's domain:
     the half line Re x > 0 for the centrifugal families, (0, pi) for the
     trigonometric one, a symmetric real window otherwise."""
+    if n < 1:
+        raise ValueError(f"a grid needs at least one point, got n = {n}")
     lo, hi = spec.info.grid_window
     pts = tuple(complex(lo + (hi - lo) * k / (n - 1)) for k in range(n)) if n > 1 else (complex(lo),)
     return GridSpec(pts)
@@ -216,7 +219,8 @@ def schrodinger_residual(spec: ModelSpec, sol: BetheSolution, x):
 
 
 def grid_rows(spec: ModelSpec, sol: BetheSolution, grid: GridSpec) -> list[dict]:
-    """CSV-ready rows: point, phi0^2, Psi and the pointwise residual."""
+    """CSV-ready rows keyed by ``GRID_COLUMNS``: point, phi0^2, Psi and the
+    pointwise residual."""
     pts = np.asarray(grid.points, dtype=complex)
     columns = zip(
         grid.points,
@@ -225,14 +229,6 @@ def grid_rows(spec: ModelSpec, sol: BetheSolution, grid: GridSpec) -> list[dict]
         schrodinger_residual(spec, sol, pts).tolist(),
     )
     return [
-        {
-            "x_re": x.real,
-            "x_im": x.imag,
-            "phi0sq_re": p2.real,
-            "phi0sq_im": p2.imag,
-            "psi_re": psi.real,
-            "psi_im": psi.imag,
-            "residual": residual,
-        }
-        for x, p2, psi, residual in columns
+        dict(zip(GRID_COLUMNS, (x.real, x.imag, p2.real, p2.imag, psi.real, psi.imag, res)))
+        for x, p2, psi, res in columns
     ]

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -115,6 +116,22 @@ class TestNewtonPolish:
         spec = model_spec("mp-crossed", M=0, a1=1, a2=1, beta=0.5)
         polished, flags, _res = newton_polish(spec, mp_rootset())
         assert flags.polished and len(polished) == 0
+
+
+class TestRootGauge:
+    @pytest.mark.parametrize("seed_mode", ["oracle", "homotopy"])
+    def test_trig_roots_in_gauge(self, rng, seed_mode):
+        # polished and continued roots get the representatives of the seeds:
+        # |z| <= 1, Im z >= 0 on the unit circle, x = -i log z
+        for M in (4, 5, 6):
+            for _ in range(2):
+                spec = spec_for("trig-q", M, rng)
+                for sol in solve(spec, seed_mode=seed_mode):
+                    for x, z in zip(sol.roots.roots_x, sol.roots.roots_z, strict=True):
+                        assert abs(z) <= 1.0
+                        if abs(abs(z) - 1.0) < 1e-12:
+                            assert z.imag >= 0
+                        assert x == -1j * cmath.log(z)
 
 
 class TestEigenvalueFormula:

@@ -75,6 +75,16 @@ class TestSolveCommand:
         assert code == 1
         assert "even sector requires even M" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1,nan"])
+    def test_non_finite_flag_exit_one(self, capsys, value):
+        code, out, err = run_cli(
+            ["solve", "--family", "mp-crossed", f"--a1={value}", "--a2", "1",
+             "--beta", "0.3", "--M", "2"],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert "a1 must be finite" in err
+
     def test_missing_param_exit_one(self, capsys):
         code, _, err = run_cli(["solve", "--family", "trig-q", "--M", "1"], capsys)
         assert code == 1
@@ -332,6 +342,16 @@ class TestGridCommand:
         assert lines[0] == "x_re,x_im,phi0sq_re,phi0sq_im,psi_re,psi_im,residual"
         assert len(lines) == 6
         assert all(len(line.split(",")) == 7 for line in lines[1:])
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_n_below_one_is_a_usage_error(self, capsys, n):
+        code, out, err = run_cli(
+            ["grid", "--family", "sextic-i", "--a", "1", "--b", "2", "--c", "3",
+             "--M", "2", "--sector", "even", "--n", n],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert "--n" in err
 
     def test_solution_index_bounds(self, capsys):
         code, _, err = run_cli(

@@ -69,6 +69,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             model_spec("sextic-i", M=2, sector="even", a=1, b=1)
 
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_non_finite_rejected(self, family, rng):
+        params = draw_params(family, rng)
+        for k, bad in enumerate((math.nan, math.inf, -math.inf, complex(1.0, math.nan))):
+            name = list(params)[k % len(params)]
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                model_spec(family, M=2, **{**params, name: bad})
+
     def test_conjugate_pair_constructor(self):
         spec = mp_conjugate_pair(1.5 + 0.5j, 0.3, 4)
         assert spec.param("a2") == (1.5 - 0.5j)
@@ -240,6 +248,12 @@ class TestJson:
             spec_from_json(
                 {"family": "sextic-i", "params": {"a": 1, "b": 1, "c": 1, "zz": 0}, "M": 2}
             )
+
+    def test_non_finite_literals_rejected(self):
+        for literal in ("NaN", "Infinity", "-Infinity", "[1.0, NaN]"):
+            text = '{"family": "mp-crossed", "params": {"a1": %s, "a2": 1, "beta": 0.2}, "M": 2}'
+            with pytest.raises(ValueError, match="a1 must be finite"):
+                spec_from_json(text % literal)
 
     def test_non_integer_m(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from qesbethe.spectral import (
     canonical_z_from_eta,
     extract_roots,
     oracle_spectrum,
+    root_set,
 )
 
 from conftest import ALL_FAMILIES, spec_for
@@ -151,3 +152,27 @@ class TestExtractRoots:
         pairs = oracle_spectrum(build_matrix(spec))
         with pytest.raises(ValueError):
             extract_roots(pairs[0], spec, expected=5)
+
+
+class TestRootSet:
+    def test_close_pair_flagged(self):
+        spec = model_spec("mp-crossed", M=2, a1=1, a2=1, beta=0.5)
+        assert root_set(spec, [0.7, 0.7 + 1e-9]).degenerate
+        assert not root_set(spec, [0.8, 0.7]).degenerate
+        assert root_set(spec, [0.8, 0.7]).roots_x == (0.7, 0.8)
+
+    def test_representatives_independent_of_input_branch(self):
+        # x and -x, or z and 1/z (conj z on the unit circle), name one root
+        odd = model_spec("sextic-i", M=5, sector="odd", a=1, b=2, c=3)
+        xs = [0.3 + 1.2j, -0.4 + 0.1j, -0.5j]
+        assert root_set(odd, xs) == root_set(odd, [-x for x in xs])
+        # sorted by eta = x^2, each x with Re x > 0 (or Re x = 0, Im x >= 0)
+        assert root_set(odd, xs).roots_x == (0.3 + 1.2j, 0.5j, 0.4 - 0.1j)
+        tq = model_spec("trig-q", M=3, a=0.4, b=-0.3, c=0.25, d=0.6, e=-0.5, q=0.55)
+        zs = [0.3 + 0.2j, np.exp(-0.7j), -2.5 + 0j]
+        inverted = root_set(tq, [1.0 / z for z in zs])
+        direct = root_set(tq, zs)
+        np.testing.assert_allclose(direct.roots_z, inverted.roots_z, rtol=1e-15)
+        for z in direct.roots_z:
+            assert abs(z) <= 1.0
+        assert direct.roots_z[1] == np.exp(0.7j)

@@ -1,9 +1,11 @@
-"""Structural guard: the family catalog is one record per family.
+"""Structural guards: each decision of the pipeline lives in one place.
 
 Modules branch on the facts in ``models.FAMILIES`` (coordinate, sector
 split, kinematic denominator, ...), never on the family itself; only the
 closed-form per-family formulas and the parameter validation compare
-``ModelFamily`` members.
+``ModelFamily`` members.  The other guards below keep single routes for
+the subspace matrix, the Newton linear algebra, root extraction and root
+set construction, and keep module internals private.
 """
 
 import ast
@@ -24,6 +26,20 @@ FORMULA_FUNCTIONS = {
 }
 
 
+def _nodes_in_functions(tree: ast.AST):
+    """(node, name of the innermost enclosing function or "<module>") for
+    every node of the tree."""
+
+    def visit(node: ast.AST, function: str):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        yield node, function
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, function)
+
+    return visit(tree, "<module>")
+
+
 def _is_member(node: ast.AST) -> bool:
     return (
         isinstance(node, ast.Attribute)
@@ -36,18 +52,11 @@ def _family_comparisons(tree: ast.AST) -> list[tuple[str, int]]:
     """(enclosing function, line) of every comparison with a ModelFamily
     member among its operands, including members inside tuples/sets."""
     found = []
-
-    def visit(node: ast.AST, function: str) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
+    for node, function in _nodes_in_functions(tree):
         if isinstance(node, ast.Compare):
             operands = [node.left, *node.comparators]
             if any(_is_member(sub) for op in operands for sub in ast.walk(op)):
                 found.append((function, node.lineno))
-        for child in ast.iter_child_nodes(node):
-            visit(child, function)
-
-    visit(tree, "<module>")
     return found
 
 
@@ -138,10 +147,7 @@ def _linear_solves(tree: ast.AST) -> list[tuple[str, int]]:
     numpy.linalg.cond: attribute access through ``linalg`` or an import
     from ``numpy.linalg``."""
     found = []
-
-    def visit(node: ast.AST, function: str) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
+    for node, function in _nodes_in_functions(tree):
         if (
             isinstance(node, ast.Attribute)
             and node.attr in LINEAR_SOLVES
@@ -151,10 +157,6 @@ def _linear_solves(tree: ast.AST) -> list[tuple[str, int]]:
         if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
             if any(alias.name in LINEAR_SOLVES for alias in node.names):
                 found.append((function, node.lineno))
-        for child in ast.iter_child_nodes(node):
-            visit(child, function)
-
-    visit(tree, "<module>")
     return found
 
 
@@ -234,3 +236,107 @@ def test_root_finder_guard_sees_each_form():
         "    return roots(p), numerics.roots_of_eta_poly(p)\n"
     )
     assert _root_finder_uses(tree) == [1, 3, 6, 7, 8]
+
+
+# spectral.root_set is the one constructor of RootSet: it picks the
+# representatives of the Newton variable (the gauge), the order and the
+# close-pair flag, so a second constructor would fork them again.
+
+
+def _rootset_calls(tree: ast.AST) -> list[tuple[str, int]]:
+    """(enclosing function, line) of every call of RootSet, bare or as an
+    attribute, and of every import that renames it."""
+    found = []
+    for node, function in _nodes_in_functions(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name == "RootSet":
+                found.append((function, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            if any(alias.name == "RootSet" and alias.asname for alias in node.names):
+                found.append((function, node.lineno))
+    return found
+
+
+def test_rootset_built_only_by_root_set():
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        calls += [(path.name, function) for function, _ in _rootset_calls(tree)]
+    assert calls == [("spectral.py", "root_set")], f"RootSet built at {calls}"
+
+
+def test_rootset_guard_sees_each_form():
+    tree = ast.parse(
+        "from .spectral import RootSet as R\n"
+        "from .spectral import RootSet, root_set\n"
+        "def f(a):\n"
+        "    return RootSet(a, a)\n"
+        "def g(a):\n"
+        "    return spectral.RootSet(a, a), [RootSet(v, v) for v in a], root_set(a)\n"
+    )
+    assert _rootset_calls(tree) == [("<module>", 1), ("f", 4), ("g", 6), ("g", 6)]
+
+
+# A module's underscore-prefixed names are its own: a caller in another
+# module uses a public name (bethe.residual_map, spectral.native_values),
+# so each internal can change without a second module having to know.
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_imports(tree: ast.AST) -> list[tuple[str, int]]:
+    """(name, line) of every underscore-prefixed name taken from a package
+    module: imported with ``from .m import _x`` or ``from qesbethe.m import
+    _x``, or read as ``m._x`` off a module bound by ``from . import m`` or
+    ``import qesbethe.m as m``."""
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "qesbethe"
+        ):
+            found += [(a.name, node.lineno) for a in node.names if _is_private(a.name)]
+            if node.module is None or node.module == "qesbethe":
+                modules.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(
+                a.asname for a in node.names if a.asname and a.name.startswith("qesbethe.")
+            )
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and _is_private(node.attr)
+        ):
+            found.append((node.attr, node.lineno))
+    return sorted(found, key=lambda item: item[1])
+
+
+def test_no_private_name_crosses_modules():
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        stray += [f"{path.name}:{line} {name}" for name, line in _private_imports(tree)]
+    assert not stray, "private names used across modules: " + ", ".join(stray)
+
+
+def test_private_import_guard_sees_each_form():
+    tree = ast.parse(
+        "from .bethe import _residual_map, solve\n"
+        "from qesbethe.spectral import _gauge_z as g\n"
+        "from . import bethe, __version__\n"
+        "import qesbethe.models as models\n"
+        "import numpy as np\n"
+        "from numpy import _core\n"
+        "def f():\n"
+        "    return bethe._sides(1), bethe.solve, np._x, __version__\n"
+        "def h():\n"
+        "    return models._validate\n"
+    )
+    assert _private_imports(tree) == [
+        ("_residual_map", 1), ("_gauge_z", 2), ("_sides", 8), ("_validate", 10)
+    ]

@@ -154,6 +154,13 @@ class TestGridRows:
             )
             assert row["residual"] <= 1e-8
 
+    def test_grid_needs_a_point(self):
+        spec = model_spec("sextic-i", M=2, sector="even", a=1, b=2, c=3)
+        assert len(default_grid(spec, 1).points) == 1
+        for n in (0, -3):
+            with pytest.raises(ValueError):
+                default_grid(spec, n)
+
 
 class TestBatchedEqualsScalar:
     """An array of points gives, point by point, what one call per point
