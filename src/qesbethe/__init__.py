@@ -12,7 +12,7 @@ from .bethe import (
     solve,
 )
 from .config import Tolerances
-from .hamiltonian import OperatorMatrix, apply_htilde, apply_htilde_z, build_matrix
+from .hamiltonian import OperatorMatrix, apply_htilde, build_matrix
 from .limits import (
     LimitCase,
     LimitReport,
@@ -63,7 +63,6 @@ __all__ = [
     "SymmetricCoefficients",
     "Tolerances",
     "apply_htilde",
-    "apply_htilde_z",
     "bae_residual",
     "build_matrix",
     "closed_form_E",

@@ -398,7 +398,7 @@ def _chain_near_roots(spec: ModelSpec, level: int) -> RootSet:
     sub = replace(spec, M=level)
     pairs = oracle_spectrum(build_matrix(sub))
     top = pairs[-1]
-    if top.truncated or top.eigenpoly.degree != level:
+    if top.truncated or top.degree != level:
         raise NoConvergence(
             f"top state of the degree-{level} model is not representable"
         )
@@ -464,7 +464,7 @@ def solve(spec: ModelSpec, seed_mode: str = "oracle") -> list[BetheSolution]:
         homotopy_seeds = homotopy_root_sets(spec, [p.eigenvalue for p in pairs])
     solutions = []
     for idx, pair in enumerate(pairs):
-        actual = pair.eigenpoly.degree
+        actual = pair.degree
         anomalous = False
         degree = spec.M
         seed = homotopy_seeds.get(idx)

@@ -59,11 +59,12 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # argparse reads only -5 and -.5 style words as values and takes a
-        # negative number in exponent notation (-1e-5), or an RE,IM pair
-        # starting with a minus sign (-1.2,0.4), for an option.  No option
-        # starts with a digit, so every word opening with -digit or -.digit
-        # is a value; a malformed one fails in _parse_complex.
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        # negative number in exponent notation (-1e-5), -inf or -nan, or an
+        # RE,IM pair starting with a minus sign (-1.2,0.4), for an option.
+        # No option starts with a digit, inf or nan, so every word opening
+        # with -digit, -.digit, -inf or -nan (any case, as float() reads
+        # them) is a value; a malformed one fails in _parse_complex.
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message: str):  # usage errors exit 1, not argparse's 2
         self.exit(1, f"{self.prog}: error: {message}\n")

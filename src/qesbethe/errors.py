@@ -55,7 +55,9 @@ class UnsupportedFamily(QesError):
 
 class SubspaceLeak(QesError):
     """The transformed Hamiltonian produced components outside the invariant
-    subspace above tolerance; indicates a compensation-term bug."""
+    subspace above tolerance: a compensation-term bug, or, for trig-q from
+    M ~ 10, rounding in the monomial eta route (the operator is exact
+    there)."""
 
 
 class DegenerateRoots(QesError):

@@ -20,11 +20,14 @@ H~ acts on all basis columns at once, held as the rows of one coefficient
 array: each shift is one binomial matrix of (x +- i)^n or one diagonal q^n
 scaling, V and V* one convolution each, the exact division one synthetic
 division over every row, and the change to eta one Chebyshev matrix.  The
-algebra is still exact polynomial algebra, never numerical sampling, so
-the subspace-invariance check is a true bug detector rather than a
-conditioning artifact.  Every column is checked on its own (division
-remainder, then z -> 1/z symmetry, then leak), and a failure names the
-lowest failing column.
+algebra is exact polynomial algebra, never numerical sampling, so for the
+x-families and small M the subspace-invariance check detects operator
+bugs.  It is not a pure bug detector: for trig-q from M ~ 10 the monomial
+eta route loses digits, and the division, symmetry and leak checks fail
+on a growing share of draws (11-13% at M = 12) although the operator is
+exact there at 60 digits, so such a failure is a conditioning artifact.
+Every column is checked on its own (division remainder, then z -> 1/z
+symmetry, then leak), and a failure names the lowest failing column.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InexactDivision, InversionAsymmetry, SubspaceLeak, UnsupportedFamily
+from .errors import InexactDivision, InversionAsymmetry, SubspaceLeak
 from .models import (
     Coordinate,
     ModelSpec,
@@ -45,8 +48,6 @@ from .models import (
     v_phase,
 )
 from .numerics import (
-    LaurentC,
-    PolynomialC,
     binomial_shift,
     convolve_rows,
     divide_rows_exact,
@@ -162,27 +163,16 @@ def _images(spec: ModelSpec, rows: np.ndarray, lo: int) -> tuple[np.ndarray, int
     return _images_x(spec, rows)
 
 
-def apply_htilde(spec: ModelSpec, psi: PolynomialC) -> PolynomialC:
-    """H~ acting on a polynomial in x (not available for trig-q; see
-    :func:`apply_htilde_z`)."""
-    if spec.info.coordinate is Coordinate.COS:
-        raise UnsupportedFamily("use apply_htilde_z for the trigonometric family")
-    if psi.var != "x":
-        raise ValueError("psi must be a polynomial in x")
-    image, _, inexact = _images_x(spec, np.array([psi.coeffs], dtype=complex))
+def apply_htilde(spec: ModelSpec, coeffs, lo: int = 0) -> tuple[np.ndarray, int]:
+    """H~ on one polynomial, given by its ascending coefficients in the
+    computational variable (x, or z from the exponent ``lo`` for trig-q):
+    the image's coefficients and the exponent of the first of them."""
+    if lo and spec.info.coordinate is not Coordinate.COS:
+        raise ValueError("a polynomial in x starts at x^0")
+    image, image_lo, inexact = _images(spec, np.array([coeffs], dtype=complex), lo)
     if inexact:
         raise inexact[0]
-    return PolynomialC(tuple(image[0]), "x")
-
-
-def apply_htilde_z(spec: ModelSpec, f: LaurentC) -> LaurentC:
-    """H~ acting on a z-inversion-symmetric Laurent polynomial (trig-q)."""
-    if spec.info.coordinate is not Coordinate.COS:
-        raise UnsupportedFamily("apply_htilde_z is defined for trig-q only")
-    image, lo, inexact = _images_z(spec, np.array([f.coeffs], dtype=complex), f.lo)
-    if inexact:
-        raise inexact[0]
-    return LaurentC(lo, tuple(image[0]))
+    return image[0], image_lo
 
 
 @dataclass(frozen=True)

@@ -113,7 +113,7 @@ def _continuation_leg(
 ) -> np.ndarray:
     """Native Bethe variables of the deformed state that continues the
     start eigenpair ``pair``; raises QesError when the leg fails."""
-    m = pair.eigenpoly.degree
+    m = pair.degree
     native = native_values(spec, extract_roots(pair, start, expected=m))
     if target == 0.0:
         return native

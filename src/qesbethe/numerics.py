@@ -41,143 +41,16 @@ COND_LIMIT = 1e12  # largest Jacobian condition estimate Newton steps with
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PolynomialC:
-    """Dense complex polynomial sum_k coeffs[k] * var**k.
-
-    The zero polynomial is the empty coefficient tuple; otherwise the top
-    coefficient is non-zero (exact zeros are trimmed on construction).
-    ``var`` tags which variable the coefficients refer to ("x", "eta" or
-    "z") so basis bookkeeping errors fail loudly instead of silently.
-    """
-
-    coeffs: tuple[complex, ...]
-    var: str = "x"
-
-    def __post_init__(self):
-        coeffs = tuple(complex(c) for c in self.coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        for c in coeffs:
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise ValueError("non-finite polynomial coefficient")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x: complex) -> complex:
-        out = 0j
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
-    def __add__(self, other: "PolynomialC") -> "PolynomialC":
-        _check_var(self, other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0j] * (n - len(self.coeffs))
-        for k, c in enumerate(other.coeffs):
-            a[k] += c
-        return PolynomialC(tuple(a), self.var)
-
-    def __sub__(self, other: "PolynomialC") -> "PolynomialC":
-        return self + other.scale(-1)
-
-    def scale(self, s: complex) -> "PolynomialC":
-        return PolynomialC(tuple(s * c for c in self.coeffs), self.var)
-
-    def inf_norm(self) -> float:
-        return max((abs(c) for c in self.coeffs), default=0.0)
-
-    def trimmed(self, tol: float) -> "PolynomialC":
-        """Drop top coefficients below tol * inf-norm (noise trimming)."""
-        cut = tol * self.inf_norm()
-        coeffs = list(self.coeffs)
-        while coeffs and abs(coeffs[-1]) <= cut:
-            coeffs.pop()
-        return PolynomialC(tuple(coeffs), self.var)
-
-
-def _check_var(p: PolynomialC, q: PolynomialC) -> None:
-    if p.var != q.var:
-        raise ValueError(f"variable mismatch: {p.var!r} vs {q.var!r}")
-
-
-def poly_roots(p: PolynomialC) -> list[complex]:
-    """All deg(p) roots with multiplicity, via balanced companion-matrix
-    eigenvalues.  The leading coefficient is taken as exact, however small
-    against the others: eigenpolynomials are monic by construction, and
-    their wide coefficient range is genuine, not cancellation debris."""
-    if p.degree < 1:
+def poly_roots(coeffs) -> list[complex]:
+    """All roots, with multiplicity, of the polynomial with ascending
+    coefficients ``coeffs``, via balanced companion-matrix eigenvalues.
+    The leading coefficient is taken as exact, however small against the
+    others: eigenpolynomials are monic by construction, and their wide
+    coefficient range is genuine, not cancellation debris."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    if coeffs.size < 2:
         raise ValueError("root finding needs degree >= 1")
-    rr = np.roots(np.asarray(p.coeffs)[::-1])
-    return [complex(r) for r in rr]
-
-
-# ---------------------------------------------------------------------------
-# Laurent polynomials (used by the trigonometric q-model)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LaurentC:
-    """Dense complex Laurent polynomial sum_k coeffs[k - lo] * z**k,
-    exponents running lo .. lo + len(coeffs) - 1."""
-
-    lo: int
-    coeffs: tuple[complex, ...]
-
-    def __post_init__(self):
-        coeffs = tuple(complex(c) for c in self.coeffs)
-        lo = self.lo
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        while coeffs and coeffs[0] == 0:
-            coeffs = coeffs[1:]
-            lo += 1
-        if not coeffs:
-            lo = 0
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "lo", lo)
-
-    @property
-    def hi(self) -> int:
-        return self.lo + len(self.coeffs) - 1
-
-    def __call__(self, z: complex) -> complex:
-        out = 0j
-        for c in reversed(self.coeffs):
-            out = out * z + c
-        return out * z**self.lo
-
-    def coeff(self, k: int) -> complex:
-        if self.lo <= k <= self.hi:
-            return self.coeffs[k - self.lo]
-        return 0j
-
-    def __add__(self, other: "LaurentC") -> "LaurentC":
-        if not self.coeffs:
-            return other
-        if not other.coeffs:
-            return self
-        lo = min(self.lo, other.lo)
-        hi = max(self.hi, other.hi)
-        out = [0j] * (hi - lo + 1)
-        for k, c in enumerate(self.coeffs):
-            out[self.lo - lo + k] += c
-        for k, c in enumerate(other.coeffs):
-            out[other.lo - lo + k] += c
-        return LaurentC(lo, tuple(out))
-
-    def __sub__(self, other: "LaurentC") -> "LaurentC":
-        return self + other.scale(-1)
-
-    def scale(self, s: complex) -> "LaurentC":
-        return LaurentC(self.lo, tuple(s * c for c in self.coeffs))
-
-    def inf_norm(self) -> float:
-        return max((abs(c) for c in self.coeffs), default=0.0)
+    return [complex(r) for r in np.roots(coeffs[::-1])]
 
 
 # ---------------------------------------------------------------------------
@@ -304,21 +177,15 @@ def symmetric_rows_to_eta(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Full eigen-decomposition of a general complex matrix.
+def eig_general(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues w and unit eigenvector columns v of a general
+    (non-normal) complex matrix, via LAPACK's balanced Hessenberg +
+    shifted-QR driver.
 
-    Eigenvectors are unit-normalized in the Euclidean norm and satisfy
-    ||A v - lambda v|| <= EIG_RESIDUAL_TOL * ||A|| as checked at construction time.
+    Every pair is checked for ||A v - w v|| <= EIG_RESIDUAL_TOL * ||A||,
+    taken on A / max|A| so that no entry range overflows the check; a
+    non-finite pair fails it.
     """
-
-    eigenvalues: tuple[complex, ...]
-    eigenvectors: tuple[np.ndarray, ...]
-
-
-def eig_general(a: np.ndarray) -> EigenDecomposition:
-    """Eigen-decomposition of a general (non-normal) complex matrix via
-    LAPACK's balanced Hessenberg + shifted-QR driver."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
@@ -329,16 +196,18 @@ def eig_general(a: np.ndarray) -> EigenDecomposition:
         w, v = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigensolver failed for dim {n}: {exc}") from exc
-    scale = np.linalg.norm(a, 2) if n > 1 else abs(a[0, 0])
+    a_max = float(np.abs(a).max()) or 1.0
+    unit = a / a_max
+    scale = np.linalg.norm(unit, 2) if n > 1 else abs(unit[0, 0])
     v = v / np.linalg.norm(v, axis=0)
-    resid = np.linalg.norm(a @ v - v * w, axis=0)
-    bad = np.flatnonzero(resid > EIG_RESIDUAL_TOL * max(scale, 1e-300))
+    resid = np.linalg.norm(unit @ v - v * (w / a_max), axis=0)
+    bad = np.flatnonzero(~(resid <= EIG_RESIDUAL_TOL * max(scale, 1e-300)))
     if bad.size:
         raise NoConvergence(
-            f"eigenpair residual {resid[bad[0]]:.3e} above {EIG_RESIDUAL_TOL:.1e} * ||A|| "
-            f"(dim {n})"
+            f"eigenpair residual {resid[bad[0]] * a_max:.3e} above "
+            f"{EIG_RESIDUAL_TOL:.1e} * ||A|| (dim {n})"
         )
-    return EigenDecomposition(tuple(complex(x) for x in w), tuple(v.T))
+    return w, v
 
 
 # ---------------------------------------------------------------------------

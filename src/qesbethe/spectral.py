@@ -10,7 +10,11 @@ Newton polish, a trigonometric ladder completion or a continuation leg.
 It fixes the representatives once and for all: for the x^2-based families
 the sign gauge is resolved to Re x > 0 (or Re x = 0, Im x >= 0), and for
 the trigonometric family to |z| <= 1 with ties on the unit circle broken by
-Im z >= 0; the roots are sorted by (Re, Im) of eta.
+Im z >= 0, and x = -i log z to Re x in (-pi, pi] with ties on the negative
+real z axis broken by Re x = +pi; the roots are sorted by (Re, Im) of eta.
+
+Eigenpolynomials, like every polynomial in the package, are arrays of
+ascending complex coefficients.
 """
 
 from __future__ import annotations
@@ -30,11 +34,10 @@ from .models import (
     native_variable,
 )
 from .hamiltonian import OperatorMatrix
-from .numerics import PolynomialC, eig_general, poly_roots
+from .numerics import eig_general, poly_roots
 
 DEGENERATE_EIG_TOL = 1e-8
 DEGENERATE_ROOT_TOL = 1e-8  # root_set's close-pair flag, a min_separation bound
-TRIM_TOL = 1e-10
 NOISE_FLOOR = 1e-13
 
 
@@ -42,19 +45,24 @@ NOISE_FLOOR = 1e-13
 class OracleEigenpair:
     """One eigenpair of the subspace matrix.
 
-    ``eigenpoly`` is monic in eta; its degree equals the Bethe root count
-    except at exactly solvable parameter points, where eigenfunctions of
-    lower degree appear (the missing roots having escaped to infinity).
-    ``truncated`` marks a deformed-model state whose top coefficients fell
-    below the double-precision noise floor (far-out roots spanning too many
-    orders of magnitude); the representable part is kept and the caller is
-    expected to complete the root set.
+    ``eigenpoly`` holds the ascending eta-coefficients of the monic
+    eigenpolynomial, read-only, its top one exactly 1.0; its degree equals
+    the Bethe root count except at exactly solvable parameter points, where
+    eigenfunctions of lower degree appear (the missing roots having escaped
+    to infinity).  ``truncated`` marks a deformed-model state whose top
+    coefficients fell below the double-precision noise floor (far-out roots
+    spanning too many orders of magnitude); the representable part is kept
+    and the caller is expected to complete the root set.
     """
 
     eigenvalue: complex
-    eigenpoly: PolynomialC
+    eigenpoly: np.ndarray
     degenerate: bool = False
     truncated: bool = False
+
+    @property
+    def degree(self) -> int:
+        return self.eigenpoly.size - 1
 
 
 @dataclass(frozen=True)
@@ -76,6 +84,14 @@ class RootSet:
         return len(self.roots_eta)
 
 
+def _without_top(coeffs: np.ndarray, cut: float = 0.0) -> np.ndarray:
+    """``coeffs`` without its top entries of modulus <= cut."""
+    n = coeffs.size
+    while n and abs(coeffs[n - 1]) <= cut:
+        n -= 1
+    return coeffs[:n]
+
+
 def oracle_spectrum(om: OperatorMatrix) -> list[OracleEigenpair]:
     """All eigenpairs of the operator matrix, sorted by (Re, Im) and
     converted to monic eta-polynomials.
@@ -83,16 +99,16 @@ def oracle_spectrum(om: OperatorMatrix) -> list[OracleEigenpair]:
     For a deformed model every eigenfunction has full degree dim-1, so the
     eigenvector's top component is kept however small it is (a weak
     deformation legitimately produces a tiny leading coefficient together
-    with far-out roots).  At exactly solvable parameter points the spectrum
-    is graded instead; there the components above each state's true degree
-    are pure rounding noise and get trimmed.
+    with far-out roots); only exact zeros on top are dropped.  At exactly
+    solvable parameter points the spectrum is graded instead; there the
+    components above each state's true degree are pure rounding noise and
+    get cut.
     """
-    decomp = eig_general(om.matrix)
-    order = sorted(
-        range(om.dim), key=lambda k: (decomp.eigenvalues[k].real, decomp.eigenvalues[k].imag)
-    )
-    values = [decomp.eigenvalues[k] for k in order]
-    scale = max(1.0, max(abs(v) for v in values))
+    w, v = eig_general(om.matrix)
+    values = [complex(x) for x in w]
+    order = sorted(range(om.dim), key=lambda k: (values[k].real, values[k].imag))
+    values = [values[k] for k in order]
+    scale = max(1.0, max(abs(x) for x in values))
     flags = [False] * om.dim
     for i in range(om.dim - 1):
         if abs(values[i + 1] - values[i]) < DEGENERATE_EIG_TOL * scale:
@@ -102,37 +118,29 @@ def oracle_spectrum(om: OperatorMatrix) -> list[OracleEigenpair]:
     diag = np.diag(om.matrix)
     pairs = []
     for rank, k in enumerate(order):
-        vec = decomp.eigenvectors[k]
-        poly = PolynomialC(tuple(vec), "eta")
+        vec = v[:, k]
         truncated = False
         if graded:
             # the matrix is graded triangular: the eigenvalue sits on the
             # diagonal and its index is the state's polynomial degree, so
             # everything above that index is rounding noise
-            m = int(np.argmin(np.abs(diag - decomp.eigenvalues[k])))
-            poly = PolynomialC(poly.coeffs[: m + 1], "eta")
-            if abs(poly.coeffs[-1]) == 0:
-                poly = poly.trimmed(TRIM_TOL)
-        elif ladder_family and abs(poly.coeffs[-1]) < NOISE_FLOOR * poly.inf_norm():
-            # geometric root ladders push true top coefficients below the
-            # double-precision noise floor; keep the representable part
-            truncated = True
-            poly = poly.trimmed(NOISE_FLOOR)
-        elif poly.coeffs[-1] == 0:
-            truncated = True
-            poly = poly.trimmed(0.0)
-        top = poly.coeffs[-1]
-        poly = poly.scale(1.0 / top)
-        # exact monic top coefficient
-        poly = PolynomialC(poly.coeffs[:-1] + (1.0 + 0j,), "eta")
-        pairs.append(
-            OracleEigenpair(
-                eigenvalue=values[rank],
-                eigenpoly=poly,
-                degenerate=flags[rank],
-                truncated=truncated,
-            )
-        )
+            vec = vec[: int(np.argmin(np.abs(diag - w[k]))) + 1]
+        vec = _without_top(vec)
+        if ladder_family and not graded:
+            big = np.abs(vec).max()
+            if abs(vec[-1]) < NOISE_FLOOR * big:
+                # geometric root ladders push true top coefficients below
+                # the double-precision noise floor; keep the representable
+                # part
+                truncated = True
+                vec = _without_top(vec, NOISE_FLOOR * big)
+        # Python complex products: numpy's complex multiply rounds the last
+        # digit differently for a large share of products
+        coeffs = vec.tolist()
+        s = 1.0 / coeffs[-1]
+        poly = np.array([c * s for c in coeffs[:-1]] + [1.0 + 0j])
+        poly.flags.writeable = False
+        pairs.append(OracleEigenpair(values[rank], poly, flags[rank], truncated))
     return pairs
 
 
@@ -164,13 +172,22 @@ def _gauge_z(z: complex) -> complex:
     return z
 
 
+def _x_from_z(z: complex) -> complex:
+    """x = -i log z with Re x in (-pi, pi], ties on the negative real z axis
+    broken by Re x = +pi as ``_gauge_z`` breaks ties on the unit circle."""
+    x = -1j * cmath.log(z)
+    if z.real < 0 and abs(z.imag) < 1e-12 * abs(z):
+        x = complex(abs(x.real), x.imag)
+    return x
+
+
 def canonical_x_from_eta(spec: ModelSpec, eta_l: complex) -> complex:
     """Representative x with eta(x) = eta_l, resolving the gauge freedom."""
     coordinate = spec.info.coordinate
     if coordinate is Coordinate.X:
         return eta_l
     if coordinate is Coordinate.COS:
-        return -1j * cmath.log(canonical_z_from_eta(eta_l))
+        return _x_from_z(canonical_z_from_eta(eta_l))
     return _gauge_x(cmath.sqrt(eta_l))
 
 
@@ -192,7 +209,7 @@ def root_set(spec: ModelSpec, native: Sequence[complex]) -> RootSet:
     values = [complex(v) for v in native]
     if variable == "z":
         zs = [_gauge_z(z) for z in values]
-        rows = [(0.5 * (z + 1.0 / z), -1j * cmath.log(z), z) for z in zs]
+        rows = [(0.5 * (z + 1.0 / z), _x_from_z(z), z) for z in zs]
     elif variable == "eta":
         rows = [(e, _gauge_x(cmath.sqrt(e)), None) for e in values]
     elif spec.info.coordinate is Coordinate.X:
@@ -212,9 +229,10 @@ def native_values(spec: ModelSpec, roots: RootSet) -> np.ndarray:
     return np.asarray(getattr(roots, f"roots_{native_variable(spec)}"), dtype=complex)
 
 
-def roots_of_eta_poly(spec: ModelSpec, poly: PolynomialC) -> RootSet:
-    """Root set of a monic eta-polynomial (see ``root_set``)."""
-    eta_roots = poly_roots(poly) if poly.degree >= 1 else []
+def roots_of_eta_poly(spec: ModelSpec, coeffs: np.ndarray) -> RootSet:
+    """Root set of the monic eta-polynomial with ascending coefficients
+    ``coeffs`` (see ``root_set``)."""
+    eta_roots = poly_roots(coeffs) if len(coeffs) > 1 else []
     variable = native_variable(spec)
     if variable == "z":
         return root_set(spec, [canonical_z_from_eta(r) for r in eta_roots])
@@ -235,9 +253,9 @@ def extract_roots(
     """
     if expected is None:
         expected = bethe_root_count(spec)
-    if pair.eigenpoly.degree != expected:
+    if pair.degree != expected:
         raise ValueError(
-            f"eigenpolynomial degree {pair.eigenpoly.degree} != expected root "
+            f"eigenpolynomial degree {pair.degree} != expected root "
             f"count {expected}"
         )
     return roots_of_eta_poly(spec, pair.eigenpoly)

@@ -6,11 +6,15 @@ This is the straightforward formulation of H~: every basis vector is one
 Ruffini-Horner cascade or by z -> qz, multiplied out by convolution,
 divided exactly by the kinematic denominators and re-expressed in powers of
 eta, one column at a time.  It shares no arithmetic with the batched
-kernel beyond the two coefficient containers and the model formulas.
+kernel beyond the model formulas; the two coefficient containers live here
+only, since the package itself holds every polynomial as a coefficient
+array.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -31,11 +35,74 @@ from qesbethe.models import (
     sector_dimension,
     v_phase,
 )
-from qesbethe.numerics import LaurentC, PolynomialC
 
 # ---------------------------------------------------------------------------
 # Polynomials
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PolynomialC:
+    """Dense complex polynomial sum_k coeffs[k] * var**k.
+
+    The zero polynomial is the empty coefficient tuple; otherwise the top
+    coefficient is non-zero (exact zeros are trimmed on construction).
+    ``var`` tags which variable the coefficients refer to ("x", "eta" or
+    "z") so basis bookkeeping errors fail loudly instead of silently.
+    """
+
+    coeffs: tuple[complex, ...]
+    var: str = "x"
+
+    def __post_init__(self):
+        coeffs = tuple(complex(c) for c in self.coeffs)
+        while coeffs and coeffs[-1] == 0:
+            coeffs = coeffs[:-1]
+        for c in coeffs:
+            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+                raise ValueError("non-finite polynomial coefficient")
+        object.__setattr__(self, "coeffs", coeffs)
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def __call__(self, x: complex) -> complex:
+        out = 0j
+        for c in reversed(self.coeffs):
+            out = out * x + c
+        return out
+
+    def __add__(self, other: "PolynomialC") -> "PolynomialC":
+        _check_var(self, other)
+        n = max(len(self.coeffs), len(other.coeffs))
+        a = list(self.coeffs) + [0j] * (n - len(self.coeffs))
+        for k, c in enumerate(other.coeffs):
+            a[k] += c
+        return PolynomialC(tuple(a), self.var)
+
+    def __sub__(self, other: "PolynomialC") -> "PolynomialC":
+        return self + other.scale(-1)
+
+    def scale(self, s: complex) -> "PolynomialC":
+        return PolynomialC(tuple(s * c for c in self.coeffs), self.var)
+
+    def inf_norm(self) -> float:
+        return max((abs(c) for c in self.coeffs), default=0.0)
+
+    def trimmed(self, tol: float) -> "PolynomialC":
+        """Drop top coefficients below tol * inf-norm (noise trimming)."""
+        cut = tol * self.inf_norm()
+        coeffs = list(self.coeffs)
+        while coeffs and abs(coeffs[-1]) <= cut:
+            coeffs.pop()
+        return PolynomialC(tuple(coeffs), self.var)
+
+
+def _check_var(p: PolynomialC, q: PolynomialC) -> None:
+    if p.var != q.var:
+        raise ValueError(f"variable mismatch: {p.var!r} vs {q.var!r}")
+
 
 
 def poly_monomial(k: int, var: str = "x", coeff: complex = 1.0) -> PolynomialC:
@@ -104,6 +171,67 @@ def poly_from_roots(roots: Sequence[complex], var: str = "x") -> PolynomialC:
 # ---------------------------------------------------------------------------
 # Laurent polynomials
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LaurentC:
+    """Dense complex Laurent polynomial sum_k coeffs[k - lo] * z**k,
+    exponents running lo .. lo + len(coeffs) - 1."""
+
+    lo: int
+    coeffs: tuple[complex, ...]
+
+    def __post_init__(self):
+        coeffs = tuple(complex(c) for c in self.coeffs)
+        lo = self.lo
+        while coeffs and coeffs[-1] == 0:
+            coeffs = coeffs[:-1]
+        while coeffs and coeffs[0] == 0:
+            coeffs = coeffs[1:]
+            lo += 1
+        if not coeffs:
+            lo = 0
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "lo", lo)
+
+    @property
+    def hi(self) -> int:
+        return self.lo + len(self.coeffs) - 1
+
+    def __call__(self, z: complex) -> complex:
+        out = 0j
+        for c in reversed(self.coeffs):
+            out = out * z + c
+        return out * z**self.lo
+
+    def coeff(self, k: int) -> complex:
+        if self.lo <= k <= self.hi:
+            return self.coeffs[k - self.lo]
+        return 0j
+
+    def __add__(self, other: "LaurentC") -> "LaurentC":
+        if not self.coeffs:
+            return other
+        if not other.coeffs:
+            return self
+        lo = min(self.lo, other.lo)
+        hi = max(self.hi, other.hi)
+        out = [0j] * (hi - lo + 1)
+        for k, c in enumerate(self.coeffs):
+            out[self.lo - lo + k] += c
+        for k, c in enumerate(other.coeffs):
+            out[other.lo - lo + k] += c
+        return LaurentC(lo, tuple(out))
+
+    def __sub__(self, other: "LaurentC") -> "LaurentC":
+        return self + other.scale(-1)
+
+    def scale(self, s: complex) -> "LaurentC":
+        return LaurentC(self.lo, tuple(s * c for c in self.coeffs))
+
+    def inf_norm(self) -> float:
+        return max((abs(c) for c in self.coeffs), default=0.0)
+
 
 
 def laurent_one() -> LaurentC:

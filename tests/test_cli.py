@@ -75,10 +75,18 @@ class TestSolveCommand:
         assert code == 1
         assert "even sector requires even M" in err
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1,nan"])
-    def test_non_finite_flag_exit_one(self, capsys, value):
+    @pytest.mark.parametrize(
+        "a1",
+        [pytest.param([f"--a1={v}"], id=v) for v in ("nan", "inf", "-inf", "1,nan")]
+        # a separate word that opens with a minus sign, in any case
+        + [
+            pytest.param(["--a1", v], id=f"word{v}")
+            for v in ("-inf", "-Infinity", "-NaN", "-INF,1", "-nan,0.5")
+        ],
+    )
+    def test_non_finite_flag_exit_one(self, capsys, a1):
         code, out, err = run_cli(
-            ["solve", "--family", "mp-crossed", f"--a1={value}", "--a2", "1",
+            ["solve", "--family", "mp-crossed", *a1, "--a2", "1",
              "--beta", "0.3", "--M", "2"],
             capsys,
         )

@@ -9,18 +9,15 @@ from qesbethe.errors import (
     InversionAsymmetry,
     QesError,
     SubspaceLeak,
-    UnsupportedFamily,
 )
 from qesbethe import hamiltonian
 from qesbethe.hamiltonian import (
     apply_htilde,
-    apply_htilde_z,
     basis_rows,
     build_matrix,
     matrix_dump_dict,
 )
 from qesbethe.models import model_spec, sector_dimension
-from qesbethe.numerics import PolynomialC
 
 import reference_algebra
 from conftest import ALL_FAMILIES, draw_params, spec_for
@@ -36,37 +33,36 @@ SMALL_Q = {
 class TestApply:
     def test_constant_maps_to_compensation(self):
         spec = model_spec("mp-crossed", M=3, a1=1, a2=1, beta=0.7)
-        out = apply_htilde(spec, PolynomialC((1,), "x"))
-        np.testing.assert_allclose(
-            out.coeffs, [0, -2 * 3 * math.sin(0.7)], atol=1e-14
-        )
+        out, lo = apply_htilde(spec, [1.0])
+        assert lo == 0
+        np.testing.assert_allclose(out[:2], [0, -2 * 3 * math.sin(0.7)], atol=1e-14)
+        assert not out[2:].any()
 
     def test_hand_worked_linear_state(self):
         # a1 = a2 = 1, beta = pi/2, M = 1: H~ x = -2 exactly
         spec = model_spec("mp-crossed", M=1, a1=1, a2=1, beta=math.pi / 2)
-        out = apply_htilde(spec, poly_monomial(1, "x"))
-        assert abs(out(0.0) + 2.0) < 1e-14
-        assert out.degree <= 1
-        if out.degree == 1:
-            assert abs(out.coeffs[1]) < 1e-14
+        out, _ = apply_htilde(spec, [0.0, 1.0])
+        assert abs(out[0] + 2.0) < 1e-14
+        assert np.abs(out[1:]).max(initial=0.0) < 1e-14
 
     def test_out_of_sector_leaks_with_known_coefficient(self):
         # applying to x^(M+1) leaves the subspace: the top of the image sits
         # two degrees higher with coefficient 2(M - n) = -2
         spec = model_spec("sextic-i", M=4, sector="even", a=1.0, b=2.0, c=0.7)
-        out = apply_htilde(spec, poly_monomial(5, "x"))
-        assert out.degree == 7
-        np.testing.assert_allclose(out.coeffs[-1], -2.0, atol=1e-12)
+        out, _ = apply_htilde(spec, poly_monomial(5, "x").coeffs)
+        assert np.flatnonzero(out)[-1] == 7
+        np.testing.assert_allclose(out[7], -2.0, atol=1e-12)
 
-    def test_trig_requires_z_form(self):
-        spec = model_spec("trig-q", M=1, a=0.1, b=0, c=0, d=0, e=0, q=0.5)
-        with pytest.raises(UnsupportedFamily):
-            apply_htilde(spec, poly_monomial(1, "x"))
+    def test_x_polynomials_start_at_x0(self):
+        # lo places a Laurent window for trig-q only
+        spec = model_spec("mp-crossed", M=1, a1=1, a2=1, beta=0.3)
+        with pytest.raises(ValueError, match="starts at x"):
+            apply_htilde(spec, [1.0], lo=-1)
 
     def test_centrifugal_odd_input_fails_division(self):
         spec = model_spec("centrifugal-i", M=2, b=1.2, c=0.7, d=2.2, e=0.9, f=1.6)
         with pytest.raises(InexactDivision):
-            apply_htilde(spec, poly_monomial(3, "x"))
+            apply_htilde(spec, poly_monomial(3, "x").coeffs)
 
 
 class TestBuildMatrix:
@@ -105,8 +101,8 @@ class TestBuildMatrix:
             scale = 0.0
             off = 0.0
             for n in range(7):
-                out = apply_htilde(spec, poly_monomial(n, "x"))
-                for k, c in enumerate(out.coeffs):
+                out, _ = apply_htilde(spec, poly_monomial(n, "x").coeffs)
+                for k, c in enumerate(out):
                     scale = max(scale, abs(c))
                     if (k - n) % 2 == 1:
                         off = max(off, abs(c))
@@ -172,6 +168,11 @@ def raised(call, *args) -> Exception:
     return exc.value
 
 
+def _coeff(coeffs: np.ndarray, lo: int, e: int) -> complex:
+    """The coefficient of z^e in coefficients that start at z^lo."""
+    return coeffs[e - lo] if 0 <= e - lo < coeffs.size else 0j
+
+
 class TestAgainstPerColumnReference:
     """The batched build against the per-column PolynomialC/Laurent algebra
     of ``reference_algebra``."""
@@ -198,18 +199,24 @@ class TestAgainstPerColumnReference:
                 assert np.max(np.abs(got - want)) <= tol, (family, M, spec.sector)
 
     def test_one_column_calls_match_reference(self, rng):
+        # every family through the one apply_htilde, trig-q's Laurent window
+        # placed by lo
         for family in ALL_FAMILIES:
             spec = spec_for(family, 6, rng)
+            trig = family == "trig-q"
             for k in range(4):
                 psi = reference_algebra.basis_polynomial(spec, k)
-                if family == "trig-q":
-                    got, want = apply_htilde_z(spec, psi), reference_algebra.apply_htilde_z(spec, psi)
-                    span = range(min(got.lo, want.lo), max(got.hi, want.hi) + 1)
-                    diff = max(abs(got.coeff(e) - want.coeff(e)) for e in span)
+                got, lo = apply_htilde(spec, psi.coeffs, psi.lo if trig else 0)
+                if trig:
+                    want = reference_algebra.apply_htilde_z(spec, psi)
+                    window = range(min(lo, want.lo), max(lo + got.size - 1, want.hi) + 1)
+                    diff = max(abs(_coeff(got, lo, e) - want.coeff(e)) for e in window)
                 else:
-                    got, want = apply_htilde(spec, psi), reference_algebra.apply_htilde(spec, psi)
-                    assert got.degree == want.degree
-                    diff = float(np.max(np.abs(np.subtract(got.coeffs, want.coeffs))))
+                    want = reference_algebra.apply_htilde(spec, psi)
+                    assert lo == 0
+                    # the image window may carry exact zeros above the degree
+                    assert not got[want.degree + 1 :].any()
+                    diff = float(np.max(np.abs(got[: want.degree + 1] - want.coeffs)))
                 assert diff <= 1e-12 * want.inf_norm()
 
     def test_inexact_division_names_first_odd_column(self):
@@ -219,7 +226,7 @@ class TestAgainstPerColumnReference:
         for k, psi in enumerate(columns):
             if k in (2, 4):
                 assert_same_message(
-                    raised(apply_htilde, spec, psi),
+                    raised(apply_htilde, spec, psi.coeffs),
                     raised(reference_algebra.apply_htilde, spec, psi),
                 )
         rows = np.eye(6)[list(degrees)]

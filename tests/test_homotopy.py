@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.special
 
 from conftest import spec_for
 from qesbethe import homotopy
@@ -16,7 +15,7 @@ from qesbethe.spectral import oracle_spectrum
 @pytest.mark.parametrize("n", range(1, 25))
 def test_laguerre_nodes_match_scipy(n):
     for alpha in (-0.99, -0.5, 0.0, 0.37, 1.0, 2.5, 7.0, 19.3, 40.0, 59.9):
-        want, _ = scipy.special.roots_genlaguerre(n, alpha)
+        want, _ = pytest.importorskip("scipy.special").roots_genlaguerre(n, alpha)
         got = laguerre_nodes(n, alpha)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
@@ -57,7 +56,7 @@ class TestHomotopySeeding:
         real = homotopy.extract_roots
 
         def failing(pair, *args, **kwargs):
-            if pair.eigenpoly.degree == 2:
+            if pair.degree == 2:
                 raise NoConvergence("forced for the degree-2 start state")
             return real(pair, *args, **kwargs)
 

@@ -156,7 +156,7 @@ class TestReducedBae:
         off_spec = model_spec("trig-q", M=3, a=0.3, b=0.25, c=-0.4, d=0.5, e=1e-2, q=q)
         for spec, bound, below in ((on_spec, 1e-9, True), (off_spec, 1e-4, False)):
             pairs = oracle_spectrum(build_matrix(spec))
-            full = [p for p in pairs if p.eigenpoly.degree == 3 and not p.truncated]
+            full = [p for p in pairs if p.degree == 3 and not p.truncated]
             roots = extract_roots(full[-1], spec, expected=3)
             # evaluate the RESTRICTED (e = 0) equations on these roots
             res = max(bae_residual(on_spec, roots, allow_degenerate=True))

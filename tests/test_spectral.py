@@ -5,7 +5,6 @@ import pytest
 
 from qesbethe.hamiltonian import build_matrix
 from qesbethe.models import model_spec
-from qesbethe.numerics import PolynomialC
 from qesbethe.spectral import (
     canonical_z_from_eta,
     extract_roots,
@@ -14,7 +13,7 @@ from qesbethe.spectral import (
 )
 
 from conftest import ALL_FAMILIES, spec_for
-from reference_algebra import poly_mul
+from reference_algebra import poly_from_roots
 
 
 class TestOracleSpectrum:
@@ -23,14 +22,25 @@ class TestOracleSpectrum:
         pairs = oracle_spectrum(build_matrix(spec))
         np.testing.assert_allclose([p.eigenvalue for p in pairs], [-2, 2], atol=1e-12)
         # monic eigenpoly for lambda = 2 is eta - 1
-        np.testing.assert_allclose(pairs[1].eigenpoly.coeffs, [-1, 1], atol=1e-12)
-        np.testing.assert_allclose(pairs[0].eigenpoly.coeffs, [1, 1], atol=1e-12)
+        np.testing.assert_allclose(pairs[1].eigenpoly, [-1, 1], atol=1e-12)
+        np.testing.assert_allclose(pairs[0].eigenpoly, [1, 1], atol=1e-12)
 
     def test_m_zero_single_pair(self):
         spec = model_spec("trig-q", M=0, a=0.3, b=0.1, c=0, d=0, e=0, q=0.5)
         pairs = oracle_spectrum(build_matrix(spec))
         assert len(pairs) == 1
-        assert pairs[0].eigenpoly.coeffs == (1,)
+        assert pairs[0].eigenpoly.tolist() == [1]
+
+    def test_eigenpoly_contract(self, rng):
+        # read-only, monic with a top coefficient of exactly 1.0, and
+        # degree one less than its size
+        for family in ALL_FAMILIES:
+            for M in (0, 3, 6):
+                for pair in oracle_spectrum(build_matrix(spec_for(family, M, rng))):
+                    poly = pair.eigenpoly
+                    assert poly[-1] == 1.0 and pair.degree == poly.size - 1
+                    with pytest.raises(ValueError):
+                        poly[0] = 2.0
 
     def test_continuous_hahn_degeneration_spectrum(self):
         # beta = 0, a1 = a2 = 1: eigenvalues m(m + 3), m = 0..3
@@ -91,7 +101,7 @@ class TestExtractRoots:
         spec = spec_for("trig-q", 5, rng)
         pairs = oracle_spectrum(build_matrix(spec))
         for pair in pairs:
-            roots = extract_roots(pair, spec, expected=pair.eigenpoly.degree)
+            roots = extract_roots(pair, spec, expected=pair.degree)
             for z, e in zip(roots.roots_z, roots.roots_eta):
                 assert abs(z) <= 1.0 + 1e-12
                 assert abs(0.5 * (z + 1 / z) - e) <= 1e-10 * max(1.0, abs(e))
@@ -104,11 +114,11 @@ class TestExtractRoots:
 
         # eta - 4 over eta = x^2 picks the representative x = 2
         sx = model_spec("sextic-i", M=2, sector="even", a=1, b=1, c=1)
-        pair = OracleEigenpair(0.0, PolynomialC((-4.0, 1.0), "eta"))
+        pair = OracleEigenpair(0.0, np.array([-4.0, 1.0]))
         np.testing.assert_allclose(extract_roots(pair, sx).roots_x, [2.0], atol=1e-12)
         # eta - 1 over eta = cos x picks z = 1, x = 0
         tq = model_spec("trig-q", M=1, a=0.1, b=0, c=0, d=0, e=0, q=0.5)
-        pair = OracleEigenpair(0.0, PolynomialC((-1.0, 1.0), "eta"))
+        pair = OracleEigenpair(0.0, np.array([-1.0, 1.0]))
         roots = extract_roots(pair, tq)
         np.testing.assert_allclose(roots.roots_z, [1.0], atol=1e-7)
         np.testing.assert_allclose(canonical_x_from_eta(tq, 1.0), 0.0, atol=1e-7)
@@ -127,7 +137,7 @@ class TestExtractRoots:
                 spec = spec_for(family, M, rng)
                 pairs = oracle_spectrum(build_matrix(spec))
                 want = expected[family](M)
-                full_degree = [p for p in pairs if p.eigenpoly.degree == want]
+                full_degree = [p for p in pairs if p.degree == want]
                 assert full_degree, f"no full-degree state for {family} M={M}"
                 roots = extract_roots(full_degree[-1], spec)
                 assert len(roots) == want
@@ -140,11 +150,9 @@ class TestExtractRoots:
                 if pair.truncated:
                     continue
                 roots = extract_roots(pair, spec)
-                rebuilt = PolynomialC((1.0,), "eta")
-                for e in roots.roots_eta:
-                    rebuilt = poly_mul(rebuilt, PolynomialC((-e, 1), "eta"))
-                scale = pair.eigenpoly.inf_norm()
-                for a, b in zip(rebuilt.coeffs, pair.eigenpoly.coeffs):
+                rebuilt = poly_from_roots(roots.roots_eta, "eta")
+                scale = np.abs(pair.eigenpoly).max()
+                for a, b in zip(rebuilt.coeffs, pair.eigenpoly):
                     assert abs(a - b) <= 1e-9 * scale
 
     def test_degree_mismatch_rejected(self):
@@ -176,3 +184,12 @@ class TestRootSet:
         for z in direct.roots_z:
             assert abs(z) <= 1.0
         assert direct.roots_z[1] == np.exp(0.7j)
+
+    def test_trig_x_on_negative_z_axis_is_plus_pi(self):
+        # z just above, on and just below the negative real axis (signed
+        # zeros included) names one x: Re x = +pi, never -pi
+        tq = model_spec("trig-q", M=1, a=0.4, b=-0.3, c=0.25, d=0.6, e=-0.5, q=0.55)
+        for z in (-0.3 + 1e-18j, complex(-0.3, 0.0), -0.3 - 1e-18j, complex(-0.3, -0.0)):
+            x = root_set(tq, [z]).roots_x[0]
+            assert x.real == math.pi
+            assert x.imag == -math.log(0.3)
