@@ -26,7 +26,6 @@ from .models import (
     ModelFamily,
     ModelSpec,
     Sector,
-    SymmetricCoefficients,
     compensation_alpha,
     drop_factors,
     eta,
@@ -36,7 +35,6 @@ from .models import (
     potential_v_star,
     sector_dimension,
     spec_from_json,
-    symmetric_coefficients,
 )
 from .spectral import OracleEigenpair, RootSet, extract_roots, oracle_spectrum
 from .wavefun import (
@@ -60,7 +58,6 @@ __all__ = [
     "RootSet",
     "Sector",
     "SolutionFlags",
-    "SymmetricCoefficients",
     "Tolerances",
     "apply_htilde",
     "bae_residual",
@@ -85,7 +82,6 @@ __all__ = [
     "sector_dimension",
     "solve",
     "spec_from_json",
-    "symmetric_coefficients",
     "verify_limit",
     "zero_mode_residual",
 ]

@@ -1,5 +1,5 @@
 """Bethe ansatz equations in cross-multiplied form, Newton polishing of
-root sets, and the closed-form eigenvalue-from-roots expressions.
+root sets, and the eigenvalue read off the roots through the eigen-equation.
 
 Each family's equation is evaluated as a pair (L_j, R_j) of denominator-free
 products; the reported residual is |L_j - R_j| / max(|L_j|, |R_j|, eps).
@@ -12,25 +12,25 @@ variables (``models.native_variable``).  Polished roots go back through
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateRoots, NoConvergence, SingularJacobian, UnsupportedFamily
+from .errors import DegenerateRoots, NoConvergence, SingularJacobian
 from .hamiltonian import build_matrix
 from .models import (
     Coordinate,
-    ModelFamily,
     ModelSpec,
     Sector,
     bethe_root_count,
+    compensation_alpha,
     compensation_vanishes,
+    eta,
     native_variable,
     numerator_constants,
-    sector_degrees,
-    symmetric_coefficients,
+    potential_v,
+    potential_v_star,
     v_phase,
 )
 from .numerics import NewtonOptions, newton_solve
@@ -46,6 +46,13 @@ from .spectral import (
 ROOT_SEPARATION_TOL = 1e-10
 POLISH_TARGET = 1e-11
 EPS = 1e-300
+# Points at which eigenvalue_from_roots reads the eigen-equation: off the
+# real default_grid windows and off the potentials' poles (x = 0, +-i/2;
+# z = +-1, +-q^(+-1/2)).  The fallback serves root sets with a root within
+# ANCHOR_CLEARANCE (relative) of eta(ANCHOR).
+ANCHOR = 0.37 + 0.11j
+FALLBACK_ANCHOR = 0.53 + 0.29j
+ANCHOR_CLEARANCE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -261,114 +268,53 @@ def newton_polish(
 
 
 # ---------------------------------------------------------------------------
-# Eigenvalue-from-roots formulas
+# Eigenvalue from the eigen-equation
 # ---------------------------------------------------------------------------
 
 
-def _binom(n: int, k: int) -> float:
-    if k < 0 or k > n or n < 0:
-        return 0.0
-    return float(math.comb(n, k))
+def _eigen_equation_at(spec: ModelSpec, roots_eta: Sequence[complex], x0: complex) -> complex:
+    """E from H~ Psi = E Psi at the point x0, Psi built from the roots.
 
-
-def restricted_eigenvalue(spec: ModelSpec, m: int) -> complex:
-    """Degree-m eigenvalue of a factor-deleted (exactly solvable) model.
-
-    Supported restrictions: one linear factor deleted from the crossed
-    Meixner-Pollaczek model; the top factor (Wilson) or the top two
-    (continuous dual Hahn) deleted from a centrifugal model.  For these,
-    the deleted-factor potential has low enough growth that the eigenvalue
-    no longer depends on the Bethe roots.
-    """
-    if not spec.dropped:
-        raise ValueError("spec has no deleted factors")
-    kept = numerator_constants(spec)
-    if spec.family is ModelFamily.MP_CROSSED and len(kept) == 1:
-        return complex(2.0 * m * math.cos(spec.real_param("beta")))
-    if spec.info.kinematic_denominator:
-        if len(kept) == 4:
-            s = sum(p.real for p in kept)
-            return complex(m * (m + s - 1.0))
-        if len(kept) == 3:
-            return complex(m)
-    raise UnsupportedFamily(
-        f"no closed form for {spec.family.value} with factors {spec.dropped} deleted"
+    The shifted wavefunctions enter as Psi(x0 -+ i)/Psi(x0) (z -> qz, z/q
+    for the trigonometric family), each a product of per-root ratios, so
+    that no product of far-out roots over- or underflows."""
+    if spec.info.coordinate is Coordinate.COS:
+        q = spec.real_param("q")
+        z0 = cmath.exp(1j * x0)
+        eta_minus, eta_plus = (0.5 * (w + 1.0 / w) for w in (q * z0, z0 / q))
+    else:
+        eta_minus, eta_plus = eta(spec, np.array([x0 - 1j, x0 + 1j])).tolist()
+    eta0 = eta(spec, x0)
+    r_minus = r_plus = 1.0 + 0j
+    for e in roots_eta:
+        r_minus *= (eta_minus - e) / (eta0 - e)
+        r_plus *= (eta_plus - e) / (eta0 - e)
+    if spec.sector is Sector.ODD:
+        r_minus *= (x0 - 1j) / x0
+        r_plus *= (x0 + 1j) / x0
+    return (
+        potential_v(spec, x0) * (r_minus - 1.0)
+        + potential_v_star(spec, x0) * (r_plus - 1.0)
+        + compensation_alpha(spec, x0)
     )
 
 
-def eigenvalue_from_roots(
-    spec: ModelSpec,
-    roots: RootSet,
-    degree: int | None = None,
-) -> complex:
-    """Closed-form E({x_l}) for the family.
+def eigenvalue_from_roots(spec: ModelSpec, roots: RootSet) -> complex:
+    """E({eta_l}) read off the eigen-equation H~ Psi = E Psi (Baxter's T-Q
+    relation) at one point off every grid and pole.
 
-    ``degree`` overrides the subspace degree entering the formula; it is
-    inferred from the root count at exactly solvable parameter points,
-    where eigenfunctions of every lower degree coexist in the subspace.
+    Fewer roots than the subspace degree carries are allowed: at exactly
+    solvable parameter points eigenfunctions of every lower degree coexist
+    in the subspace, and the same equation holds for them.  The second
+    anchor is used when a root sits on eta at the first, where Psi vanishes.
     """
-    m = spec.M if degree is None else degree
-    expected = bethe_root_count(spec, m)
-    if len(roots) != expected:
-        raise ValueError(f"expected {expected} roots for degree {m}, got {len(roots)}")
-    if spec.dropped:
-        return restricted_eigenvalue(spec, m)
-    fam = spec.family
-    eta_sum = sum(roots.roots_eta)
-    if fam is ModelFamily.MP_CROSSED:
-        beta = spec.real_param("beta")
-        a1, a2 = spec.param("a1"), spec.param("a2")
-        forward = (a1 + a2) * cmath.exp(-1j * beta)
-        backward = (a1.conjugate() + a2.conjugate()) * cmath.exp(1j * beta)
-        return (
-            m * (m - 1) * math.cos(beta)
-            + m * (forward + backward)
-            + 2.0 * math.sin(beta) * eta_sum
-        )
-    if fam is ModelFamily.SEXTIC_I:
-        a, b, c = (spec.real_param(n) for n in ("a", "b", "c"))
-        return (
-            m * (m - 1) * (m - 2) / 3.0
-            + (a + b + c) * m * (m - 1)
-            + 2.0 * (a * b + a * c + b * c) * m
-            - 4.0 * eta_sum
-        )
-    if fam is ModelFamily.SEXTIC_II:
-        d = symmetric_coefficients(spec)
-        const = 2.0 * sum(_binom(m, j) * d[j] for j in range(1, 5))
-        return const - (4.0 * d[3] + (4.0 * m - 6.0)) * eta_sum
-    if fam is ModelFamily.CENTRIFUGAL_I:
-        ps = [spec.real_param(n) for n in ("b", "c", "d", "e", "f")]
-        e2 = sum(ps[i] * ps[j] for i in range(5) for j in range(i + 1, 5))
-        return (
-            2.0 * m * (m - 1) * (m - 2) / 3.0
-            + (sum(ps) + 0.5) * m * (m - 1)
-            + e2 * m
-            - eta_sum
-        )
-    if fam is ModelFamily.CENTRIFUGAL_II:
-        d = symmetric_coefficients(spec)
-        return (
-            d[3] * _binom(m, 1)
-            + (2.0 * d[4] + d[5]) * _binom(m, 2)
-            + 4.0 * (d[5] + 1.0) * _binom(m, 3)
-            + 8.0 * _binom(m, 4)
-            - (d[5] + 2.0 * (m - 1)) * eta_sum
-        )
-    if fam is ModelFamily.TRIG_Q:
-        q = spec.real_param("q")
-        ps = [spec.real_param(n) for n in ("a", "b", "c", "d", "e")]
-        e5 = math.prod(ps)
-        e4 = sum(
-            math.prod(ps[:k] + ps[k + 1 :]) for k in range(5)
-        )
-        return (
-            e4 * (q**m - 1.0) / q
-            + q ** (-m)
-            - 1.0
-            - 2.0 * e5 * q ** (m - 1) * (1.0 - 1.0 / q) * eta_sum
-        )
-    raise UnsupportedFamily(fam.value)
+    expected = bethe_root_count(spec)
+    if len(roots) > expected:
+        raise ValueError(f"expected at most {expected} roots, got {len(roots)}")
+    eta0 = eta(spec, ANCHOR)
+    clearance = ANCHOR_CLEARANCE * abs(eta0)
+    on_anchor = any(abs(e - eta0) <= clearance for e in roots.roots_eta)
+    return _eigen_equation_at(spec, roots.roots_eta, FALLBACK_ANCHOR if on_anchor else ANCHOR)
 
 
 def trig_far_ladder(spec: ModelSpec, exponents: list[int]) -> list[complex]:
@@ -466,7 +412,6 @@ def solve(spec: ModelSpec, seed_mode: str = "oracle") -> list[BetheSolution]:
     for idx, pair in enumerate(pairs):
         actual = pair.degree
         anomalous = False
-        degree = spec.M
         seed = homotopy_seeds.get(idx)
         source = "homotopy"
         if seed is None or len(seed) != expected:
@@ -480,14 +425,13 @@ def solve(spec: ModelSpec, seed_mode: str = "oracle") -> list[BetheSolution]:
                 # a lower-degree eigenpolynomial is a state of its own at an
                 # exactly solvable point, and an anomaly anywhere else
                 seed = extract_roots(pair, spec, expected=actual)
-                degree = sector_degrees(spec)[actual]
                 anomalous = actual != expected and (
                     pair.truncated or not compensation_vanishes(spec)
                 )
         roots, flags, residuals = newton_polish(spec, seed)
         if flags.degenerate or anomalous:
             flags = replace(flags, degenerate=True)
-        e_formula = eigenvalue_from_roots(spec, roots, degree=degree)
+        e_formula = eigenvalue_from_roots(spec, roots)
         solutions.append(
             BetheSolution(
                 spec=spec,

@@ -148,7 +148,7 @@ def homotopy_root_sets(
     for pair in states:
         try:
             roots = root_set(spec, _continuation_leg(spec, start, pair, target))
-            e_val = eigenvalue_from_roots(spec, roots, degree=spec.M)
+            e_val = eigenvalue_from_roots(spec, roots)
         except (ValueError, QesError):
             continue
         gaps = [abs(e_val - ev) for ev in oracle_eigenvalues]

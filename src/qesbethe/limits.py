@@ -18,8 +18,8 @@ eigenvalues alone; the reduced Bethe-equation check is an ordinary
 Note on the Askey-Wilson line: the restriction e = 0 turns the
 trigonometric Hamiltonian into the standard Askey-Wilson q-difference
 operator whose degree-m eigenvalue is (q^-m - 1)(1 - abcd q^(m-1)); this is
-what the general eigenvalue-from-roots expression reduces to at e = 0, and
-the spectrum checks below enforce it.  An exponent m+1 in that second
+what the paper's general eigenvalue-from-roots expression reduces to at
+e = 0, and the spectrum checks below enforce it.  An exponent m+1 in that second
 factor circulates in print but fails the spectrum by O(abcd (1 - q^2) q);
 see the regression test that documents the discrepancy.
 """

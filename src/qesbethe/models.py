@@ -12,7 +12,8 @@ degree-M invariant polynomial subspace:
     TRIG_Q          V = (1-az)..(1-ez) / ((1-z^2)(1-qz^2))  eta = cos x, z = e^{ix}
 
 ``FAMILIES`` holds one record per family with the facts the pipeline
-branches on; only the closed-form formulas dispatch on the family itself.
+branches on; only the formulas that define a model (validation, the phase
+of V, the compensation coefficient) dispatch on the family itself.
 
 The conjugate potential V*(x) is the *analytic* conjugate: parameters are
 conjugated while x stays a free complex variable.  This convention is
@@ -443,36 +444,7 @@ def sector_dimension(spec: ModelSpec) -> int:
     return len(sector_degrees(spec))
 
 
-def bethe_root_count(spec: ModelSpec, degree: int | None = None) -> int:
-    """Number of Bethe roots of a degree-``degree`` (default M)
-    eigenfunction in this sector."""
+def bethe_root_count(spec: ModelSpec) -> int:
+    """Number of Bethe roots of a degree-M eigenfunction in this sector."""
     degrees = sector_degrees(spec)
-    return ((spec.M if degree is None else degree) - degrees.start) // degrees.step
-
-
-@dataclass(frozen=True)
-class SymmetricCoefficients:
-    """Delta_j with V-numerator(x) = sum_j Delta_j (i x)^j, i.e. Delta_j is
-    the elementary symmetric polynomial e_{deg-j} of the parameters."""
-
-    deltas: tuple[complex, ...]
-
-    def __getitem__(self, j: int) -> complex:
-        return self.deltas[j]
-
-
-def symmetric_coefficients(spec: ModelSpec) -> SymmetricCoefficients:
-    if spec.family not in (ModelFamily.SEXTIC_II, ModelFamily.CENTRIFUGAL_II):
-        raise UnsupportedFamily(
-            f"symmetric coefficients are defined for the type-II families, "
-            f"not {spec.family.value}"
-        )
-    coeffs = [1.0 + 0j]  # expand prod (p_k + t) in powers of t = ix
-    for name in spec.info.param_names:
-        p = spec.params[name]
-        nxt = [0j] * (len(coeffs) + 1)
-        for k, c in enumerate(coeffs):
-            nxt[k] += c * p
-            nxt[k + 1] += c
-        coeffs = nxt
-    return SymmetricCoefficients(tuple(coeffs))
+    return (spec.M - degrees.start) // degrees.step

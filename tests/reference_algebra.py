@@ -1,5 +1,8 @@
 """Per-column polynomial/Laurent algebra: the independent reference that
-the batched ``qesbethe.hamiltonian.build_matrix`` is tested against.
+the batched ``qesbethe.hamiltonian.build_matrix`` is tested against, and
+the paper's closed-form eigenvalue-from-roots expressions that the
+eigen-equation route of ``qesbethe.bethe.eigenvalue_from_roots`` is tested
+against.
 
 This is the straightforward formulation of H~: every basis vector is one
 ``PolynomialC`` (x-families) or ``LaurentC`` (trig-q), shifted by the
@@ -13,6 +16,7 @@ array.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -28,13 +32,16 @@ from qesbethe.errors import (
 from qesbethe.hamiltonian import DIVIDE_TOL, LEAK_TOL
 from qesbethe.models import (
     Coordinate,
+    ModelFamily,
     ModelSpec,
     Sector,
     compensation_coefficient,
     numerator_constants,
+    sector_degrees,
     sector_dimension,
     v_phase,
 )
+from qesbethe.spectral import RootSet
 
 # ---------------------------------------------------------------------------
 # Polynomials
@@ -435,3 +442,138 @@ def build_matrix(spec: ModelSpec) -> np.ndarray:
     """The subspace matrix, one basis column at a time."""
     dim = sector_dimension(spec)
     return subspace_matrix(spec, [basis_polynomial(spec, k) for k in range(dim)], dim)
+
+
+# ---------------------------------------------------------------------------
+# The paper's closed-form eigenvalues
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SymmetricCoefficients:
+    """Delta_j with V-numerator(x) = sum_j Delta_j (i x)^j, i.e. Delta_j is
+    the elementary symmetric polynomial e_{deg-j} of the parameters."""
+
+    deltas: tuple[complex, ...]
+
+    def __getitem__(self, j: int) -> complex:
+        return self.deltas[j]
+
+
+def symmetric_coefficients(spec: ModelSpec) -> SymmetricCoefficients:
+    if spec.family not in (ModelFamily.SEXTIC_II, ModelFamily.CENTRIFUGAL_II):
+        raise UnsupportedFamily(
+            f"symmetric coefficients are defined for the type-II families, "
+            f"not {spec.family.value}"
+        )
+    coeffs = [1.0 + 0j]  # expand prod (p_k + t) in powers of t = ix
+    for name in spec.info.param_names:
+        p = spec.params[name]
+        nxt = [0j] * (len(coeffs) + 1)
+        for k, c in enumerate(coeffs):
+            nxt[k] += c * p
+            nxt[k + 1] += c
+        coeffs = nxt
+    return SymmetricCoefficients(tuple(coeffs))
+
+
+def _binom(n: int, k: int) -> float:
+    if k < 0 or k > n or n < 0:
+        return 0.0
+    return float(math.comb(n, k))
+
+
+def restricted_eigenvalue(spec: ModelSpec, m: int) -> complex:
+    """Degree-m eigenvalue of a factor-deleted (exactly solvable) model.
+
+    Supported restrictions: one linear factor deleted from the crossed
+    Meixner-Pollaczek model; the top factor (Wilson) or the top two
+    (continuous dual Hahn) deleted from a centrifugal model.  For these,
+    the deleted-factor potential has low enough growth that the eigenvalue
+    no longer depends on the Bethe roots.
+    """
+    if not spec.dropped:
+        raise ValueError("spec has no deleted factors")
+    kept = numerator_constants(spec)
+    if spec.family is ModelFamily.MP_CROSSED and len(kept) == 1:
+        return complex(2.0 * m * math.cos(spec.real_param("beta")))
+    if spec.info.kinematic_denominator:
+        if len(kept) == 4:
+            s = sum(p.real for p in kept)
+            return complex(m * (m + s - 1.0))
+        if len(kept) == 3:
+            return complex(m)
+    raise UnsupportedFamily(
+        f"no closed form for {spec.family.value} with factors {spec.dropped} deleted"
+    )
+
+
+def paper_eigenvalue(spec: ModelSpec, roots: RootSet, degree: int | None = None) -> complex:
+    """The paper's closed-form E({x_l}) for the family.
+
+    ``degree`` overrides the subspace degree entering the formula; at
+    exactly solvable parameter points, where eigenfunctions of every lower
+    degree coexist in the subspace, it is the degree of the state.
+    """
+    m = spec.M if degree is None else degree
+    expected = sector_degrees(spec).index(m)
+    if len(roots) != expected:
+        raise ValueError(f"expected {expected} roots for degree {m}, got {len(roots)}")
+    if spec.dropped:
+        return restricted_eigenvalue(spec, m)
+    fam = spec.family
+    eta_sum = sum(roots.roots_eta)
+    if fam is ModelFamily.MP_CROSSED:
+        beta = spec.real_param("beta")
+        a1, a2 = spec.param("a1"), spec.param("a2")
+        forward = (a1 + a2) * cmath.exp(-1j * beta)
+        backward = (a1.conjugate() + a2.conjugate()) * cmath.exp(1j * beta)
+        return (
+            m * (m - 1) * math.cos(beta)
+            + m * (forward + backward)
+            + 2.0 * math.sin(beta) * eta_sum
+        )
+    if fam is ModelFamily.SEXTIC_I:
+        a, b, c = (spec.real_param(n) for n in ("a", "b", "c"))
+        return (
+            m * (m - 1) * (m - 2) / 3.0
+            + (a + b + c) * m * (m - 1)
+            + 2.0 * (a * b + a * c + b * c) * m
+            - 4.0 * eta_sum
+        )
+    if fam is ModelFamily.SEXTIC_II:
+        d = symmetric_coefficients(spec)
+        const = 2.0 * sum(_binom(m, j) * d[j] for j in range(1, 5))
+        return const - (4.0 * d[3] + (4.0 * m - 6.0)) * eta_sum
+    if fam is ModelFamily.CENTRIFUGAL_I:
+        ps = [spec.real_param(n) for n in ("b", "c", "d", "e", "f")]
+        e2 = sum(ps[i] * ps[j] for i in range(5) for j in range(i + 1, 5))
+        return (
+            2.0 * m * (m - 1) * (m - 2) / 3.0
+            + (sum(ps) + 0.5) * m * (m - 1)
+            + e2 * m
+            - eta_sum
+        )
+    if fam is ModelFamily.CENTRIFUGAL_II:
+        d = symmetric_coefficients(spec)
+        return (
+            d[3] * _binom(m, 1)
+            + (2.0 * d[4] + d[5]) * _binom(m, 2)
+            + 4.0 * (d[5] + 1.0) * _binom(m, 3)
+            + 8.0 * _binom(m, 4)
+            - (d[5] + 2.0 * (m - 1)) * eta_sum
+        )
+    if fam is ModelFamily.TRIG_Q:
+        q = spec.real_param("q")
+        ps = [spec.real_param(n) for n in ("a", "b", "c", "d", "e")]
+        e5 = math.prod(ps)
+        e4 = sum(
+            math.prod(ps[:k] + ps[k + 1 :]) for k in range(5)
+        )
+        return (
+            e4 * (q**m - 1.0) / q
+            + q ** (-m)
+            - 1.0
+            - 2.0 * e5 * q ** (m - 1) * (1.0 - 1.0 / q) * eta_sum
+        )
+    raise UnsupportedFamily(fam.value)

@@ -23,7 +23,7 @@ from qesbethe.limits import (
     reduced_bae_check,
     verify_limit,
 )
-from qesbethe.models import model_spec
+from qesbethe.models import model_spec, sector_degrees
 from qesbethe.wavefun import (
     default_grid,
     phi0_squared,
@@ -32,7 +32,7 @@ from qesbethe.wavefun import (
 )
 
 from conftest import ALL_FAMILIES, draw_params, spec_for
-from reference_algebra import poly_monomial
+from reference_algebra import paper_eigenvalue, poly_monomial
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "src/qesbethe/schema/result.schema.json").read_text()
@@ -51,11 +51,13 @@ def report(number: int, name: str, passed: bool, detail: str = ""):
 def test_criterion_1_oracle_consistency_sweep():
     """Every family x sector x M in 0..10 x 3 random draws: each eigenpair's
     Bethe residual stays below 1e-9 and the two eigenvalue routes agree to
-    1e-8 relative, inside a 60 s budget."""
+    1e-8 relative, inside a 60 s budget; the paper's closed form, read at
+    the state's degree, agrees with the oracle to 1e-8 relative too."""
     rng = np.random.default_rng(987654321)
     t0 = time.time()
     worst_res = 0.0
     worst_gap = 0.0
+    worst_paper = 0.0
     count = 0
     for family in ALL_FAMILIES:
         for M in range(11):
@@ -63,17 +65,23 @@ def test_criterion_1_oracle_consistency_sweep():
                 spec = spec_for(family, M, rng)
                 for sol in solve(spec):
                     count += 1
+                    scale = max(1.0, abs(sol.E_oracle))
                     worst_res = max(worst_res, sol.residual_max)
-                    worst_gap = max(
-                        worst_gap, sol.discrepancy / max(1.0, abs(sol.E_oracle))
-                    )
+                    worst_gap = max(worst_gap, sol.discrepancy / scale)
+                    degree = sector_degrees(spec)[len(sol.roots)]
+                    paper = paper_eigenvalue(spec, sol.roots, degree)
+                    worst_paper = max(worst_paper, abs(paper - sol.E_oracle) / scale)
     elapsed = time.time() - t0
-    ok = worst_res <= 1e-9 and worst_gap <= 1e-8 and elapsed <= 60.0
+    ok = (
+        worst_res <= 1e-9 and worst_gap <= 1e-8 and worst_paper <= 1e-8
+        and elapsed <= 60.0
+    )
     report(
         1,
         "oracle-consistency sweep",
         ok,
-        f"{count} eigenpairs, residual {worst_res:.2e}, gap {worst_gap:.2e}, {elapsed:.1f}s",
+        f"{count} eigenpairs, residual {worst_res:.2e}, gap {worst_gap:.2e}, "
+        f"paper form {worst_paper:.2e}, {elapsed:.1f}s",
     )
 
 

@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-pytest.importorskip("jsonschema")  # bench/run.py validates every CLI document
-pytest.importorskip("scipy")  # bench/run.py records its version
+pytest.importorskip("jsonschema", exc_type=ImportError)  # bench/run.py validates every CLI document
+pytest.importorskip("scipy", exc_type=ImportError)  # bench/run.py records its version
 
 
 @pytest.mark.parametrize("workload", ["solve-large", "verify-sweep", "homotopy-seed"])

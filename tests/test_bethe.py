@@ -4,19 +4,20 @@ import math
 import numpy as np
 import pytest
 
+from qesbethe import bethe
 from qesbethe.bethe import (
     bae_residual,
     eigenvalue_from_roots,
     newton_polish,
-    restricted_eigenvalue,
     solve,
 )
 from qesbethe.errors import DegenerateRoots
 from qesbethe.hamiltonian import build_matrix
-from qesbethe.models import drop_factors, model_spec
+from qesbethe.models import drop_factors, eta, model_spec, sector_degrees
 from qesbethe.spectral import RootSet, extract_roots, oracle_spectrum
 
 from conftest import ALL_FAMILIES, spec_for
+from reference_algebra import paper_eigenvalue, restricted_eigenvalue
 
 
 def mp_rootset(*xs):
@@ -145,8 +146,9 @@ class TestEigenvalueFormula:
         np.testing.assert_allclose(e, 2.0, atol=1e-14)
 
     def test_beta_zero_root_independent(self):
+        # the paper's closed form at the graded point beta = 0
         spec = model_spec("mp-crossed", M=2, a1=1, a2=1, beta=0.0)
-        e = eigenvalue_from_roots(spec, mp_rootset(0.3, -1.2))
+        e = paper_eigenvalue(spec, mp_rootset(0.3, -1.2))
         np.testing.assert_allclose(e, 10.0, atol=1e-13)
 
     def test_trig_empty_rootset(self):
@@ -155,19 +157,22 @@ class TestEigenvalueFormula:
         np.testing.assert_allclose(e, 0.0, atol=1e-14)
 
     def test_count_mismatch_rejected(self):
+        # fewer roots are lower-degree states; more roots than the subspace
+        # degree carries are not a state of the model
         spec = model_spec("mp-crossed", M=3, a1=1, a2=1, beta=0.4)
         with pytest.raises(ValueError):
-            eigenvalue_from_roots(spec, mp_rootset(1.0))
+            eigenvalue_from_roots(spec, mp_rootset(1.0, -0.5, 0.2, 2.0))
 
     def test_symmetric_dependence_on_eta_sum(self, rng):
-        # E depends on the roots only through sum(eta): permutations and
-        # eta-sum-preserving perturbations leave it unchanged
+        # the paper's closed form depends on the roots only through
+        # sum(eta): permutations and eta-sum-preserving perturbations leave
+        # it unchanged
         spec = model_spec("mp-crossed", M=3, a1=1.2 + 0.3j, a2=0.7, beta=0.9)
         xs = [0.4 + 0.1j, -1.1, 2.3 - 0.2j]
-        e0 = eigenvalue_from_roots(spec, mp_rootset(*xs))
-        e1 = eigenvalue_from_roots(spec, mp_rootset(*reversed(xs)))
+        e0 = paper_eigenvalue(spec, mp_rootset(*xs))
+        e1 = paper_eigenvalue(spec, mp_rootset(*reversed(xs)))
         delta = complex(rng.standard_normal(), rng.standard_normal())
-        e2 = eigenvalue_from_roots(spec, mp_rootset(xs[0] + delta, xs[1] - delta, xs[2]))
+        e2 = paper_eigenvalue(spec, mp_rootset(xs[0] + delta, xs[1] - delta, xs[2]))
         assert abs(e0 - e1) <= 1e-12 * max(1.0, abs(e0))
         assert abs(e0 - e2) <= 1e-12 * max(1.0, abs(e0))
 
@@ -184,6 +189,40 @@ class TestEigenvalueFormula:
             model_spec("centrifugal-i", M=2, b=0.8, c=1.3, d=2.0, e=1.0, f=1.0), ("e", "f")
         )
         np.testing.assert_allclose(restricted_eigenvalue(cdh, 2), 2.0)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            model_spec("mp-crossed", M=6, a1=1.3 + 0.4j, a2=0.8 - 0.2j, beta=0.0),
+            model_spec("trig-q", M=6, a=0.45, b=-0.3, c=0.2, d=0.6, e=0.0, q=0.65),
+            drop_factors(model_spec("mp-crossed", M=5, a1=1.1, a2=1.0, beta=0.4), ("a2",)),
+            drop_factors(
+                model_spec("centrifugal-i", M=5, b=0.8, c=1.3, d=2.0, e=0.6, f=1.0), ("f",)
+            ),
+            drop_factors(
+                model_spec("centrifugal-i", M=5, b=0.8, c=1.3, d=2.0, e=1.0, f=1.0), ("e", "f")
+            ),
+        ],
+        ids=["mp-beta0", "trig-e0", "mp-no-a2", "wilson", "cdh"],
+    )
+    def test_paper_form_at_graded_and_restricted_points(self, spec):
+        # every degree coexists here: each state is read at its own degree
+        for sol in solve(spec):
+            degree = sector_degrees(spec)[len(sol.roots)]
+            paper = paper_eigenvalue(spec, sol.roots, degree)
+            scale = max(1.0, abs(sol.E_oracle))
+            assert abs(paper - sol.E_formula) <= 1e-12 * scale
+            assert abs(sol.E_formula - sol.E_oracle) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-10])
+    def test_root_on_the_anchor_uses_the_fallback(self, monkeypatch, offset):
+        spec = model_spec("sextic-i", M=4, sector="even", a=1.1, b=0.7, c=2.0)
+        on_anchor = eta(spec, bethe.ANCHOR) * (1.0 + offset)
+        roots = RootSet((0j, 0j), (on_anchor, -1.3 + 0.4j))
+        e = eigenvalue_from_roots(spec, roots)
+        assert cmath.isfinite(e)
+        monkeypatch.setattr(bethe, "ANCHOR", bethe.FALLBACK_ANCHOR)
+        assert e == eigenvalue_from_roots(spec, roots)
 
 
 class TestSolve:

@@ -11,6 +11,7 @@ import pytest
 
 from qesbethe.cli import VERIFY_TOLERANCES, main
 from qesbethe.config import Tolerances
+from qesbethe.models import model_spec, spec_to_json_dict
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "src/qesbethe/schema/result.schema.json").read_text()
@@ -229,6 +230,43 @@ class TestVerifyCommand:
         assert code == 1
         assert out == ""
         assert "divide_exact" in err
+
+
+# former holes of the verified envelope, at default tolerances
+ESCAPED_ROOTS = {
+    # mp-crossed just off beta = 0: the largest roots sit near 1/(2|beta|)
+    "beta-near-0": ("mp-crossed", 7, {"a1": complex(2.4382823351740726, 0.7119514191580878),
+                                      "a2": complex(0.7125707424400739, -0.745496478313193),
+                                      "beta": -0.0004886281286418104}),
+    "q0.48": ("trig-q", 6, {"a": 0.322, "b": -0.148, "c": -0.21, "d": 0.113, "e": -0.118,
+                            "q": 0.48}),
+    "small": ("trig-q", 6, {"a": -0.1331172491348974, "b": -0.13919460414384335,
+                            "c": -0.12113935740585571, "d": 0.13098219095714073,
+                            "e": 0.1860518478159062, "q": 0.7018425744386362}),
+}
+# the ground-state polish lands on another Bethe solution
+SAME_SIGN = ("trig-q", 6, {"a": 0.684, "b": 0.668, "c": 0.849, "d": 0.707, "e": 0.596,
+                           "q": 0.405})
+
+
+def verify_model(model, capsys, tmp_path):
+    family, M, params = model
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(spec_to_json_dict(model_spec(family, M=M, **params))))
+    code, out, _ = run_cli(["verify", "--spec", str(path)], capsys)
+    return code, {c["name"]: c["passed"] for c in json.loads(out)["checks"]}
+
+
+class TestVerifyEnvelope:
+    @pytest.mark.parametrize("name", sorted(ESCAPED_ROOTS))
+    def test_far_roots_pass(self, name, capsys, tmp_path):
+        code, checks = verify_model(ESCAPED_ROOTS[name], capsys, tmp_path)
+        assert code == 0 and all(checks.values()), checks
+
+    def test_wrong_bethe_solution_fails(self, capsys, tmp_path):
+        code, checks = verify_model(SAME_SIGN, capsys, tmp_path)
+        assert code == 2
+        assert not checks["eigenvalue_match"] and not checks["schrodinger_pointwise"]
 
 
 class TestLimitsCommand:

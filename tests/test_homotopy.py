@@ -14,8 +14,9 @@ from qesbethe.spectral import oracle_spectrum
 
 @pytest.mark.parametrize("n", range(1, 25))
 def test_laguerre_nodes_match_scipy(n):
+    special = pytest.importorskip("scipy.special", exc_type=ImportError)
     for alpha in (-0.99, -0.5, 0.0, 0.37, 1.0, 2.5, 7.0, 19.3, 40.0, 59.9):
-        want, _ = pytest.importorskip("scipy.special").roots_genlaguerre(n, alpha)
+        want, _ = special.roots_genlaguerre(n, alpha)
         got = laguerre_nodes(n, alpha)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 

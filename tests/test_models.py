@@ -20,10 +20,10 @@ from qesbethe.models import (
     sector_dimension,
     spec_from_json,
     spec_to_json_dict,
-    symmetric_coefficients,
 )
 
 from conftest import ALL_FAMILIES, draw_params
+from reference_algebra import symmetric_coefficients
 
 
 class TestValidation:
@@ -195,6 +195,9 @@ class TestSectorDimension:
 
 
 class TestSymmetricCoefficients:
+    """The symmetric-coefficient expansion behind the paper's type-II
+    eigenvalue formulas (``reference_algebra.paper_eigenvalue``)."""
+
     def test_unit_parameters(self):
         spec = model_spec("sextic-ii", M=2, sector="even", a=1, b=1, c=1, d=1)
         np.testing.assert_allclose(symmetric_coefficients(spec).deltas, [1, 4, 6, 4, 1])

@@ -2,8 +2,10 @@
 
 Modules branch on the facts in ``models.FAMILIES`` (coordinate, sector
 split, kinematic denominator, ...), never on the family itself; only the
-closed-form per-family formulas and the parameter validation compare
-``ModelFamily`` members.  The other guards below keep single routes for
+formulas that define a model (compensation coefficient, potential phase,
+pseudo-ground state) and the parameter validation compare ``ModelFamily``
+members.  The eigenvalue is read off the eigen-equation, so ``bethe``
+names no family.  The other guards below keep single routes for
 the subspace matrix, the Newton linear algebra, root extraction and root
 set construction, and keep module internals private.
 """
@@ -19,9 +21,6 @@ FORMULA_FUNCTIONS = {
     "_validate",
     "compensation_coefficient",
     "v_phase",
-    "symmetric_coefficients",
-    "eigenvalue_from_roots",
-    "restricted_eigenvalue",
     "_log_phi0_squared_x",
 }
 
