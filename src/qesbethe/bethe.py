@@ -31,6 +31,7 @@ from .models import (
     numerator_constants,
     potential_v,
     potential_v_star,
+    step,
     v_phase,
 )
 from .numerics import NewtonOptions, newton_solve
@@ -275,23 +276,18 @@ def newton_polish(
 def _eigen_equation_at(spec: ModelSpec, roots_eta: Sequence[complex], x0: complex) -> complex:
     """E from H~ Psi = E Psi at the point x0, Psi built from the roots.
 
-    The shifted wavefunctions enter as Psi(x0 -+ i)/Psi(x0) (z -> qz, z/q
-    for the trigonometric family), each a product of per-root ratios, so
-    that no product of far-out roots over- or underflows."""
-    if spec.info.coordinate is Coordinate.COS:
-        q = spec.real_param("q")
-        z0 = cmath.exp(1j * x0)
-        eta_minus, eta_plus = (0.5 * (w + 1.0 / w) for w in (q * z0, z0 / q))
-    else:
-        eta_minus, eta_plus = eta(spec, np.array([x0 - 1j, x0 + 1j])).tolist()
-    eta0 = eta(spec, x0)
-    r_minus = r_plus = 1.0 + 0j
+    The shifted wavefunctions enter as Psi(x0 -+ s)/Psi(x0), s the step of
+    H~ (``models.step``), each a product of per-root ratios, so that no
+    product of far-out roots over- or underflows."""
+    s = step(spec)
+    eta0, eta_minus, eta_plus = eta(spec, np.array([x0, x0 - s, x0 + s])).tolist()
+    r_minus = r_plus = 1.0
     for e in roots_eta:
         r_minus *= (eta_minus - e) / (eta0 - e)
         r_plus *= (eta_plus - e) / (eta0 - e)
     if spec.sector is Sector.ODD:
-        r_minus *= (x0 - 1j) / x0
-        r_plus *= (x0 + 1j) / x0
+        r_minus *= (x0 - s) / x0
+        r_plus *= (x0 + s) / x0
     return (
         potential_v(spec, x0) * (r_minus - 1.0)
         + potential_v_star(spec, x0) * (r_plus - 1.0)

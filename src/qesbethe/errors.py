@@ -60,6 +60,10 @@ class SubspaceLeak(QesError):
     there)."""
 
 
+class NonFiniteEntries(QesError):
+    """The transformed Hamiltonian's entries left the double range (inf or NaN)."""
+
+
 class DegenerateRoots(QesError):
     """Two Bethe roots coincide below separation tolerance."""
 

@@ -26,7 +26,7 @@ bugs.  It is not a pure bug detector: for trig-q from M ~ 10 the monomial
 eta route loses digits, and the division, symmetry and leak checks fail
 on a growing share of draws (11-13% at M = 12) although the operator is
 exact there at 60 digits, so such a failure is a conditioning artifact.
-Every column is checked on its own (division remainder, then z -> 1/z
+Every column is checked on its own (finiteness, division remainder, z -> 1/z
 symmetry, then leak), and a failure names the lowest failing column.
 """
 
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InexactDivision, InversionAsymmetry, SubspaceLeak
+from .errors import InexactDivision, InversionAsymmetry, NonFiniteEntries, SubspaceLeak
 from .models import (
     Coordinate,
     ModelSpec,
@@ -225,11 +225,16 @@ def _subspace_matrix(spec: ModelSpec, rows: np.ndarray, lo: int, dim: int) -> np
     """(dim x rows) coordinates of H~ on each coefficient row in the first
     ``dim`` basis vectors.
 
-    Each row is checked for exact division, z -> 1/z symmetry (trig-q) and
-    leaks out of the subspace; the lowest failing row raises the error of
-    the first check it fails, naming it as column k.
+    A row with a non-finite image raises first; then each row is checked for
+    exact division, z -> 1/z symmetry (trig-q) and leaks out of the subspace,
+    and the lowest failing row raises the error of the first check it fails.
     """
     image, image_lo, inexact = _images(spec, rows, lo)
+    bad = np.flatnonzero(~np.isfinite(image).all(axis=1))
+    if bad.size:
+        raise NonFiniteEntries(
+            f"column {bad[0]} of {spec.family.value} (M={spec.M}): entries left the double range"
+        )
     if spec.info.coordinate is Coordinate.COS:
         coeffs, asymmetric = symmetric_rows_to_eta(image, image_lo)
     else:

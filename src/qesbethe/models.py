@@ -15,6 +15,10 @@ degree-M invariant polynomial subspace:
 branches on; only the formulas that define a model (validation, the phase
 of V, the compensation coefficient) dispatch on the family itself.
 
+Every family is one difference operator, H~ Psi = V(x) [Psi(x - s) - Psi(x)]
++ V*(x) [Psi(x + s) - Psi(x)] + alpha_M(x) Psi(x), whose step s (``step``) is
+i for the x-families and i ln q for trig-q, where x - s is z -> qz.
+
 The conjugate potential V*(x) is the *analytic* conjugate: parameters are
 conjugated while x stays a free complex variable.  This convention is
 load-bearing: Bethe roots are generally complex, and every residual below
@@ -190,15 +194,15 @@ def model_spec(
     formal-limit tests that pin parameters at excluded values); the
     finiteness and sector consistency checks always run.
     """
-    if isinstance(family, str):
+    if not isinstance(family, ModelFamily):
         family = ModelFamily(family)
     if sector is None:
         if FAMILIES[family].parity_sectors:
             sector = Sector.EVEN if M % 2 == 0 else Sector.ODD
         else:
             sector = Sector.FULL
-    elif isinstance(sector, str):
-        sector = Sector(sector.lower())
+    elif not isinstance(sector, Sector):
+        sector = Sector(sector.lower() if isinstance(sector, str) else sector)
     names = FAMILIES[family].param_names
     unknown = set(params) - set(names)
     if unknown:
@@ -262,9 +266,12 @@ def spec_from_json(doc: str | bytes | Mapping[str, Any] | Path) -> ModelSpec:
         raise ValueError("params must be a JSON object")
     params: dict[str, complex] = {}
     for name, val in params_doc.items():
+        parts = val if isinstance(val, (list, tuple)) else [val]
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in parts):
+            raise ValueError(f"parameter {name!r} must be a number or [re, im], got {val!r}")
         if isinstance(val, (int, float)):
             params[name] = complex(val)
-        elif isinstance(val, (list, tuple)) and len(val) == 2:
+        elif len(val) == 2:
             params[name] = complex(float(val[0]), float(val[1]))
         else:
             raise ValueError(f"parameter {name!r} must be a number or [re, im]")
@@ -321,62 +328,49 @@ def eta(spec: ModelSpec, x):
     return scalar_or_array(out)
 
 
-def _raise_on_pole(pole: np.ndarray, x: np.ndarray, what: str) -> None:
+def step(spec: ModelSpec) -> complex:
+    """The step s of H~ (module docstring): i for the x-families, i ln q
+    for trig-q, so that x - s is the q-shift z -> qz."""
+    if spec.info.coordinate is Coordinate.COS:
+        return 1j * math.log(spec.real_param("q"))
+    return 1j
+
+
+def _potential(spec: ModelSpec, x, conjugated: bool):
+    """V(x), or its analytic conjugate V*(x), elementwise; raises
+    PoleOfPotential on denominator zeros, naming the first such x."""
+    x = np.asarray(x, dtype=complex)
+    if spec.info.coordinate is Coordinate.COS:
+        # V*(z) = V(1/z) for real parameters: V* at x is V at z = e^{-ix}
+        z = np.exp(-1j * x if conjugated else 1j * x)
+        num = np.ones_like(z)
+        for p in numerator_constants(spec):
+            num = num * (1.0 - p * z)
+        den = (1.0 - z * z) * (1.0 - spec.real_param("q") * z * z)
+    else:
+        phase = v_phase(spec)
+        num = np.full_like(x, phase.conjugate() if conjugated else phase)
+        for p in numerator_constants(spec):
+            num = num * (p.conjugate() - 1j * x if conjugated else p + 1j * x)
+        if not spec.info.kinematic_denominator:
+            return scalar_or_array(num)
+        t = -2j * x if conjugated else 2j * x
+        den = t * (t + 1.0)
+    pole = np.abs(den) < POLE_TOL
     if pole.any():
-        raise PoleOfPotential(f"{what} pole at {x[pole].flat[0]}")
+        raise PoleOfPotential(f"{'V*' if conjugated else 'V'}(x) pole at x = {x[pole].flat[0]}")
+    return scalar_or_array(num / den)
 
 
 def potential_v(spec: ModelSpec, x):
     """V(x), elementwise over an array of points; raises PoleOfPotential on
     denominator zeros, naming the first such point."""
-    x = np.asarray(x, dtype=complex)
-    if spec.info.coordinate is Coordinate.COS:
-        return potential_v_z(spec, np.exp(1j * x))
-    num = np.full_like(x, v_phase(spec))
-    for p in numerator_constants(spec):
-        num = num * (p + 1j * x)
-    if spec.info.kinematic_denominator:
-        den = 2j * x * (2j * x + 1.0)
-        _raise_on_pole(np.abs(den) < POLE_TOL, x, "V(x)")
-        num = num / den
-    return scalar_or_array(num)
+    return _potential(spec, x, conjugated=False)
 
 
 def potential_v_star(spec: ModelSpec, x):
     """Analytic conjugate V(x)*: parameters conjugated, x left free."""
-    x = np.asarray(x, dtype=complex)
-    if spec.info.coordinate is Coordinate.COS:
-        return potential_v_star_z(spec, np.exp(1j * x))
-    num = np.full_like(x, v_phase(spec).conjugate())
-    for p in numerator_constants(spec):
-        num = num * (p.conjugate() - 1j * x)
-    if spec.info.kinematic_denominator:
-        den = -2j * x * (-2j * x + 1.0)
-        _raise_on_pole(np.abs(den) < POLE_TOL, x, "V*(x)")
-        num = num / den
-    return scalar_or_array(num)
-
-
-def potential_v_z(spec: ModelSpec, z):
-    """Trigonometric-family V as a function of z = e^{ix}."""
-    if spec.info.coordinate is not Coordinate.COS:
-        raise UnsupportedFamily("z-form potential is defined for trig-q only")
-    z = np.asarray(z, dtype=complex)
-    q = spec.real_param("q")
-    den = (1.0 - z * z) * (1.0 - q * z * z)
-    _raise_on_pole(np.abs(den) < POLE_TOL, z, "V(z)")
-    num = np.ones_like(z)
-    for p in numerator_constants(spec):
-        num = num * (1.0 - p * z)
-    return scalar_or_array(num / den)
-
-
-def potential_v_star_z(spec: ModelSpec, z):
-    if spec.info.coordinate is not Coordinate.COS:
-        raise UnsupportedFamily("z-form potential is defined for trig-q only")
-    z = np.asarray(z, dtype=complex)
-    _raise_on_pole(np.abs(z) < POLE_TOL, z, "V*(z)")
-    return potential_v_z(spec, 1.0 / z)
+    return _potential(spec, x, conjugated=True)
 
 
 def compensation_coefficient(spec: ModelSpec) -> complex:

@@ -6,9 +6,9 @@ of q-Pochhammer symbols for the trigonometric one.  Working with the square
 removes every square-root branch decision while still validating the
 factorized structure of the Hamiltonian through the zero-mode identity
 
-    V*(x - i/2) phi0^2(x - i/2) = V(x + i/2) phi0^2(x + i/2)
+    V*(x - s/2) phi0^2(x - s/2) = V(x + s/2) phi0^2(x + s/2),
 
-(with half q-steps z -> q^(+-1/2) z in the trigonometric case).
+s the step of H~ (``models.step``): i, or i ln q in the trigonometric case.
 
 The Schroedinger residual below re-evaluates the transformed Hamiltonian
 pointwise, shift by shift, with no polynomial algebra involved; it is an
@@ -24,7 +24,6 @@ over (points x roots).
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +40,7 @@ from .models import (
     numerator_constants,
     potential_v,
     potential_v_star,
-    potential_v_star_z,
-    potential_v_z,
+    step,
     v_phase,
 )
 from .numerics import gamma_poles, log_gamma, q_pochhammer_inf, scalar_or_array
@@ -143,19 +141,17 @@ def zero_mode_residual(spec: ModelSpec, x):
     cancel before exponentiation.
     """
     pts = _points(x)
+    half = step(spec) / 2
     if spec.info.coordinate is Coordinate.COS:
-        q = spec.real_param("q")
-        z = np.exp(1j * pts)
-        sq = math.sqrt(q)
-        w = np.stack([sq * z, z / sq])
-        # V*(w) = V(1/w): both potentials in one call
-        v = potential_v_z(spec, np.stack([1.0 / w[0], w[1]]))
-        lhs, rhs = v * phi0_squared_z(spec, w)
+        minus, plus = pts - half, pts + half
+        phi_minus, phi_plus = phi0_squared_z(spec, np.exp(1j * np.stack([minus, plus])))
+        lhs = potential_v_star(spec, minus) * phi_minus
+        rhs = potential_v(spec, plus) * phi_plus
         res = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), EPS)
         return _shaped(res, x)
-    log_v_star = _log_potential(spec, pts, -0.5j, conjugated=True)
-    log_v = _log_potential(spec, pts, 0.5j, conjugated=False)
-    log_phi = _log_phi0_squared_x(spec, pts, (-0.5j, 0.5j))
+    log_v_star = _log_potential(spec, pts, -half, conjugated=True)
+    log_v = _log_potential(spec, pts, half, conjugated=False)
+    log_phi = _log_phi0_squared_x(spec, pts, (-half, half))
     delta = np.exp((log_v_star + log_phi[0]) - (log_v + log_phi[1]))
     return _shaped(np.abs(delta - 1.0) / np.maximum(1.0, np.abs(delta)), x)
 
@@ -177,17 +173,12 @@ def phi0_squared_z(spec: ModelSpec, z):
     return scalar_or_array(num / den)
 
 
-def _psi_at_eta(sol: BetheSolution, e: np.ndarray) -> np.ndarray:
-    """prod_l (e - eta_l) elementwise: one product over (points x roots)."""
-    roots = np.asarray(sol.roots.roots_eta, dtype=complex)
-    return np.prod(e[..., None] - roots, axis=-1)
-
-
 def eigenfunction_value(spec: ModelSpec, sol: BetheSolution, x):
     """Polynomial part Psi(x) = prod (eta(x) - eta_l), times x in the odd
     sextic sector, evaluated from the Bethe roots at a point or an array."""
     pts = np.asarray(x, dtype=complex)
-    out = _psi_at_eta(sol, np.asarray(eta(spec, pts)))
+    roots = np.asarray(sol.roots.roots_eta, dtype=complex)
+    out = np.prod(np.asarray(eta(spec, pts))[..., None] - roots, axis=-1)
     if spec.sector is Sector.ODD:
         out = out * pts
     return scalar_or_array(out)
@@ -198,17 +189,10 @@ def schrodinger_residual(spec: ModelSpec, sol: BetheSolution, x):
     direct evaluation of the shifted wavefunction (independent of the
     matrix construction)."""
     pts = _points(x)
-    if spec.info.coordinate is Coordinate.COS:
-        q = spec.real_param("q")
-        z = np.exp(1j * pts)
-        w = np.stack([q * z, z / q])
-        psi, psi_m, psi_p = _psi_at_eta(sol, np.concatenate([[eta(spec, pts)], 0.5 * (w + 1.0 / w)]))
-        v = potential_v_z(spec, z)
-        vs = potential_v_star_z(spec, z)
-    else:
-        psi, psi_m, psi_p = eigenfunction_value(spec, sol, np.stack([pts, pts - 1j, pts + 1j]))
-        v = potential_v(spec, pts)
-        vs = potential_v_star(spec, pts)
+    s = step(spec)
+    psi, psi_m, psi_p = eigenfunction_value(spec, sol, np.stack([pts, pts - s, pts + s]))
+    v = potential_v(spec, pts)
+    vs = potential_v_star(spec, pts)
     t1 = v * (psi_m - psi)
     t2 = vs * (psi_p - psi)
     t3 = compensation_alpha(spec, pts) * psi

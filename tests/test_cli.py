@@ -61,6 +61,31 @@ class TestSolveCommand:
         jsonschema.validate(parsed, SCHEMA)
         assert parsed["spec"]["family"] == "sextic-i"
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            pytest.param({"family": 5}, "not a valid ModelFamily", id="family-number"),
+            pytest.param({"sector": 5}, "not a valid Sector", id="sector-number"),
+            pytest.param({"sector": ["odd"]}, "not a valid Sector", id="sector-list"),
+            pytest.param({"params": {"a": True, "b": 2.0, "c": 3.0}}, "got True", id="param-bool"),
+            pytest.param(
+                {"params": {"a": [1.0, False], "b": 2.0, "c": 3.0}}, "got [1.0, False]",
+                id="pair-bool",
+            ),
+            pytest.param(
+                {"params": {"a": ["1.5", 0.0], "b": 2.0, "c": 3.0}}, "got ['1.5', 0.0]",
+                id="pair-string",
+            ),
+        ],
+    )
+    def test_spec_file_wrong_type_exit_one(self, capsys, tmp_path, change, message):
+        doc = {"family": "sextic-i", "params": {"a": 1.0, "b": 2.0, "c": 3.0}, "M": 3, **change}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["solve", "--spec", str(path)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("qesbethe: error:") and message in err
+
     def test_homotopy_seed_mode(self, capsys):
         code, out, _ = run_cli(WORKED_EXAMPLE + ["--seed", "homotopy"], capsys)
         assert code == 0
@@ -421,6 +446,16 @@ class TestDumpMatrix:
         golden = json.loads((GOLDEN_DIR / "dump_matrix_m1.json").read_text())
         assert doc["dim"] == golden["dim"]
         np.testing.assert_allclose(doc["entries"], golden["entries"], atol=1e-14)
+
+    def test_overflowing_entries_exit_one(self, capsys):
+        with np.errstate(all="ignore"):
+            code, out, err = run_cli(
+                ["dump-matrix", "--family", "sextic-i", "--a", "1e120", "--b", "1e120",
+                 "--c", "1e120", "--M", "2"],
+                capsys,
+            )
+        assert code == 1 and out == ""
+        assert err.startswith("qesbethe: error:") and "double range" in err
 
 
 class TestGoldenDocuments:

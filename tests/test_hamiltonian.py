@@ -7,6 +7,7 @@ import pytest
 from qesbethe.errors import (
     InexactDivision,
     InversionAsymmetry,
+    NonFiniteEntries,
     QesError,
     SubspaceLeak,
 )
@@ -27,6 +28,15 @@ from reference_algebra import poly_monomial
 SMALL_Q = {
     "a": -0.9398719807268364, "b": -0.3818273713280253, "c": -0.5078527658045231,
     "d": 0.34278857787486716, "e": -0.25879689678089307, "q": 0.027745383598455645,
+}
+
+# parameters that model_spec accepts but whose H~ entries overflow doubles
+HUGE = {
+    "mp-crossed": {"a1": 1e200, "a2": 1e200, "beta": 0.3},
+    "sextic-i": dict.fromkeys("abc", 1e120),
+    "sextic-ii": dict.fromkeys("abcd", 1e120),
+    "centrifugal-i": dict.fromkeys("bcdef", 1e80),
+    "centrifugal-ii": dict.fromkeys("abcdef", 1e80),
 }
 
 
@@ -146,6 +156,14 @@ class TestBuildMatrix:
         message = str(exc.value)
         assert "trig-q" in message and "M=4" in message
         assert "q=0.027745383598455645" in message and "z -> 1/z" in message
+
+    @pytest.mark.parametrize("family", sorted(HUGE))
+    def test_overflowing_entries_raise_typed_error(self, family):
+        spec = model_spec(family, M=2, **HUGE[family])
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteEntries) as exc:
+            build_matrix(spec)
+        assert f"column 0 of {family}" in str(exc.value)
+        assert "double range" in str(exc.value)
 
 
 _NUMBER = re.compile(r"[-+]?\d+\.\d+e[-+]\d+")

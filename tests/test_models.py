@@ -20,9 +20,10 @@ from qesbethe.models import (
     sector_dimension,
     spec_from_json,
     spec_to_json_dict,
+    step,
 )
 
-from conftest import ALL_FAMILIES, draw_params
+from conftest import ALL_FAMILIES, draw_params, spec_for
 from reference_algebra import symmetric_coefficients
 
 
@@ -135,8 +136,9 @@ class TestPotential:
                 assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
     def test_reflection_parity(self, rng):
-        # V(-x) = V*(x) for the parity-invariant families
-        for family in ("sextic-i", "sextic-ii", "centrifugal-i", "centrifugal-ii"):
+        # V(-x) = V*(x) for the parity-invariant families, and for trig-q,
+        # where V* is V at z = e^{-ix}
+        for family in ("sextic-i", "sextic-ii", "centrifugal-i", "centrifugal-ii", "trig-q"):
             spec = model_spec(
                 family,
                 M=2,
@@ -148,6 +150,22 @@ class TestPotential:
                 lhs = potential_v(spec, -x)
                 rhs = potential_v_star(spec, x)
                 assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+class TestStep:
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_eta_at_the_step_is_the_matrix_build_shift(self, family, rng):
+        # the matrix build shifts x -> x -+ i, or z -> qz, z/q for trig-q
+        spec = spec_for(family, 2, rng)
+        for x in (0.37 + 0.11j, -1.2 + 0.4j, 2.1 - 0.3j):
+            got = eta(spec, np.array([x - step(spec), x + step(spec)]))
+            if family == "trig-q":
+                q, z = spec.real_param("q"), cmath.exp(1j * x)
+                w = np.array([q * z, z / q])
+                want = 0.5 * (w + 1.0 / w)
+            else:
+                want = eta(spec, np.array([x - 1j, x + 1j]))
+            np.testing.assert_allclose(got, want, rtol=1e-14)
 
 
 class TestCompensation:

@@ -6,8 +6,9 @@ formulas that define a model (compensation coefficient, potential phase,
 pseudo-ground state) and the parameter validation compare ``ModelFamily``
 members.  The eigenvalue is read off the eigen-equation, so ``bethe``
 names no family.  The other guards below keep single routes for
-the subspace matrix, the Newton linear algebra, root extraction and root
-set construction, and keep module internals private.
+the subspace matrix, the Newton linear algebra, root extraction, root
+set construction and the pointwise shift of H~ (``models.step``), keep
+module internals private, and keep every import in use.
 """
 
 import ast
@@ -339,3 +340,108 @@ def test_private_import_guard_sees_each_form():
     assert _private_imports(tree) == [
         ("_residual_map", 1), ("_gauge_z", 2), ("_sides", 8), ("_validate", 10)
     ]
+
+
+# models.step is the one place that knows how H~ shifts a point: the
+# pointwise evaluators take it from there, with no per-coordinate branch
+# and no hard-coded shift, and V, V* have no second (z-form) body.
+
+POINTWISE_EVALUATORS = {"bethe.py": "_eigen_equation_at", "wavefun.py": "schrodinger_residual"}
+
+
+def _coordinate_uses_and_imaginary_literals(function: ast.AST) -> list[int]:
+    """Lines that name ``Coordinate`` or hold an imaginary literal."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(function)
+        if (isinstance(node, ast.Name) and node.id == "Coordinate")
+        or (isinstance(node, ast.Constant) and isinstance(node.value, complex))
+    )
+
+
+def test_no_z_form_potentials():
+    stray = [
+        f"{path.name} {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in ("potential_v_z", "potential_v_star_z", "_raise_on_pole")
+        if name in path.read_text()
+    ]
+    assert not stray, f"z-form potentials named in {stray}"
+
+
+def test_pointwise_evaluators_take_the_step_from_models():
+    for module, name in POINTWISE_EVALUATORS.items():
+        tree = ast.parse((SRC / module).read_text())
+        (function,) = [
+            n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == name
+        ]
+        lines = _coordinate_uses_and_imaginary_literals(function)
+        assert not lines, f"{module}:{name} branches on the coordinate or shifts by hand at {lines}"
+
+
+def test_step_guard_sees_each_form():
+    tree = ast.parse(
+        "def f(spec, x):\n"
+        "    if spec.info.coordinate is Coordinate.COS:\n"
+        "        return x - 1j\n"
+        "    return x + 0.5j, 1.0, 'j'\n"
+    )
+    assert _coordinate_uses_and_imaginary_literals(tree) == [2, 3, 4]
+
+
+# An import that nothing references is dead code (pyflakes' F401); names in
+# __all__ are the package's exports, and ``# noqa: F401`` marks an import
+# kept on purpose.
+
+
+def _unused_imports(source: str) -> list[tuple[str, int]]:
+    """(name, line) of every name the module imports but never reads, apart
+    from ``__future__`` imports, names in ``__all__`` and lines marked
+    ``# noqa: F401``."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        targets = getattr(node, "targets", [])
+        if any(getattr(t, "id", None) == "__all__" for t in targets):
+            used |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in used:
+                found.append((bound, node.lineno))
+    return sorted(found, key=lambda item: item[1])
+
+
+def test_every_import_is_used():
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        stray += [f"{path.name}:{line} {name}" for name, line in _unused_imports(path.read_text())]
+    assert not stray, "unused imports: " + ", ".join(stray)
+
+
+def test_unused_import_guard_sees_each_form():
+    source = (
+        "from __future__ import annotations\n"
+        "import math\n"
+        "import numpy as np\n"
+        "import os.path\n"
+        "from .models import eta, step as s\n"
+        "from .bethe import solve  # noqa: F401\n"
+        "from .spectral import (\n"
+        "    RootSet,\n"
+        "    root_set,\n"
+        ")\n"
+        "__all__ = ['RootSet']\n"
+        "def f(x: np.ndarray):\n"
+        "    math = 1\n"
+        "    return eta(x)\n"
+    )
+    assert _unused_imports(source) == [("math", 2), ("os", 4), ("s", 5), ("root_set", 7)]
