@@ -270,7 +270,11 @@ def build_matrix(spec: ModelSpec) -> OperatorMatrix:
     no column leaks outside it."""
     dim = sector_dimension(spec)
     rows, lo = basis_rows(spec, dim)
-    return OperatorMatrix(spec, dim, _subspace_matrix(spec, rows, lo, dim))
+    # entries that leave the double range are reported by the finiteness
+    # check in _subspace_matrix, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = _subspace_matrix(spec, rows, lo, dim)
+    return OperatorMatrix(spec, dim, matrix)
 
 
 def matrix_dump_dict(om: OperatorMatrix) -> dict:

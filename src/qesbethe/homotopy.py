@@ -17,19 +17,24 @@ The trigonometric escaped roots are seeded on a geometric q-ladder
 z ~ -(abcde) q^{2m + 2k}.
 
 Each leg takes CONTINUATION_STEPS equal steps in the continuation
-parameter.  Every step is a Newton correction that starts from the last
-step's Jacobian, rescaled to the new relative units, and holds it while
-||f|| keeps at least halving (simplified Newton, ``numerics.newton_solve``);
-a fresh finite-difference Jacobian is built only when it does not.
+parameter.  A step starts the near roots where the last step left them
+and predicts the escaped ones by moving them along the same leading-order
+law (``_far_seeds``) to the new parameter value: x ~ 1/beta for the crossed
+family, z ~ a for the trigonometric one.  Every step is then a Newton
+correction that starts from the last step's Jacobian, rescaled to the new
+relative units, and holds it while ||f|| keeps at least halving (simplified
+Newton, ``numerics.newton_solve``); a fresh finite-difference Jacobian is
+built only when it does not.
 
 Start states come from the same oracle and root extraction as every other
 solve: ``oracle_spectrum`` of the start model's matrix, whose graded branch
 gives each exactly solvable state its true degree m, then ``extract_roots``.
 A start spectrum the oracle flags degenerate seeds no leg at all.
 
-A leg that fails anywhere (roots of its start eigenpolynomial, a Newton
-correction, the eigenvalue formula) or lands on no oracle eigenvalue is
-dropped on its own; the caller seeds that state from the oracle instead.
+A leg that fails anywhere (roots of its start eigenpolynomial, escaped
+roots that the leading-order law puts at 0, a Newton correction, the
+eigenvalue formula) or lands on no oracle eigenvalue is dropped on its
+own; the caller seeds that state from the oracle instead.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from dataclasses import replace as dc_replace
 import numpy as np
 
 from .bethe import eigenvalue_from_roots, residual_map, trig_far_ladder
-from .errors import QesError
+from .errors import DegenerateRoots, QesError
 from .hamiltonian import build_matrix
 from .models import Coordinate, ModelSpec
 from .numerics import NewtonOptions, newton_solve
@@ -61,17 +66,20 @@ def _continued(spec: ModelSpec, value: float) -> ModelSpec:
     return dc_replace(spec, params={**spec.params, spec.info.continuation: value})
 
 
-def _far_seeds(spec: ModelSpec, m: int, t1: float) -> list[complex]:
-    """First-step positions of the M - m roots that the degree-m start
-    state has at infinity, for the continuation parameter at t1."""
+def _far_seeds(spec: ModelSpec, m: int, t: float) -> list[complex]:
+    """Leading-order positions, at the continuation parameter t, of the
+    M - m roots that the degree-m start state has at infinity: x ~ -u/(2t)
+    for the crossed family, z ~ -(abcde) q^(2k) with a = t for the
+    trigonometric one.  This is the one home of the escaped-root law; it
+    seeds a leg's first step and predicts every later one."""
     n = spec.M - m
     if n == 0:
         return []
     if spec.info.coordinate is Coordinate.COS:
-        return trig_far_ladder(_continued(spec, t1), list(range(m, spec.M)))
+        return trig_far_ladder(_continued(spec, t), list(range(m, spec.M)))
     sum_re = 2.0 * (spec.param("a1").real + spec.param("a2").real)
     alpha = 2.0 * m + sum_re - 1.0
-    return [complex(-u / (2.0 * t1)) for u in laguerre_nodes(n, alpha)]
+    return [complex(-u / (2.0 * t)) for u in laguerre_nodes(n, alpha)]
 
 
 def laguerre_nodes(n: int, alpha: float) -> np.ndarray:
@@ -117,13 +125,20 @@ def _continuation_leg(
     native = native_values(spec, extract_roots(pair, start, expected=m))
     if target == 0.0:
         return native
-    far = _far_seeds(spec, m, target / CONTINUATION_STEPS)
-    native = np.asarray(list(native) + far, dtype=complex)
+    ts = [(k + 1) / CONTINUATION_STEPS * target for k in range(CONTINUATION_STEPS)]
+    far = np.array([_far_seeds(spec, m, t) for t in ts], dtype=complex)
+    if not far.all():
+        raise DegenerateRoots(
+            f"the leading-order law puts escaped roots of the degree-{m} start state at 0"
+        )
+    native = np.concatenate([native, far[0]])
     jacobian = None
-    for k in range(CONTINUATION_STEPS):
-        spec_t = _continued(spec, (k + 1) / CONTINUATION_STEPS * target)
+    for k, t in enumerate(ts):
+        if k:
+            # predictor: move the escaped roots along their leading-order law
+            native[m:] *= far[k] / far[k - 1]
         tol = STEP_TOL if k + 1 < CONTINUATION_STEPS else 0.1 * STEP_TOL
-        native, jacobian = _step_newton(spec_t, native, tol, jacobian)
+        native, jacobian = _step_newton(_continued(spec, t), native, tol, jacobian)
     return native
 
 

@@ -269,12 +269,12 @@ def spec_from_json(doc: str | bytes | Mapping[str, Any] | Path) -> ModelSpec:
         parts = val if isinstance(val, (list, tuple)) else [val]
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in parts):
             raise ValueError(f"parameter {name!r} must be a number or [re, im], got {val!r}")
-        if isinstance(val, (int, float)):
-            params[name] = complex(val)
-        elif len(val) == 2:
-            params[name] = complex(float(val[0]), float(val[1]))
-        else:
+        if not isinstance(val, (int, float)) and len(val) != 2:
             raise ValueError(f"parameter {name!r} must be a number or [re, im]")
+        try:
+            params[name] = complex(*map(float, parts))
+        except OverflowError:
+            raise ValueError(f"parameter {name!r} is beyond the double range") from None
     m = doc["M"]
     if not isinstance(m, int) or isinstance(m, bool):
         raise ValueError("M must be an integer")

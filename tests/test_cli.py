@@ -86,6 +86,14 @@ class TestSolveCommand:
         assert code == 1 and out == ""
         assert err.startswith("qesbethe: error:") and message in err
 
+    def test_spec_integer_beyond_double_range_exit_one(self, capsys, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"family": "sextic-i", "params": {"a": 1%s, "b": 2, "c": 3}, "M": 2}'
+                        % ("0" * 400))
+        code, out, err = run_cli(["solve", "--spec", str(path)], capsys)
+        assert code == 1 and out == ""
+        assert err == "qesbethe: error: parameter 'a' is beyond the double range\n"
+
     def test_homotopy_seed_mode(self, capsys):
         code, out, _ = run_cli(WORKED_EXAMPLE + ["--seed", "homotopy"], capsys)
         assert code == 0
@@ -448,14 +456,15 @@ class TestDumpMatrix:
         np.testing.assert_allclose(doc["entries"], golden["entries"], atol=1e-14)
 
     def test_overflowing_entries_exit_one(self, capsys):
-        with np.errstate(all="ignore"):
-            code, out, err = run_cli(
-                ["dump-matrix", "--family", "sextic-i", "--a", "1e120", "--b", "1e120",
-                 "--c", "1e120", "--M", "2"],
-                capsys,
-            )
+        code, out, err = run_cli(
+            ["dump-matrix", "--family", "sextic-i", "--a", "1e120", "--b", "1e120",
+             "--c", "1e120", "--M", "2"],
+            capsys,
+        )
         assert code == 1 and out == ""
-        assert err.startswith("qesbethe: error:") and "double range" in err
+        assert err == (
+            "qesbethe: error: column 0 of sextic-i (M=2): entries left the double range\n"
+        )
 
 
 class TestGoldenDocuments:

@@ -6,7 +6,12 @@ from qesbethe import homotopy
 from qesbethe.bethe import solve
 from qesbethe.errors import NoConvergence
 from qesbethe.hamiltonian import build_matrix
-from qesbethe.homotopy import CONTINUATION_STEPS, homotopy_root_sets, laguerre_nodes
+from qesbethe.homotopy import (
+    CONTINUATION_STEPS,
+    _continued,
+    homotopy_root_sets,
+    laguerre_nodes,
+)
 from qesbethe.models import model_spec
 from qesbethe.numerics import NewtonReport
 from qesbethe.spectral import oracle_spectrum
@@ -70,6 +75,16 @@ class TestHomotopySeeding:
             assert s.residual_max <= 1e-9
             assert s.discrepancy <= 1e-8 * max(1.0, abs(s.E_oracle))
 
+    def test_escaped_roots_at_zero_fall_back_alone(self):
+        """With b = 0 the trigonometric escaped-root law z ~ -(abcde) q^(2k)
+        puts every escaped root at z = 0, the pole of eta = (z + 1/z)/2:
+        the states that have escaped roots fall back to oracle seeds, and
+        the top state, which has none, is still continued."""
+        spec = model_spec("trig-q", M=3, a=0.5, b=0.0, c=0.25, d=0.4, e=-0.35, q=0.6)
+        sols = solve(spec, seed_mode="homotopy")
+        assert [s.seed_source for s in sols].count("homotopy") == 1
+        assert all(s.residual_max <= 1e-9 for s in sols)
+
     def test_every_start_state_of_a_wide_model_reaches_newton(self, monkeypatch):
         """At M = 32 the start eigenpolynomials of the top degrees span
         coefficient norms up to 1e19 against their exact monic leading
@@ -90,13 +105,15 @@ class TestHomotopySeeding:
         assert set(calls) == {spec.M}
 
 
-@pytest.mark.parametrize("M", (4, 6, 8))
-@pytest.mark.parametrize("family", ("mp-crossed", "trig-q"))
+@pytest.mark.parametrize(
+    ("family", "M"),
+    [(f, M) for f in ("mp-crossed", "trig-q") for M in (4, 6, 8)] + [("mp-crossed", 16)],
+)
 def test_homotopy_coverage_with_carried_jacobian(family, M, rng, monkeypatch):
-    """Every state of acceptance-range draws is reached by continuation,
-    meets criterion 1 and matches the oracle-seeded eigenvalue, while each
-    leg builds fewer finite-difference Jacobians than it takes Newton
-    iterations."""
+    """Every state of acceptance-range draws (three each up to M = 8, one at
+    M = 16) is reached by continuation, meets criterion 1 and matches the
+    oracle-seeded eigenvalue, while each leg builds fewer finite-difference
+    Jacobians than it takes Newton iterations."""
     reports = []
     real = homotopy.newton_solve
 
@@ -105,7 +122,7 @@ def test_homotopy_coverage_with_carried_jacobian(family, M, rng, monkeypatch):
         return reports[-1]
 
     monkeypatch.setattr(homotopy, "newton_solve", recorded)
-    for _ in range(3):
+    for _ in range(3 if M <= 8 else 1):
         spec = spec_for(family, M, rng)
         reports.clear()
         sols = solve(spec, seed_mode="homotopy")
@@ -150,3 +167,69 @@ def test_held_steps_solve_no_linear_system(family, M, monkeypatch):
     fd_jacobians = sum(r.fd_jacobians for _n, r in reports)
     assert 0 < fd_jacobians < sum(r.iterations for _n, r in reports)
     assert [n for n, _r in reports] == [r.fd_jacobians for _n, r in reports]
+
+
+@pytest.mark.parametrize("family", ("mp-crossed", "trig-q"))
+def test_escaped_roots_start_each_step_at_their_leading_order_position(family, monkeypatch):
+    """From the second step on, a leg starts its near roots where the last
+    step left them and moves its M - m escaped roots by the leading-order
+    law: x ~ 1/beta for the crossed family, z ~ a for the trigonometric one."""
+    steps = []
+    real = homotopy._step_newton
+
+    def recorded(spec_t, native, tol, jacobian):
+        out = real(spec_t, native, tol, jacobian)
+        steps.append((spec_t.real_param(spec_t.info.continuation), native.copy(), out[0].copy()))
+        return out
+
+    monkeypatch.setattr(homotopy, "_step_newton", recorded)
+    spec = spec_for(family, 6, np.random.default_rng(11))
+    target = spec.real_param(spec.info.continuation)
+    start = _continued(spec, 0.0)
+    for pair in oracle_spectrum(build_matrix(start)):
+        steps.clear()
+        homotopy._continuation_leg(spec, start, pair, target)
+        assert len(steps) == CONTINUATION_STEPS
+        m = pair.degree
+        for (t_prev, _in, out), (t, seed, _out) in zip(steps, steps[1:]):
+            ratio = t_prev / t if family == "mp-crossed" else t / t_prev
+            np.testing.assert_array_equal(seed[:m], out[:m])
+            np.testing.assert_allclose(seed[m:], out[m:] * ratio, rtol=1e-14, atol=0)
+
+
+# The source of 9cba8fb, which started each step from the last step's roots,
+# spends this many residual evaluations on the draws below; printed from the
+# repository root by
+#   mkdir parent && git archive 9cba8fb src | tar -x -C parent
+#   PYTHONPATH=parent/src python -c "import sys; sys.path.insert(0, 'tests'); \
+#     import test_homotopy as t; print(t.continuation_residual_evaluations())"
+UNPREDICTED_RESIDUAL_EVALUATIONS = 19167
+
+
+def continuation_residual_evaluations() -> int:
+    """Residual evaluations of every continuation step over the three
+    M = 8 mp-crossed and trig-q draws of the coverage test."""
+    count = 0
+    real = homotopy.newton_solve
+
+    def counted(f, x0, opts, jacobian=None):
+        def g(x):
+            nonlocal count
+            count += 1
+            return f(x)
+
+        return real(g, x0, opts, jacobian=jacobian)
+
+    homotopy.newton_solve = counted
+    try:
+        for family in ("mp-crossed", "trig-q"):
+            rng = np.random.default_rng(20240817)
+            for _ in range(3):
+                solve(spec_for(family, 8, rng), seed_mode="homotopy")
+    finally:
+        homotopy.newton_solve = real
+    return count
+
+
+def test_predictor_saves_residual_evaluations():
+    assert continuation_residual_evaluations() < UNPREDICTED_RESIDUAL_EVALUATIONS

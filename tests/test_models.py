@@ -276,6 +276,13 @@ class TestJson:
             with pytest.raises(ValueError, match="a1 must be finite"):
                 spec_from_json(text % literal)
 
+    def test_integer_beyond_double_range_rejected(self):
+        huge = 10**400
+        for value in (huge, [1.0, -huge]):
+            doc = {"family": "sextic-i", "params": {"a": value, "b": 1, "c": 1}, "M": 2}
+            with pytest.raises(ValueError, match="parameter 'a' is beyond the double range"):
+                spec_from_json(json.dumps(doc))
+
     def test_non_integer_m(self):
         with pytest.raises(ValueError):
             spec_from_json({"family": "sextic-i", "params": {"a": 1, "b": 1, "c": 1}, "M": 2.5})
