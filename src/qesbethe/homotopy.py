@@ -17,14 +17,20 @@ The trigonometric escaped roots are seeded on a geometric q-ladder
 z ~ -(abcde) q^{2m + 2k}.
 
 Each leg takes CONTINUATION_STEPS equal steps in the continuation
-parameter.  A step starts the near roots where the last step left them
-and predicts the escaped ones by moving them along the same leading-order
-law (``_far_seeds``) to the new parameter value: x ~ 1/beta for the crossed
-family, z ~ a for the trigonometric one.  Every step is then a Newton
-correction that starts from the last step's Jacobian, rescaled to the new
-relative units, and holds it while ||f|| keeps at least halving (simplified
-Newton, ``numerics.newton_solve``); a fresh finite-difference Jacobian is
-built only when it does not.
+parameter t.  Every root has a leading-order law: 1 for the near roots and
+``_far_seeds`` for the escaped ones (x ~ 1/beta for the crossed family,
+z ~ a for the trigonometric one).  The predictor works on each root's
+ratio to its law: the second step starts every root at the ratio the first
+step ended with, and every later step extrapolates the ratio linearly in t
+from the last two steps (the steps are equal), an error second order in
+the step length.  The corrector is Newton started from the last step's
+Jacobian, rescaled to the new relative units and inverted once.  The
+inverse is held while ||f|| keeps at least halving and is refined after
+each held step by Broyden's rank-one update (``numerics.newton_solve``);
+a fresh finite-difference Jacobian is built only when a held step fails to
+halve ||f||.  The steps before the last are corrected only to INTERMEDIATE_TOL,
+far below the predictor's error; the last one is corrected to
+0.1 * STEP_TOL.
 
 Start states come from the same oracle and root extraction as every other
 solve: ``oracle_spectrum`` of the start model's matrix, whose graded branch
@@ -58,7 +64,8 @@ from .spectral import (
 )
 
 CONTINUATION_STEPS = 12
-STEP_TOL = 1e-10
+STEP_TOL = 1e-10  # a leg's last step is corrected to 0.1 * STEP_TOL
+INTERMEDIATE_TOL = 1e-6  # every earlier step: well below the predictor's error
 
 
 def _continued(spec: ModelSpec, value: float) -> ModelSpec:
@@ -96,12 +103,15 @@ def _step_newton(
     spec: ModelSpec, native: np.ndarray, tol: float, jacobian: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """One continuation step: Newton-correct ``native`` onto the Bethe
-    equations of ``spec``, in units relative to ``native``.
+    equations of ``spec`` to ``tol``, in units relative to ``native``.
 
-    ``jacobian`` is the previous step's final Jacobian in the native
-    variables (None on a leg's first step); it is rescaled to this step's
-    units and held by simplified Newton.  Returns the corrected variables
-    and this step's final Jacobian, again in the native variables.
+    ``jacobian`` is the previous step's last finite-difference Jacobian in
+    the native variables (None on a leg's first step); it is rescaled to
+    this step's units and its inverse is held and Broyden-updated by
+    ``newton_solve``.  Returns the corrected variables and this step's last
+    finite-difference Jacobian (or the one it was given, if it built none),
+    again in the native variables; the Broyden-updated inverse stays
+    behind.
     """
     g = residual_map(spec)
     units = np.where(np.abs(native) > 1e-250, np.abs(native), 1.0)
@@ -131,14 +141,22 @@ def _continuation_leg(
         raise DegenerateRoots(
             f"the leading-order law puts escaped roots of the degree-{m} start state at 0"
         )
+    # every root's leading-order law: 1 for the near roots, _far_seeds for
+    # the escaped ones; the predictor extrapolates each root's ratio to it
+    law = np.ones((CONTINUATION_STEPS, spec.M), dtype=complex)
+    law[:, m:] = far
     native = np.concatenate([native, far[0]])
+    r_prev = r_last = None
     jacobian = None
     for k, t in enumerate(ts):
         if k:
-            # predictor: move the escaped roots along their leading-order law
-            native[m:] *= far[k] / far[k - 1]
-        tol = STEP_TOL if k + 1 < CONTINUATION_STEPS else 0.1 * STEP_TOL
+            # linear in t, since the steps are equal; the second step has
+            # one ratio to go on and just follows the law
+            r = r_last if k == 1 else 2.0 * r_last - r_prev
+            native = law[k] * r
+        tol = INTERMEDIATE_TOL if k + 1 < CONTINUATION_STEPS else 0.1 * STEP_TOL
         native, jacobian = _step_newton(_continued(spec, t), native, tol, jacobian)
+        r_prev, r_last = r_last, native / law[k]
     return native
 
 

@@ -6,7 +6,7 @@ Polynomials are dense complex coefficient sequences in a single variable,
 stored in ascending powers; many polynomials that undergo the same
 operation are the rows of one 2-D array.  Degrees stay small (a few tens),
 so every operation is the straightforward O(n^2) algorithm; no FFT or
-sparse paths.  All functions here are pure: they never mutate their
+sparse paths.  All public functions here are pure: they never mutate their
 arguments, and the only state they keep is a bounded memo of read-only
 integer tables (binomial and Chebyshev coefficients).
 """
@@ -30,7 +30,7 @@ from .errors import (
 )
 
 MAX_EIG_DIM = 256
-EIG_RESIDUAL_TOL = 1e-10  # ||A v - lambda v|| / ||A|| accepted per eigenpair
+EIG_RESIDUAL_TOL = 1e-10  # ||A v - lambda v|| / ||A||_F accepted per eigenpair
 ASYM_TOL = 1e-10  # relative z^k vs z^-k mismatch tolerated in a symmetric row
 FD_SCALE = 1e-6  # finite-difference step, relative to max(1, |x_k|)
 MAX_HALVINGS = 20  # damping halvings of one Newton step
@@ -182,9 +182,10 @@ def eig_general(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (non-normal) complex matrix, via LAPACK's balanced Hessenberg +
     shifted-QR driver.
 
-    Every pair is checked for ||A v - w v|| <= EIG_RESIDUAL_TOL * ||A||,
+    Every pair is checked for ||A v - w v|| <= EIG_RESIDUAL_TOL * ||A||_F,
     taken on A / max|A| so that no entry range overflows the check; a
-    non-finite pair fails it.
+    non-finite pair fails it.  The Frobenius norm bounds the 2-norm from
+    above and costs no SVD.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -198,14 +199,14 @@ def eig_general(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NoConvergence(f"eigensolver failed for dim {n}: {exc}") from exc
     a_max = float(np.abs(a).max()) or 1.0
     unit = a / a_max
-    scale = np.linalg.norm(unit, 2) if n > 1 else abs(unit[0, 0])
+    scale = np.linalg.norm(unit)
     v = v / np.linalg.norm(v, axis=0)
     resid = np.linalg.norm(unit @ v - v * (w / a_max), axis=0)
     bad = np.flatnonzero(~(resid <= EIG_RESIDUAL_TOL * max(scale, 1e-300)))
     if bad.size:
         raise NoConvergence(
             f"eigenpair residual {resid[bad[0]] * a_max:.3e} above "
-            f"{EIG_RESIDUAL_TOL:.1e} * ||A|| (dim {n})"
+            f"{EIG_RESIDUAL_TOL:.1e} * ||A||_F (dim {n})"
         )
     return w, v
 
@@ -250,11 +251,23 @@ def _fd_jacobian(f, x: np.ndarray) -> np.ndarray:
 
 
 def _inverse(jac: np.ndarray) -> np.ndarray | None:
-    """Inverse of a Jacobian to hold, or None when it is exactly singular."""
+    """Complex inverse of a Jacobian to hold (Broyden updates it in place),
+    or None when it is exactly singular."""
     try:
-        return np.linalg.inv(jac)
+        return np.linalg.inv(np.asarray(jac, dtype=complex))
     except np.linalg.LinAlgError:
         return None
+
+
+def _broyden_update(inv: np.ndarray, s: np.ndarray, y: np.ndarray) -> None:
+    """Broyden's "good" rank-one update of a held inverse Jacobian, in
+    place, by Sherman-Morrison: afterwards inv @ y = s (the secant
+    condition for the step s that changed the residual by y).  Skipped
+    when the update's denominator is 0."""
+    s_inv = s.conj() @ inv
+    den = s_inv @ y
+    if den != 0:
+        inv += np.outer(s - inv @ y, s_inv / den)
 
 
 def newton_solve(
@@ -270,20 +283,24 @@ def newton_solve(
     MAX_HALVINGS times) whenever the full step fails to reduce
     ||f||_inf.
 
-    With ``jacobian`` (simplified or chord Newton, for a sequence of
-    nearby problems; Allgower & Georg, *Introduction to Numerical
-    Continuation Methods*, SIAM 2003, ch. 6): the held Jacobian is inverted
-    once, and an iteration holding it takes the full step x - J^-1 f(x),
-    one residual evaluation and one matrix-vector product, keeping it only
-    if ||f||_inf at least halves or meets ``tol``.  Otherwise the step is
-    discarded, a fresh finite-difference Jacobian is built (with the same
-    condition check), the damped step above is taken with it, and that
-    Jacobian is inverted and held from then on under the same rule.  A
-    held Jacobian that is stale, or singular, never raises on its own (a
-    singular one goes straight to the refresh): ``max_iter`` bounds the
-    iterations that build a Jacobian, and the held steps between them
+    With ``jacobian`` (quasi-Newton, for a sequence of nearby problems;
+    Allgower & Georg, *Introduction to Numerical Continuation Methods*,
+    SIAM 2003, ch. 6-7): the held Jacobian is inverted once, and an
+    iteration holding the inverse takes the full step s = -J^-1 f(x), one
+    residual evaluation and no linear solve, keeping it only if ||f||_inf
+    at least halves or meets ``tol``.  A kept step refines the held inverse
+    by Broyden's "good" rank-one update (Sherman-Morrison form,
+    ``_broyden_update``; Broyden, Math. Comp. 19 (1965) 577), after which
+    it maps the step's change of f onto s (the secant condition).  Otherwise
+    the step is discarded, a fresh finite-difference Jacobian is built
+    (with the same condition check), the damped step above is taken with
+    it, and that Jacobian is inverted and held from then on under the same
+    rule.  A held Jacobian that is stale, or singular, never raises on its
+    own (a singular one goes straight to the refresh): ``max_iter`` bounds
+    the iterations that build a Jacobian, and the held steps between them
     number at most log2(||f(x0)||_inf / tol) + 1 because each one halves
-    ||f||_inf.  The report carries the Jacobian, never its inverse.
+    ||f||_inf.  The report carries the last Jacobian that was supplied or
+    built, never the Broyden-updated inverse.
     """
     x = np.asarray(list(x0), dtype=complex)
     n = x.size
@@ -300,10 +317,12 @@ def newton_solve(
             return NewtonReport(x, jac, iterations, fd_jacobians)
         iterations += 1
         if inv is not None:
-            xn = x - inv @ fx
+            s = -(inv @ fx)
+            xn = x + s
             fn = np.asarray(f(xn), dtype=complex)
             fnew = float(np.abs(fn).max())
             if fnew <= 0.5 * fnorm or fnew <= opts.tol:
+                _broyden_update(inv, s, fn - fx)
                 x, fx, fnorm = xn, fn, fnew
                 continue
         if fd_jacobians == opts.max_iter:

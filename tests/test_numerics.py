@@ -14,6 +14,7 @@ from qesbethe.errors import (
 )
 from qesbethe.numerics import (
     NewtonOptions,
+    _broyden_update,
     binomial_shift,
     chebyshev_matrix,
     convolve_rows,
@@ -326,16 +327,45 @@ class TestNewton:
         np.testing.assert_allclose(report.x, [1.0, 2.0], atol=1e-10)
 
     def test_held_steps_do_not_count_against_max_iter(self):
-        # a Jacobian 1.6x too large contracts ||f|| by 0.375 per held step,
-        # so reaching 1e-11 takes about 26 held iterations
+        # x^2 = 2 from x = 1, holding the exact Jacobian there: the secant
+        # (Broyden) steps halve ||f|| each time and take six to reach 1e-11
         report = newton_solve(
-            lambda v: np.array([v[0] - 5.0]),
-            [0.0],
+            lambda v: np.array([v[0] ** 2 - 2.0]),
+            [1.0],
             NewtonOptions(max_iter=1),
-            jacobian=np.array([[1.6]]),
+            jacobian=np.array([[2.0]]),
         )
-        assert report.fd_jacobians == 0 and report.iterations > 20
-        np.testing.assert_allclose(report.x, [5.0], atol=1e-10)
+        assert report.fd_jacobians == 0 and report.iterations > 1
+        np.testing.assert_allclose(report.x, [math.sqrt(2.0)], atol=1e-10)
+
+    def test_broyden_update_meets_the_secant_condition(self, rng):
+        n = 4
+        inv = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        s = rng.normal(size=n) + 1j * rng.normal(size=n)
+        y = rng.normal(size=n) + 1j * rng.normal(size=n)
+        updated = inv.copy()
+        _broyden_update(updated, s, y)
+        np.testing.assert_allclose(updated @ y, s, rtol=0, atol=1e-12 * np.abs(s).max())
+        # a step orthogonal to inv @ y leaves the update undefined: no update
+        s = np.array([1.0, 0.0], dtype=complex)
+        kept = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        _broyden_update(kept, s, np.array([1.0, 0.0], dtype=complex))
+        np.testing.assert_array_equal(kept, [[0.0, 1.0], [1.0, 0.0]])
+
+    def test_broyden_solves_a_linear_map_without_refresh(self):
+        # Broyden's method ends on a linear map in at most 2n steps (Gay,
+        # SIAM J. Numer. Anal. 16 (1979) 623); a held Jacobian about 20%
+        # off still halves ||f|| on every one of them
+        a = np.array([[2.0, 1.0], [0.0, 3.0]])
+        b = np.array([1.0, -2.0])
+        report = newton_solve(
+            lambda v: a @ v - b,
+            [0.0, 0.0],
+            NewtonOptions(tol=1e-12, max_iter=1),
+            jacobian=np.array([[2.4, 0.8], [0.3, 3.3]]),
+        )
+        assert report.fd_jacobians == 0 and report.iterations <= 2 * b.size + 1
+        np.testing.assert_allclose(report.x, np.linalg.solve(a, b), atol=1e-12)
 
 
 class TestLogGamma:
