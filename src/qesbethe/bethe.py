@@ -223,30 +223,25 @@ def residual_map(spec: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def newton_polish(
-    spec: ModelSpec,
-    seed: RootSet,
-    target: float = POLISH_TARGET,
+    spec: ModelSpec, seed: RootSet
 ) -> tuple[RootSet, SolutionFlags, tuple[float, ...]]:
-    """Drive the seed roots onto the Bethe equations.
+    """Drive the seed roots onto the Bethe equations, to POLISH_TARGET.
 
     Returns the root set, its flags and its Bethe residuals (as
-    ``bae_residual(spec, roots, allow_degenerate=True)``).  The iteration
-    runs in coordinates relative to the seed, so root sets spanning many
-    orders of magnitude (the q-family's geometric ladders) keep a
-    well-scaled Jacobian.  Never fatal: on singular Jacobians or
+    ``bae_residual(spec, roots, allow_degenerate=True)``).  Newton runs in
+    the native variables, in coordinates relative to the seed
+    (``numerics.newton_solve``).  Never fatal: on singular Jacobians or
     non-convergence the seed comes back unchanged with the corresponding
     flag set.
     """
     if len(seed) == 0:
         return seed, SolutionFlags(polished=True, degenerate=seed.degenerate), ()
-    v0 = native_values(spec, seed)
-    units = np.where(np.abs(v0) > 1e-250, np.abs(v0), 1.0)
-    g = residual_map(spec)
-    g_rel = lambda w: g(v0 + units * w)
     seed_res = bae_residual(spec, seed, allow_degenerate=True)
     try:
-        solved = v0 + units * newton_solve(
-            g_rel, np.zeros_like(v0), NewtonOptions(tol=0.1 * target)
+        solved = newton_solve(
+            residual_map(spec),
+            native_values(spec, seed),
+            NewtonOptions(tol=0.1 * POLISH_TARGET),
         ).x
     except SingularJacobian:
         flags = SolutionFlags(
@@ -262,7 +257,7 @@ def newton_polish(
         res = bae_residual(spec, polished, allow_degenerate=not polished.degenerate)
     except DegenerateRoots:
         return seed, SolutionFlags(polished=False, degenerate=True), seed_res
-    if max(res, default=0.0) <= max(target, max(seed_res, default=0.0)):
+    if max(res, default=0.0) <= max(POLISH_TARGET, max(seed_res, default=0.0)):
         flags = SolutionFlags(polished=True, degenerate=polished.degenerate)
         return polished, flags, res
     return seed, SolutionFlags(polished=False, degenerate=seed.degenerate), seed_res
@@ -350,34 +345,20 @@ def _chain_near_roots(spec: ModelSpec, level: int) -> RootSet:
 def _complete_truncated_roots(spec: ModelSpec, near: RootSet) -> RootSet | None:
     """Fill in the far-root rungs that underflowed the oracle eigenvector.
 
-    Only the trigonometric family develops these ladders.  The analytic
-    rung estimates carry O(q^2)-relative errors, so before handing the set
-    to the full polish the rung positions alone are corrected by Newton on
-    their own Bethe equations, with the representable roots held fixed.
+    Only the trigonometric family develops these ladders.  The representable
+    roots are completed with the analytic rung estimates (``trig_far_ladder``),
+    whose O(q^2)-relative errors the full polish in ``solve`` removes.
     Returns None when no completion is available.
     """
     if spec.info.coordinate is not Coordinate.COS:
         return None
     deg_rep = len(near)
-    missing = spec.M - deg_rep
-    if missing <= 0:
+    if spec.M <= deg_rep:
         return None
     far = trig_far_ladder(spec, list(range(deg_rep, spec.M)))
     if any(abs(z) < 1e-280 for z in far):
         return None
-    near_zs = native_values(spec, near)
-    far = np.asarray(far, dtype=complex)
-    g = residual_map(spec)
-    try:
-        w = newton_solve(
-            lambda w: g(np.concatenate([near_zs, far * w]))[deg_rep:],
-            np.ones(missing, dtype=complex),
-            NewtonOptions(tol=1e-8),
-        ).x
-        far = far * w
-    except (NoConvergence, SingularJacobian):
-        pass  # hand the raw estimates to the full polish
-    return root_set(spec, np.concatenate([near_zs, far]))
+    return root_set(spec, np.concatenate([native_values(spec, near), far]))
 
 
 # ---------------------------------------------------------------------------

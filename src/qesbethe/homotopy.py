@@ -23,12 +23,13 @@ z ~ a for the trigonometric one).  The predictor works on each root's
 ratio to its law: the second step starts every root at the ratio the first
 step ended with, and every later step extrapolates the ratio linearly in t
 from the last two steps (the steps are equal), an error second order in
-the step length.  The corrector is Newton started from the last step's
-Jacobian, rescaled to the new relative units and inverted once.  The
-inverse is held while ||f|| keeps at least halving and is refined after
-each held step by Broyden's rank-one update (``numerics.newton_solve``);
-a fresh finite-difference Jacobian is built only when a held step fails to
-halve ||f||.  The steps before the last are corrected only to INTERMEDIATE_TOL,
+the step length.  The corrector is one ``numerics.newton_solve`` call on
+``bethe.residual_map`` of the step's model, in coordinates relative to the
+predicted roots, started from the last step's Jacobian: that Jacobian is
+inverted once, the inverse is held while ||f|| keeps at least halving and
+is refined after each held step by Broyden's rank-one update, and a fresh
+finite-difference Jacobian is built only when a held step fails to halve
+||f||.  The steps before the last are corrected only to INTERMEDIATE_TOL,
 far below the predictor's error; the last one is corrected to
 0.1 * STEP_TOL.
 
@@ -99,33 +100,6 @@ def laguerre_nodes(n: int, alpha: float) -> np.ndarray:
     return np.linalg.eigvalsh(jacobi + np.diag(off, 1) + np.diag(off, -1))
 
 
-def _step_newton(
-    spec: ModelSpec, native: np.ndarray, tol: float, jacobian: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """One continuation step: Newton-correct ``native`` onto the Bethe
-    equations of ``spec`` to ``tol``, in units relative to ``native``.
-
-    ``jacobian`` is the previous step's last finite-difference Jacobian in
-    the native variables (None on a leg's first step); it is rescaled to
-    this step's units and its inverse is held and Broyden-updated by
-    ``newton_solve``.  Returns the corrected variables and this step's last
-    finite-difference Jacobian (or the one it was given, if it built none),
-    again in the native variables; the Broyden-updated inverse stays
-    behind.
-    """
-    g = residual_map(spec)
-    units = np.where(np.abs(native) > 1e-250, np.abs(native), 1.0)
-    report = newton_solve(
-        lambda t: g(native + units * t),
-        np.zeros_like(native),
-        NewtonOptions(tol=tol, max_iter=60),
-        jacobian=None if jacobian is None else jacobian * units,
-    )
-    return native + units * report.x, (
-        None if report.jacobian is None else report.jacobian / units
-    )
-
-
 def _continuation_leg(
     spec: ModelSpec, start: ModelSpec, pair: OracleEigenpair, target: float
 ) -> np.ndarray:
@@ -155,7 +129,13 @@ def _continuation_leg(
             r = r_last if k == 1 else 2.0 * r_last - r_prev
             native = law[k] * r
         tol = INTERMEDIATE_TOL if k + 1 < CONTINUATION_STEPS else 0.1 * STEP_TOL
-        native, jacobian = _step_newton(_continued(spec, t), native, tol, jacobian)
+        report = newton_solve(
+            residual_map(_continued(spec, t)),
+            native,
+            NewtonOptions(tol=tol, max_iter=60),
+            jacobian,
+        )
+        native, jacobian = report.x, report.jacobian
         r_prev, r_last = r_last, native / law[k]
     return native
 

@@ -226,8 +226,8 @@ class NewtonOptions:
 class NewtonReport:
     """Result of ``newton_solve``: the root, the last Jacobian the iteration
     stepped with (the supplied one if no step was needed; None when there
-    was neither), the Newton iterations taken and how many of them built a
-    finite-difference Jacobian."""
+    was neither), in the caller's variables, the Newton iterations taken
+    and how many of them built a finite-difference Jacobian."""
 
     x: np.ndarray
     jacobian: np.ndarray | None
@@ -278,10 +278,20 @@ def newton_solve(
 ) -> NewtonReport:
     """Damped Newton iteration on a residual map C^N -> C^N.
 
+    The iteration runs in coordinates relative to the start: it solves for
+    w with x = x0 + units * w from w = 0, units_k = |x0_k| (1 where
+    |x0_k| <= 1e-250), so that unknowns spanning many orders of magnitude
+    (the q-family's geometric root ladders) keep a well-scaled Jacobian
+    (Deuflhard, *Newton Methods for Nonlinear Problems*, Springer 2004).
+    The finite-difference steps, the halvings and the condition check all
+    act on w; ``jacobian`` is taken, and the report's Jacobian returned, in
+    the caller's variables x.
+
     Without ``jacobian`` every iteration builds a central finite-difference
-    Jacobian (step FD_SCALE * max(1, |x_k|)) and halves the update (at most
+    Jacobian (step FD_SCALE * max(1, |w_k|)) and halves the update (at most
     MAX_HALVINGS times) whenever the full step fails to reduce
-    ||f||_inf.
+    ||f||_inf.  A Jacobian with a non-finite entry, or a condition
+    estimate above COND_LIMIT, raises SingularJacobian.
 
     With ``jacobian`` (quasi-Newton, for a sequence of nearby problems;
     Allgower & Georg, *Introduction to Numerical Continuation Methods*,
@@ -293,45 +303,54 @@ def newton_solve(
     ``_broyden_update``; Broyden, Math. Comp. 19 (1965) 577), after which
     it maps the step's change of f onto s (the secant condition).  Otherwise
     the step is discarded, a fresh finite-difference Jacobian is built
-    (with the same condition check), the damped step above is taken with
-    it, and that Jacobian is inverted and held from then on under the same
-    rule.  A held Jacobian that is stale, or singular, never raises on its
-    own (a singular one goes straight to the refresh): ``max_iter`` bounds
-    the iterations that build a Jacobian, and the held steps between them
+    (with the same checks), the damped step above is taken with it, and
+    that Jacobian is inverted and held from then on under the same rule.
+    A held Jacobian that is stale, or singular, never raises on its own (a
+    singular one goes straight to the refresh): ``max_iter`` bounds the
+    iterations that build a Jacobian, and the held steps between them
     number at most log2(||f(x0)||_inf / tol) + 1 because each one halves
     ||f||_inf.  The report carries the last Jacobian that was supplied or
     built, never the Broyden-updated inverse.
     """
-    x = np.asarray(list(x0), dtype=complex)
-    n = x.size
-    if n == 0:
-        return NewtonReport(x, jacobian, 0, 0)
+    v0 = np.asarray(list(x0), dtype=complex)
+    if v0.size == 0:
+        return NewtonReport(v0, jacobian, 0, 0)
+    units = np.where(np.abs(v0) > 1e-250, np.abs(v0), 1.0)
+
+    def g(w: np.ndarray) -> np.ndarray:
+        return np.asarray(f(v0 + units * w), dtype=complex)
+
     hold = jacobian is not None
-    jac = jacobian
+    jac = jacobian * units if hold else None
     inv = _inverse(jac) if hold else None
     iterations = fd_jacobians = 0
-    fx = np.asarray(f(x), dtype=complex)
+    w = np.zeros_like(v0)
+    fx = g(w)
     fnorm = float(np.abs(fx).max())
     while True:
         if fnorm <= opts.tol:  # a NaN norm goes on, to raise below
-            return NewtonReport(x, jac, iterations, fd_jacobians)
+            jac = None if jac is None else jac / units
+            return NewtonReport(v0 + units * w, jac, iterations, fd_jacobians)
         iterations += 1
         if inv is not None:
             s = -(inv @ fx)
-            xn = x + s
-            fn = np.asarray(f(xn), dtype=complex)
+            wn = w + s
+            fn = g(wn)
             fnew = float(np.abs(fn).max())
             if fnew <= 0.5 * fnorm or fnew <= opts.tol:
                 _broyden_update(inv, s, fn - fx)
-                x, fx, fnorm = xn, fn, fnew
+                w, fx, fnorm = wn, fn, fnew
                 continue
         if fd_jacobians == opts.max_iter:
             raise NoConvergence(
                 f"Newton did not reach tol {opts.tol:.1e} within {opts.max_iter} "
                 f"iterations (||f|| = {fnorm:.3e})"
             )
-        jac = _fd_jacobian(f, x)
+        jac = _fd_jacobian(g, w)
         fd_jacobians += 1
+        bad = np.flatnonzero(~np.isfinite(jac).all(axis=0))
+        if bad.size:
+            raise SingularJacobian(f"Jacobian column {bad[0]} is not finite")
         cond = np.linalg.cond(jac)
         if not np.isfinite(cond) or cond > COND_LIMIT:
             raise SingularJacobian(f"Jacobian condition estimate {cond:.3e}")
@@ -340,8 +359,8 @@ def newton_solve(
             inv = _inverse(jac)
         lam = 1.0
         for _halving in range(MAX_HALVINGS + 1):
-            xn = x + lam * step
-            fn = np.asarray(f(xn), dtype=complex)
+            wn = w + lam * step
+            fn = g(wn)
             fnew = float(np.abs(fn).max())
             if fnew < fnorm or fnew <= opts.tol:
                 break
@@ -351,7 +370,7 @@ def newton_solve(
                 f"Newton stalled at ||f|| = {fnorm:.3e} after "
                 f"{MAX_HALVINGS} halvings"
             )
-        x, fx, fnorm = xn, fn, fnew
+        w, fx, fnorm = wn, fn, fnew
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from .bethe import BetheSolution
 from .errors import PoleOfGamma, PoleOfPotential, QesError
 from .models import (
     Coordinate,
-    ModelFamily,
     ModelSpec,
     Sector,
     compensation_alpha,
@@ -107,12 +106,17 @@ def _log_potential(spec: ModelSpec, x: np.ndarray, shift: complex, conjugated: b
 
 def _log_phi0_squared_x(spec: ModelSpec, x: np.ndarray, shifts: tuple[complex, ...]) -> np.ndarray:
     """log phi0^2 at x + s for each shift s, shape (len(shifts), x.size);
-    every Gamma argument of the call goes through one log_gamma call."""
+    every Gamma argument of the call goes through one log_gamma call.
+
+    The phase u of V (``models.v_phase``; e^{-i beta} for the crossed
+    family, 1 otherwise) fixes the linear term c y: a factor e^{c y} of
+    phi0^2 turns the zero-mode identity's ratio V* phi0^2 / V phi0^2 by
+    e^{-i c}, which must cancel the phases' ratio conj(u) / u, so
+    c = -2 arg u (= 2 beta)."""
     p = np.asarray(numerator_constants(spec), dtype=complex)[:, None, None]
     y = np.stack([x + s for s in shifts])
     iy = 1j * y
-    conj_p = p.conj() if spec.family is ModelFamily.MP_CROSSED else p
-    parts = [p + iy, conj_p - iy]
+    parts = [p + iy, p.conj() - iy]
     if spec.info.kinematic_denominator:
         parts += [2.0 * iy[None], -2.0 * iy[None]]
     args = np.concatenate(parts)
@@ -120,9 +124,7 @@ def _log_phi0_squared_x(spec: ModelSpec, x: np.ndarray, shifts: tuple[complex, .
     terms = log_gamma(args)
     n = 2 * len(p)
     out = terms[:n].sum(axis=0) - terms[n:].sum(axis=0)
-    if spec.family is ModelFamily.MP_CROSSED:
-        out = out + 2.0 * spec.real_param("beta") * y
-    return out
+    return out - 2.0 * cmath.phase(v_phase(spec)) * y
 
 
 def phi0_squared(spec: ModelSpec, x):

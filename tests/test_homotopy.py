@@ -176,18 +176,19 @@ def test_escaped_roots_start_each_step_at_their_leading_order_position(family, m
     and p = 1 for the trigonometric one (z ~ a).  The second step of a leg
     starts every root at the last step's ratio to its law; every later
     step extrapolates that ratio linearly from the last two steps."""
-    steps = []
-    real = homotopy._step_newton
-
-    def recorded(spec_t, native, tol, jacobian):
-        out = real(spec_t, native, tol, jacobian)
-        steps.append((spec_t.real_param(spec_t.info.continuation), native.copy(), out[0].copy()))
-        return out
-
-    monkeypatch.setattr(homotopy, "_step_newton", recorded)
     spec = spec_for(family, 6, np.random.default_rng(11))
     target = spec.real_param(spec.info.continuation)
     start = _continued(spec, 0.0)
+    ts = [(k + 1) / CONTINUATION_STEPS * target for k in range(CONTINUATION_STEPS)]
+    steps = []
+    real = homotopy.newton_solve
+
+    def recorded(f, x0, opts, jacobian=None):
+        report = real(f, x0, opts, jacobian)
+        steps.append((ts[len(steps)], np.array(x0), report.x.copy()))
+        return report
+
+    monkeypatch.setattr(homotopy, "newton_solve", recorded)
     for pair in oracle_spectrum(build_matrix(start)):
         steps.clear()
         homotopy._continuation_leg(spec, start, pair, target)

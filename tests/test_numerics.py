@@ -282,6 +282,37 @@ class TestNewton:
         with pytest.raises(SingularJacobian):
             newton_solve(lambda v: np.array([v[0] ** 2, v[1] ** 2]) * 0.0 + 1.0, [1.0, 1.0])
 
+    def test_non_finite_jacobian_is_singular(self):
+        # the residual is finite at the start only: the finite-difference
+        # column of the second unknown is NaN, and no SVD may run on it
+        x0 = np.array([1.0, 2.0], dtype=complex)
+
+        def f(v):
+            return np.array([v[0] - 3.0, v[1] - 3.0 if v[1] == x0[1] else np.nan])
+
+        with pytest.raises(SingularJacobian, match="column 1 is not finite"):
+            newton_solve(f, x0)
+
+    # the roots of the wide system: unknowns 400 orders of magnitude apart
+    WIDE = np.array([1e-200, 1.0, 1e200]) * np.exp(0.3j)
+
+    def wide_system(self, scale=1.0):
+        return lambda v: (v / (scale * self.WIDE)) ** 2 - 1.0
+
+    def test_unknowns_are_scaled_by_the_start(self):
+        report = newton_solve(self.wide_system(), 1.002 * self.WIDE, NewtonOptions(tol=1e-14))
+        assert report.fd_jacobians == report.iterations <= 4
+        assert np.abs(report.x / self.WIDE - 1.0).max() <= 1e-15
+
+    def test_jacobian_is_returned_in_the_callers_variables(self):
+        first = newton_solve(self.wide_system(), 1.002 * self.WIDE)
+        assert first.jacobian is not None
+        # d/dv (v/c)^2 = 2 v / c^2, taken at an iterate near v = c
+        np.testing.assert_allclose(np.diag(first.jacobian) * self.WIDE, 2.0, rtol=1e-4)
+        nearby = newton_solve(self.wide_system(1.001), first.x, jacobian=first.jacobian)
+        assert nearby.fd_jacobians == 0 < nearby.iterations
+        assert np.abs(nearby.x / (1.001 * self.WIDE) - 1.0).max() <= 1e-12
+
     def test_no_convergence(self):
         with pytest.raises(NoConvergence):
             newton_solve(

@@ -2,13 +2,14 @@
 
 Modules branch on the facts in ``models.FAMILIES`` (coordinate, sector
 split, kinematic denominator, ...), never on the family itself; only the
-formulas that define a model (compensation coefficient, potential phase,
-pseudo-ground state) and the parameter validation compare ``ModelFamily``
+formulas that define a model (compensation coefficient, potential phase)
+and the parameter validation compare ``ModelFamily``
 members.  The eigenvalue is read off the eigen-equation, so ``bethe``
 names no family.  The other guards below keep single routes for
-the subspace matrix, the Newton linear algebra, root extraction, root
-set construction and the pointwise shift of H~ (``models.step``), keep
-module internals private, and keep every import in use.
+the subspace matrix, the Newton linear algebra and its variables, root
+extraction, root set construction and the pointwise shift of H~
+(``models.step``), keep module internals private, and keep every import
+in use.
 """
 
 import ast
@@ -22,7 +23,6 @@ FORMULA_FUNCTIONS = {
     "_validate",
     "compensation_coefficient",
     "v_phase",
-    "_log_phi0_squared_x",
 }
 
 
@@ -184,6 +184,54 @@ def test_linear_solve_guard_sees_each_form():
         "    return np.linalg.eig(a), np.linalg.norm(b), x, c, s\n"
     )
     assert _linear_solves(tree) == [("<module>", 2), ("f", 4), ("f", 5), ("f", 6)]
+
+
+# newton_solve iterates in coordinates relative to its start (its
+# ``units``), so every caller hands it the Bethe residual in the native
+# variables as it comes from bethe.residual_map; a lambda or wrapper around
+# it would re-scale the variables a second time, outside the solver.
+
+
+def _newton_residuals(tree: ast.AST) -> list[tuple[bool, int]]:
+    """(whether the residual is a residual_map(...) call, line) of every
+    call of newton_solve, bare or as an attribute."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (getattr(func, "id", None) or getattr(func, "attr", None)) != "newton_solve":
+                continue
+            residual = node.args[0] if node.args else None
+            direct = isinstance(residual, ast.Call) and (
+                getattr(residual.func, "id", None) or getattr(residual.func, "attr", None)
+            ) == "residual_map"
+            found.append((direct, node.lineno))
+    return sorted(found, key=lambda item: item[1])
+
+
+def test_newton_solve_takes_the_residual_map_as_is():
+    stray, seen = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for direct, line in _newton_residuals(ast.parse(path.read_text(), filename=str(path))):
+            (seen if direct else stray).append(f"{path.name}:{line}")
+    assert seen, "newton_solve is no longer called on residual_map"
+    assert not stray, "newton_solve called on a re-scaled residual at: " + ", ".join(stray)
+
+
+def test_newton_residual_guard_sees_each_form():
+    tree = ast.parse(
+        "def f(spec, v, units):\n"
+        "    g = residual_map(spec)\n"
+        "    a = newton_solve(lambda w: g(v + units * w), v)\n"
+        "    b = newton_solve(g, v)\n"
+        "    c = numerics.newton_solve(scaled(residual_map(spec)), v)\n"
+        "    d = newton_solve(residual_map(spec), v)\n"
+        "    e = numerics.newton_solve(bethe.residual_map(spec), v, jacobian=None)\n"
+        "    return newton_solve(f=g, x0=v)\n"
+    )
+    assert _newton_residuals(tree) == [
+        (False, 3), (False, 4), (False, 5), (True, 6), (True, 7), (False, 8)
+    ]
 
 
 # Root extraction has one route: spectral.extract_roots calls
