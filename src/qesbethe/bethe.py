@@ -95,7 +95,7 @@ _Sides = Callable[[Sequence[complex]], list[tuple[complex, complex]]]
 def _sides_x(spec: ModelSpec) -> _Sides:
     """(L_j, R_j) of the x-based families as a function of the roots x_j;
     the family facts are read here, once per map."""
-    consts = numerator_constants(spec)
+    conj_pairs = [(p, p.conjugate()) for p in numerator_constants(spec)]
     pair_product = spec.info.coordinate is Coordinate.X_SQUARED
     # the l = j pair factor (2x_j - i)/(2x_j + i) cancels against the
     # kinematic denominator where V carries one, and stays otherwise
@@ -122,8 +122,8 @@ def _sides_x(spec: ModelSpec) -> _Sides:
                 lhs_den *= xj + 1j
             rhs_num = phase2
             rhs_den = 1.0 + 0j
-            for p in consts:
-                rhs_num *= p.conjugate() - 1j * xj
+            for p, p_star in conj_pairs:
+                rhs_num *= p_star - 1j * xj
                 rhs_den *= p + 1j * xj
             if self_pair:
                 rhs_num *= 2.0 * xj + 1j

@@ -25,13 +25,15 @@ step ended with, and every later step extrapolates the ratio linearly in t
 from the last two steps (the steps are equal), an error second order in
 the step length.  The corrector is one ``numerics.newton_solve`` call on
 ``bethe.residual_map`` of the step's model, in coordinates relative to the
-predicted roots, started from the last step's Jacobian: that Jacobian is
-inverted once, the inverse is held while ||f|| keeps at least halving and
-is refined after each held step by Broyden's rank-one update, and a fresh
-finite-difference Jacobian is built only when a held step fails to halve
-||f||.  The steps before the last are corrected only to INTERMEDIATE_TOL,
-far below the predictor's error; the last one is corrected to
-0.1 * STEP_TOL.
+predicted roots, started from the inverse Jacobian the last step ended
+with: that inverse is held while ||f|| keeps at least halving and is
+refined after each held step by Broyden's rank-one update, and a fresh
+finite-difference Jacobian is built and inverted only when a held step
+fails to halve ||f||, so no step re-inverts a stale Jacobian.  The steps
+before the last are corrected only to INTERMEDIATE_TOL, far below the
+predictor's error; the last one is corrected to the polish tolerance,
+0.1 * ``bethe.POLISH_TARGET``, so the polish of a continuation seed takes
+no Newton iteration.
 
 Start states come from the same oracle and root extraction as every other
 solve: ``oracle_spectrum`` of the start model's matrix, whose graded branch
@@ -50,7 +52,7 @@ from dataclasses import replace as dc_replace
 
 import numpy as np
 
-from .bethe import eigenvalue_from_roots, residual_map, trig_far_ladder
+from .bethe import POLISH_TARGET, eigenvalue_from_roots, residual_map, trig_far_ladder
 from .errors import DegenerateRoots, QesError
 from .hamiltonian import build_matrix
 from .models import Coordinate, ModelSpec
@@ -65,7 +67,6 @@ from .spectral import (
 )
 
 CONTINUATION_STEPS = 12
-STEP_TOL = 1e-10  # a leg's last step is corrected to 0.1 * STEP_TOL
 INTERMEDIATE_TOL = 1e-6  # every earlier step: well below the predictor's error
 
 
@@ -74,20 +75,21 @@ def _continued(spec: ModelSpec, value: float) -> ModelSpec:
     return dc_replace(spec, params={**spec.params, spec.info.continuation: value})
 
 
-def _far_seeds(spec: ModelSpec, m: int, t: float) -> list[complex]:
-    """Leading-order positions, at the continuation parameter t, of the
-    M - m roots that the degree-m start state has at infinity: x ~ -u/(2t)
-    for the crossed family, z ~ -(abcde) q^(2k) with a = t for the
-    trigonometric one.  This is the one home of the escaped-root law; it
-    seeds a leg's first step and predicts every later one."""
-    n = spec.M - m
-    if n == 0:
-        return []
+def _far_seeds(spec: ModelSpec, m: int, ts: list[float]) -> np.ndarray:
+    """Leading-order positions, at each continuation parameter t of the
+    schedule ``ts`` (one row each), of the M - m roots that the degree-m
+    start state has at infinity: x ~ -u/(2t) for the crossed family,
+    z ~ -(abcde) q^(2k) with a = t for the trigonometric one.  This is the
+    one home of the escaped-root law; it seeds a leg's first step and
+    predicts every later one."""
+    if m == spec.M:
+        return np.zeros((len(ts), 0), dtype=complex)
     if spec.info.coordinate is Coordinate.COS:
-        return trig_far_ladder(_continued(spec, t), list(range(m, spec.M)))
+        exponents = list(range(m, spec.M))
+        return np.array([trig_far_ladder(_continued(spec, t), exponents) for t in ts])
     sum_re = 2.0 * (spec.param("a1").real + spec.param("a2").real)
-    alpha = 2.0 * m + sum_re - 1.0
-    return [complex(-u / (2.0 * t)) for u in laguerre_nodes(n, alpha)]
+    nodes = laguerre_nodes(spec.M - m, 2.0 * m + sum_re - 1.0)
+    return (-nodes / (2.0 * np.array(ts))[:, None]).astype(complex)
 
 
 def laguerre_nodes(n: int, alpha: float) -> np.ndarray:
@@ -110,7 +112,7 @@ def _continuation_leg(
     if target == 0.0:
         return native
     ts = [(k + 1) / CONTINUATION_STEPS * target for k in range(CONTINUATION_STEPS)]
-    far = np.array([_far_seeds(spec, m, t) for t in ts], dtype=complex)
+    far = _far_seeds(spec, m, ts)
     if not far.all():
         raise DegenerateRoots(
             f"the leading-order law puts escaped roots of the degree-{m} start state at 0"
@@ -121,21 +123,21 @@ def _continuation_leg(
     law[:, m:] = far
     native = np.concatenate([native, far[0]])
     r_prev = r_last = None
-    jacobian = None
+    inverse = None
     for k, t in enumerate(ts):
         if k:
             # linear in t, since the steps are equal; the second step has
             # one ratio to go on and just follows the law
             r = r_last if k == 1 else 2.0 * r_last - r_prev
             native = law[k] * r
-        tol = INTERMEDIATE_TOL if k + 1 < CONTINUATION_STEPS else 0.1 * STEP_TOL
+        tol = INTERMEDIATE_TOL if k + 1 < CONTINUATION_STEPS else 0.1 * POLISH_TARGET
         report = newton_solve(
             residual_map(_continued(spec, t)),
             native,
             NewtonOptions(tol=tol, max_iter=60),
-            jacobian,
+            inverse,
         )
-        native, jacobian = report.x, report.jacobian
+        native, inverse = report.x, report.inverse
         r_prev, r_last = r_last, native / law[k]
     return native
 

@@ -1,6 +1,7 @@
 """Numerical substrate: complex polynomial algebra, a dense complex
-eigensolver, damped Newton iteration and the two special functions
-(complex log-gamma, q-Pochhammer) the model layer is built from.
+eigensolver, Newton iteration with a held, Broyden-updated inverse
+Jacobian and the two special functions (complex log-gamma, q-Pochhammer)
+the model layer is built from.
 
 Polynomials are dense complex coefficient sequences in a single variable,
 stored in ascending powers; many polynomials that undergo the same
@@ -34,7 +35,7 @@ EIG_RESIDUAL_TOL = 1e-10  # ||A v - lambda v|| / ||A||_F accepted per eigenpair
 ASYM_TOL = 1e-10  # relative z^k vs z^-k mismatch tolerated in a symmetric row
 FD_SCALE = 1e-6  # finite-difference step, relative to max(1, |x_k|)
 MAX_HALVINGS = 20  # damping halvings of one Newton step
-COND_LIMIT = 1e12  # largest Jacobian condition estimate Newton steps with
+COND_LIMIT = 1e12  # largest kappa_1 = ||J||_1 ||J^-1||_1, from the inverse Newton holds
 
 # ---------------------------------------------------------------------------
 # Polynomials
@@ -224,13 +225,14 @@ class NewtonOptions:
 
 @dataclass(frozen=True)
 class NewtonReport:
-    """Result of ``newton_solve``: the root, the last Jacobian the iteration
-    stepped with (the supplied one if no step was needed; None when there
-    was neither), in the caller's variables, the Newton iterations taken
-    and how many of them built a finite-difference Jacobian."""
+    """Result of ``newton_solve``: the root, the Broyden-updated inverse
+    Jacobian held at the end, in the caller's variables (the supplied one
+    if no step was needed; None when there was neither), the Newton
+    iterations taken and how many of them built a finite-difference
+    Jacobian."""
 
     x: np.ndarray
-    jacobian: np.ndarray | None
+    inverse: np.ndarray | None
     iterations: int
     fd_jacobians: int
 
@@ -250,13 +252,18 @@ def _fd_jacobian(f, x: np.ndarray) -> np.ndarray:
     return jac
 
 
-def _inverse(jac: np.ndarray) -> np.ndarray | None:
-    """Complex inverse of a Jacobian to hold (Broyden updates it in place),
-    or None when it is exactly singular."""
+def _inverse(jac: np.ndarray) -> np.ndarray:
+    """Inverse of a finite Jacobian, to step with and hold.  Raises
+    SingularJacobian when it is exactly singular or its condition estimate
+    kappa_1 = ||J||_1 ||J^-1||_1 exceeds COND_LIMIT."""
     try:
-        return np.linalg.inv(np.asarray(jac, dtype=complex))
+        inv = np.linalg.inv(jac)
     except np.linalg.LinAlgError:
-        return None
+        raise SingularJacobian("Jacobian is exactly singular") from None
+    cond = float(np.linalg.norm(jac, 1)) * float(np.linalg.norm(inv, 1))
+    if not cond <= COND_LIMIT:  # a NaN estimate fails too
+        raise SingularJacobian(f"Jacobian condition estimate {cond:.3e}")
+    return inv
 
 
 def _broyden_update(inv: np.ndarray, s: np.ndarray, y: np.ndarray) -> None:
@@ -274,63 +281,59 @@ def newton_solve(
     f: Callable[[np.ndarray], np.ndarray],
     x0: Sequence[complex],
     opts: NewtonOptions = NewtonOptions(),
-    jacobian: np.ndarray | None = None,
+    inverse: np.ndarray | None = None,
 ) -> NewtonReport:
-    """Damped Newton iteration on a residual map C^N -> C^N.
+    """Newton iteration with a held, Broyden-updated inverse Jacobian on a
+    residual map C^N -> C^N (Deuflhard, *Newton Methods for Nonlinear
+    Problems*, Springer 2004).
 
     The iteration runs in coordinates relative to the start: it solves for
     w with x = x0 + units * w from w = 0, units_k = |x0_k| (1 where
     |x0_k| <= 1e-250), so that unknowns spanning many orders of magnitude
-    (the q-family's geometric root ladders) keep a well-scaled Jacobian
-    (Deuflhard, *Newton Methods for Nonlinear Problems*, Springer 2004).
+    (the q-family's geometric root ladders) keep a well-scaled Jacobian.
     The finite-difference steps, the halvings and the condition check all
-    act on w; ``jacobian`` is taken, and the report's Jacobian returned, in
+    act on w; ``inverse`` is taken, and the report's inverse returned, in
     the caller's variables x.
 
-    Without ``jacobian`` every iteration builds a central finite-difference
-    Jacobian (step FD_SCALE * max(1, |w_k|)) and halves the update (at most
-    MAX_HALVINGS times) whenever the full step fails to reduce
-    ||f||_inf.  A Jacobian with a non-finite entry, or a condition
-    estimate above COND_LIMIT, raises SingularJacobian.
-
-    With ``jacobian`` (quasi-Newton, for a sequence of nearby problems;
-    Allgower & Georg, *Introduction to Numerical Continuation Methods*,
-    SIAM 2003, ch. 6-7): the held Jacobian is inverted once, and an
-    iteration holding the inverse takes the full step s = -J^-1 f(x), one
-    residual evaluation and no linear solve, keeping it only if ||f||_inf
-    at least halves or meets ``tol``.  A kept step refines the held inverse
-    by Broyden's "good" rank-one update (Sherman-Morrison form,
-    ``_broyden_update``; Broyden, Math. Comp. 19 (1965) 577), after which
-    it maps the step's change of f onto s (the secant condition).  Otherwise
-    the step is discarded, a fresh finite-difference Jacobian is built
-    (with the same checks), the damped step above is taken with it, and
-    that Jacobian is inverted and held from then on under the same rule.
-    A held Jacobian that is stale, or singular, never raises on its own (a
-    singular one goes straight to the refresh): ``max_iter`` bounds the
-    iterations that build a Jacobian, and the held steps between them
-    number at most log2(||f(x0)||_inf / tol) + 1 because each one halves
-    ||f||_inf.  The report carries the last Jacobian that was supplied or
-    built, never the Broyden-updated inverse.
+    One inverse Jacobian is held throughout: the supplied ``inverse`` (for
+    a sequence of nearby problems; Allgower & Georg, *Introduction to
+    Numerical Continuation Methods*, SIAM 2003, ch. 6-7), else the first
+    finite-difference one.  An iteration holding it takes the full step
+    s = -J^-1 f(x), one residual evaluation and a matrix-vector product,
+    and keeps it only if ||f||_inf at least halves or meets ``tol``.  A
+    kept step refines the held inverse by Broyden's "good" rank-one update
+    (Sherman-Morrison form, ``_broyden_update``; Broyden, Math. Comp. 19
+    (1965) 577), after which it maps the step's change of f onto s (the
+    secant condition).  Otherwise the step is discarded and a central
+    finite-difference Jacobian is built (step FD_SCALE * max(1, |w_k|))
+    and inverted once (``_inverse``): a non-finite entry, exact
+    singularity or a condition estimate kappa_1 = ||J||_1 ||J^-1||_1 above
+    COND_LIMIT raises SingularJacobian.  That inverse gives the damped step
+    -J^-1 f, halved (at most MAX_HALVINGS times) until it reduces
+    ||f||_inf, and is held from then on.  A held inverse that is stale,
+    singular or non-finite never raises on its own (its step fails and
+    forces the rebuild): ``max_iter`` bounds the iterations that build a
+    Jacobian, and the held steps between them number at most
+    log2(||f(x0)||_inf / tol) + 1 because each one halves ||f||_inf.
     """
     v0 = np.asarray(list(x0), dtype=complex)
     if v0.size == 0:
-        return NewtonReport(v0, jacobian, 0, 0)
+        return NewtonReport(v0, inverse, 0, 0)
     units = np.where(np.abs(v0) > 1e-250, np.abs(v0), 1.0)
 
     def g(w: np.ndarray) -> np.ndarray:
         return np.asarray(f(v0 + units * w), dtype=complex)
 
-    hold = jacobian is not None
-    jac = jacobian * units if hold else None
-    inv = _inverse(jac) if hold else None
+    # dx = units * dw, so the inverse in w is the caller's with rows / units
+    inv = None if inverse is None else np.asarray(inverse, dtype=complex) / units[:, None]
     iterations = fd_jacobians = 0
     w = np.zeros_like(v0)
     fx = g(w)
     fnorm = float(np.abs(fx).max())
     while True:
         if fnorm <= opts.tol:  # a NaN norm goes on, to raise below
-            jac = None if jac is None else jac / units
-            return NewtonReport(v0 + units * w, jac, iterations, fd_jacobians)
+            inv = None if inv is None else units[:, None] * inv
+            return NewtonReport(v0 + units * w, inv, iterations, fd_jacobians)
         iterations += 1
         if inv is not None:
             s = -(inv @ fx)
@@ -351,12 +354,8 @@ def newton_solve(
         bad = np.flatnonzero(~np.isfinite(jac).all(axis=0))
         if bad.size:
             raise SingularJacobian(f"Jacobian column {bad[0]} is not finite")
-        cond = np.linalg.cond(jac)
-        if not np.isfinite(cond) or cond > COND_LIMIT:
-            raise SingularJacobian(f"Jacobian condition estimate {cond:.3e}")
-        step = np.linalg.solve(jac, -fx)
-        if hold:
-            inv = _inverse(jac)
+        inv = _inverse(jac)
+        step = -(inv @ fx)
         lam = 1.0
         for _halving in range(MAX_HALVINGS + 1):
             wn = w + lam * step

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import spec_for
-from qesbethe import homotopy
+from qesbethe import bethe, homotopy
 from qesbethe.bethe import solve
 from qesbethe.errors import NoConvergence
 from qesbethe.hamiltonian import build_matrix
@@ -93,7 +93,7 @@ class TestHomotopySeeding:
         legs land nowhere and only the step count is checked."""
         calls = []
 
-        def recorded(f, x0, opts, jacobian=None):
+        def recorded(f, x0, opts, inverse=None):
             calls.append(len(x0))
             return NewtonReport(x0, None, 0, 0)
 
@@ -113,20 +113,31 @@ def test_homotopy_coverage_with_carried_jacobian(family, M, rng, monkeypatch):
     """Every state of acceptance-range draws (three each up to M = 8, one at
     M = 16) is reached by continuation, meets criterion 1 and matches the
     oracle-seeded eigenvalue, while each leg builds fewer finite-difference
-    Jacobians than it takes Newton iterations."""
-    reports = []
+    Jacobians than it takes Newton iterations.  A leg's last step is
+    corrected to the polish tolerance, so the polish of every continuation
+    seed takes no Newton iteration."""
+    reports, polishes = [], []
     real = homotopy.newton_solve
 
     def recorded(*args, **kwargs):
         reports.append(real(*args, **kwargs))
         return reports[-1]
 
+    def polish(*args, **kwargs):
+        polishes.append(real(*args, **kwargs))
+        return polishes[-1]
+
     monkeypatch.setattr(homotopy, "newton_solve", recorded)
     for _ in range(3 if M <= 8 else 1):
         spec = spec_for(family, M, rng)
         reports.clear()
-        sols = solve(spec, seed_mode="homotopy")
+        polishes.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(bethe, "newton_solve", polish)
+            sols = solve(spec, seed_mode="homotopy")
         assert all(s.seed_source == "homotopy" for s in sols)
+        assert len(polishes) == M + 1
+        assert [r.iterations for r in polishes] == [0] * (M + 1)
         for h, o in zip(sols, solve(spec)):
             assert h.residual_max <= 1e-9
             assert h.discrepancy <= 1e-8 * max(1.0, abs(h.E_oracle))
@@ -140,30 +151,36 @@ def test_homotopy_coverage_with_carried_jacobian(family, M, rng, monkeypatch):
 @pytest.mark.parametrize("M", (4, 6, 8))
 @pytest.mark.parametrize("family", ("mp-crossed", "trig-q"))
 def test_held_steps_solve_no_linear_system(family, M, monkeypatch):
-    """A held Jacobian is inverted once, so each held step costs one
-    matrix-vector product: inside a continuation correction the only
-    linear solves are the damped steps taken with fresh finite-difference
-    Jacobians, one each."""
-    solves = []
-    real_solve = np.linalg.solve
+    """Every Jacobian is inverted once and its inverse held, so each step
+    costs one matrix-vector product: a homotopy-seeded solve runs no
+    linear solve at all, and each continuation correction one inversion
+    per finite-difference Jacobian it builds."""
+    solves, inversions = [], []
+    real_solve, real_inv = np.linalg.solve, np.linalg.inv
 
     def counted_solve(*args, **kwargs):
         solves.append(None)
         return real_solve(*args, **kwargs)
 
+    def counted_inv(*args, **kwargs):
+        inversions.append(None)
+        return real_inv(*args, **kwargs)
+
     reports = []
     real_newton = homotopy.newton_solve
 
     def recorded(*args, **kwargs):
-        before = len(solves)
+        before = len(inversions)
         report = real_newton(*args, **kwargs)
-        reports.append((len(solves) - before, report))
+        reports.append((len(inversions) - before, report))
         return report
 
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
     monkeypatch.setattr(homotopy, "newton_solve", recorded)
     spec = spec_for(family, M, np.random.default_rng(11))
     assert all(s.seed_source == "homotopy" for s in solve(spec, seed_mode="homotopy"))
+    assert not solves
     fd_jacobians = sum(r.fd_jacobians for _n, r in reports)
     assert 0 < fd_jacobians < sum(r.iterations for _n, r in reports)
     assert [n for n, _r in reports] == [r.fd_jacobians for _n, r in reports]
@@ -183,8 +200,8 @@ def test_escaped_roots_start_each_step_at_their_leading_order_position(family, m
     steps = []
     real = homotopy.newton_solve
 
-    def recorded(f, x0, opts, jacobian=None):
-        report = real(f, x0, opts, jacobian)
+    def recorded(f, x0, opts, inverse=None):
+        report = real(f, x0, opts, inverse)
         steps.append((ts[len(steps)], np.array(x0), report.x.copy()))
         return report
 
@@ -202,6 +219,24 @@ def test_escaped_roots_start_each_step_at_their_leading_order_position(family, m
             np.testing.assert_allclose(seed, want, rtol=1e-14, atol=0)
 
 
+@pytest.mark.parametrize("family", ("mp-crossed", "trig-q"))
+def test_escaped_root_law_takes_one_laguerre_solve_per_leg(family, monkeypatch):
+    """The crossed family's escaped-root law reads the Laguerre nodes once
+    per leg with escaped roots (every state but the top one), not once per
+    step; the trigonometric law needs none."""
+    calls = []
+    real = homotopy.laguerre_nodes
+
+    def counted(n, alpha):
+        calls.append(n)
+        return real(n, alpha)
+
+    monkeypatch.setattr(homotopy, "laguerre_nodes", counted)
+    spec = spec_for(family, 6, np.random.default_rng(11))
+    assert all(s.seed_source == "homotopy" for s in solve(spec, seed_mode="homotopy"))
+    assert sorted(calls) == (list(range(1, spec.M + 1)) if family == "mp-crossed" else [])
+
+
 # The source of 9cba8fb, which started each step from the last step's roots,
 # spends this many residual evaluations on the draws below; printed from the
 # repository root by
@@ -213,6 +248,10 @@ UNPREDICTED_RESIDUAL_EVALUATIONS = 19167
 # leading-order law, and corrected every step with chord Newton to 1e-10,
 # this many (printed the same way, with a4afbbc in place of 9cba8fb)
 LEADING_ORDER_RESIDUAL_EVALUATIONS = 14032
+# and the source of 142bcb9, which held an inverse only along continuation
+# legs, re-inverted each step's finite-difference Jacobian at the next step
+# and corrected every leg's last step to 1e-11, this many
+HELD_JACOBIAN_RESIDUAL_EVALUATIONS = 8710
 
 
 def continuation_residual_evaluations() -> int:
@@ -221,13 +260,13 @@ def continuation_residual_evaluations() -> int:
     count = 0
     real = homotopy.newton_solve
 
-    def counted(f, x0, opts, jacobian=None):
+    def counted(f, x0, opts, inverse=None):
         def g(x):
             nonlocal count
             count += 1
             return f(x)
 
-        return real(g, x0, opts, jacobian=jacobian)
+        return real(g, x0, opts, inverse=inverse)
 
     homotopy.newton_solve = counted
     try:
@@ -243,3 +282,7 @@ def continuation_residual_evaluations() -> int:
 def test_predictor_saves_residual_evaluations():
     count = continuation_residual_evaluations()
     assert count < LEADING_ORDER_RESIDUAL_EVALUATIONS < UNPREDICTED_RESIDUAL_EVALUATIONS
+
+
+def test_carried_inverse_saves_residual_evaluations():
+    assert continuation_residual_evaluations() < HELD_JACOBIAN_RESIDUAL_EVALUATIONS

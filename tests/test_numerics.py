@@ -300,16 +300,19 @@ class TestNewton:
         return lambda v: (v / (scale * self.WIDE)) ** 2 - 1.0
 
     def test_unknowns_are_scaled_by_the_start(self):
-        report = newton_solve(self.wide_system(), 1.002 * self.WIDE, NewtonOptions(tol=1e-14))
-        assert report.fd_jacobians == report.iterations <= 4
+        # the accuracy asserted is the tolerance asked for: held steps stop
+        # as soon as ||f|| meets it
+        report = newton_solve(self.wide_system(), 1.002 * self.WIDE, NewtonOptions(tol=1e-15))
+        assert report.fd_jacobians == 1 and report.iterations <= 4
         assert np.abs(report.x / self.WIDE - 1.0).max() <= 1e-15
 
     def test_jacobian_is_returned_in_the_callers_variables(self):
-        first = newton_solve(self.wide_system(), 1.002 * self.WIDE)
-        assert first.jacobian is not None
-        # d/dv (v/c)^2 = 2 v / c^2, taken at an iterate near v = c
-        np.testing.assert_allclose(np.diag(first.jacobian) * self.WIDE, 2.0, rtol=1e-4)
-        nearby = newton_solve(self.wide_system(1.001), first.x, jacobian=first.jacobian)
+        first = newton_solve(self.wide_system(), 1.00005 * self.WIDE)
+        assert first.inverse is not None
+        # d/dv (v/c)^2 = 2 v / c^2 near v = c, so the inverse is c^2 / (2 v):
+        # held from the start, which is within 1e-4 of c
+        np.testing.assert_allclose(np.diag(first.inverse) / self.WIDE, 0.5, rtol=1e-4)
+        nearby = newton_solve(self.wide_system(1.001), first.x, inverse=first.inverse)
         assert nearby.fd_jacobians == 0 < nearby.iterations
         assert np.abs(nearby.x / (1.001 * self.WIDE) - 1.0).max() <= 1e-12
 
@@ -321,24 +324,31 @@ class TestNewton:
                 NewtonOptions(max_iter=3),
             )
 
-    def test_fresh_jacobian_every_iteration_without_one(self):
+    def test_fd_jacobian_is_held_once_built(self):
         report = newton_solve(self.pair_system, [0.9, 2.2])
-        assert report.iterations == report.fd_jacobians >= 2
+        assert report.fd_jacobians == 1 < report.iterations
+
+    def test_ill_conditioned_jacobian_is_singular(self):
+        # finite and invertible: kappa_1 = ||J||_1 ||J^-1||_1 = 1.5e12 is
+        # above COND_LIMIT, while the 2-norm condition number is 7.5e11
+        jac = np.array([[2e-12, 2e-12, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
+        with pytest.raises(SingularJacobian, match=r"condition estimate 1\.500e\+12"):
+            newton_solve(lambda v: jac @ (v - [2.0, 3.0, 4.0]), [1.0, 1.0, 1.0])
 
     def test_exact_jacobian_builds_none(self):
         x0 = np.array([0.9, 2.2], dtype=complex)
         exact = np.array([[1.0, 1.0], [x0[1], x0[0]]])
-        report = newton_solve(self.pair_system, x0, jacobian=exact)
+        report = newton_solve(self.pair_system, x0, inverse=np.linalg.inv(exact))
         assert report.fd_jacobians == 0 < report.iterations
         np.testing.assert_allclose(report.x, [1.0, 2.0], atol=1e-10)
 
     def test_wrong_jacobian_is_replaced(self):
         opts = NewtonOptions(tol=1e-14)
         fresh = newton_solve(self.pair_system, [0.9, 2.2], opts).x
-        report = newton_solve(self.pair_system, [0.9, 2.2], opts, jacobian=10.0 * np.eye(2))
+        report = newton_solve(self.pair_system, [0.9, 2.2], opts, inverse=0.1 * np.eye(2))
         assert report.fd_jacobians >= 1
         assert np.max(np.abs(report.x - fresh)) <= 1e-12
-        assert not np.allclose(report.jacobian, 10.0 * np.eye(2))
+        assert not np.allclose(report.inverse, 0.1 * np.eye(2))
 
     def test_stalled_held_step_refreshes(self):
         # the held Jacobian points the wrong way, so its full step grows
@@ -347,13 +357,13 @@ class TestNewton:
             lambda v: np.array([v[0] - 5.0]),
             [0.0],
             NewtonOptions(max_iter=1),
-            jacobian=np.array([[-1.0]]),
+            inverse=np.array([[-1.0]]),
         )
         assert report.fd_jacobians == 1
         np.testing.assert_allclose(report.x, [5.0], atol=1e-12)
 
     def test_singular_held_jacobian_refreshes(self):
-        report = newton_solve(self.pair_system, [0.9, 2.2], jacobian=np.zeros((2, 2)))
+        report = newton_solve(self.pair_system, [0.9, 2.2], inverse=np.zeros((2, 2)))
         assert report.fd_jacobians >= 1
         np.testing.assert_allclose(report.x, [1.0, 2.0], atol=1e-10)
 
@@ -364,7 +374,7 @@ class TestNewton:
             lambda v: np.array([v[0] ** 2 - 2.0]),
             [1.0],
             NewtonOptions(max_iter=1),
-            jacobian=np.array([[2.0]]),
+            inverse=np.array([[0.5]]),
         )
         assert report.fd_jacobians == 0 and report.iterations > 1
         np.testing.assert_allclose(report.x, [math.sqrt(2.0)], atol=1e-10)
@@ -393,7 +403,7 @@ class TestNewton:
             lambda v: a @ v - b,
             [0.0, 0.0],
             NewtonOptions(tol=1e-12, max_iter=1),
-            jacobian=np.array([[2.4, 0.8], [0.3, 3.3]]),
+            inverse=np.linalg.inv([[2.4, 0.8], [0.3, 3.3]]),
         )
         assert report.fd_jacobians == 0 and report.iterations <= 2 * b.size + 1
         np.testing.assert_allclose(report.x, np.linalg.solve(a, b), atol=1e-12)

@@ -134,18 +134,20 @@ def test_per_column_guard_sees_each_loop_form():
     assert sorted(_per_column_loops(tree, "build_matrix")) == [4, 6, 7]
 
 
-# newton_solve is the one Newton loop: the continuation legs reuse its
-# Jacobian through its ``jacobian`` argument, so a second loop (and the
-# linear solves it would need) in homotopy or bethe would escape the
-# homotopy.newton_solve span that times all continuation work.
+# newton_solve is the one Newton loop: it inverts each Jacobian once, in
+# numerics._inverse, and steps with the held inverse, and the continuation
+# legs carry that inverse through its ``inverse`` argument.  A second loop
+# (and the linear algebra it would need) in homotopy or bethe would escape
+# the homotopy.newton_solve span that times all continuation work, and a
+# linear solve or an SVD-based condition number would undo the saving.
 
-LINEAR_SOLVES = {"solve", "cond"}
+LINEAR_SOLVES = {"solve", "cond", "inv", "pinv", "lstsq"}
 
 
-def _linear_solves(tree: ast.AST) -> list[tuple[str, int]]:
-    """(enclosing function, line) of every use of numpy.linalg.solve or
-    numpy.linalg.cond: attribute access through ``linalg`` or an import
-    from ``numpy.linalg``."""
+def _linear_solves(tree: ast.AST) -> list[tuple[str, str, int]]:
+    """(name, enclosing function, line) of every use of numpy.linalg.solve,
+    cond, inv, pinv or lstsq: attribute access through ``linalg`` or an
+    import from ``numpy.linalg``."""
     found = []
     for node, function in _nodes_in_functions(tree):
         if (
@@ -153,10 +155,11 @@ def _linear_solves(tree: ast.AST) -> list[tuple[str, int]]:
             and node.attr in LINEAR_SOLVES
             and ast.unparse(node.value).split(".")[-1] == "linalg"
         ):
-            found.append((function, node.lineno))
+            found.append((node.attr, function, node.lineno))
         if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
-            if any(alias.name in LINEAR_SOLVES for alias in node.names):
-                found.append((function, node.lineno))
+            for alias in node.names:
+                if alias.name in LINEAR_SOLVES:
+                    found.append((alias.name, function, node.lineno))
     return found
 
 
@@ -164,26 +167,32 @@ def test_linear_solves_only_in_newton_solve():
     stray, seen = [], []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        for function, line in _linear_solves(tree):
-            if (path.name, function) == ("numerics.py", "newton_solve"):
+        for name, function, line in _linear_solves(tree):
+            if (path.name, function, name) == ("numerics.py", "_inverse", "inv"):
                 seen.append(line)
             else:
-                stray.append(f"{path.name}:{line} in {function}")
-    assert seen, "newton_solve no longer solves with its Jacobian"
-    assert not stray, "numpy.linalg.solve/cond outside newton_solve: " + ", ".join(stray)
+                stray.append(f"{path.name}:{line} {name} in {function}")
+    assert seen, "numerics._inverse no longer inverts the Jacobian"
+    assert not stray, "numpy.linalg solve/cond/inv/pinv/lstsq outside _inverse: " + ", ".join(stray)
 
 
 def test_linear_solve_guard_sees_each_form():
     tree = ast.parse(
         "import numpy as np\n"
-        "from numpy.linalg import solve\n"
+        "from numpy.linalg import solve, inv as invert\n"
         "def f(a, b):\n"
         "    x = np.linalg.solve(a, b)\n"
         "    c = numpy.linalg.cond(a)\n"
         "    s = linalg.solve\n"
-        "    return np.linalg.eig(a), np.linalg.norm(b), x, c, s\n"
+        "    i = np.linalg.inv(a)\n"
+        "    p = numpy.linalg.pinv(a)\n"
+        "    q = linalg.lstsq(a, b)\n"
+        "    return np.linalg.eig(a), np.linalg.norm(b), x, c, s, i, p, q\n"
     )
-    assert _linear_solves(tree) == [("<module>", 2), ("f", 4), ("f", 5), ("f", 6)]
+    assert _linear_solves(tree) == [
+        ("solve", "<module>", 2), ("inv", "<module>", 2), ("solve", "f", 4), ("cond", "f", 5),
+        ("solve", "f", 6), ("inv", "f", 7), ("pinv", "f", 8), ("lstsq", "f", 9),
+    ]
 
 
 # newton_solve iterates in coordinates relative to its start (its
@@ -226,7 +235,7 @@ def test_newton_residual_guard_sees_each_form():
         "    b = newton_solve(g, v)\n"
         "    c = numerics.newton_solve(scaled(residual_map(spec)), v)\n"
         "    d = newton_solve(residual_map(spec), v)\n"
-        "    e = numerics.newton_solve(bethe.residual_map(spec), v, jacobian=None)\n"
+        "    e = numerics.newton_solve(bethe.residual_map(spec), v, inverse=None)\n"
         "    return newton_solve(f=g, x0=v)\n"
     )
     assert _newton_residuals(tree) == [
