@@ -54,6 +54,7 @@ EPS = 1e-300
 ANCHOR = 0.37 + 0.11j
 FALLBACK_ANCHOR = 0.53 + 0.29j
 ANCHOR_CLEARANCE = 1e-8
+FIXED_POINT_TOL = 1e-10  # |eta - eta_fixed| of a root on a reflection fixed point
 
 
 @dataclass(frozen=True)
@@ -230,9 +231,11 @@ def newton_polish(
     Returns the root set, its flags and its Bethe residuals (as
     ``bae_residual(spec, roots, allow_degenerate=True)``).  Newton runs in
     the native variables, in coordinates relative to the seed
-    (``numerics.newton_solve``).  Never fatal: on singular Jacobians or
-    non-convergence the seed comes back unchanged with the corresponding
-    flag set.
+    (``numerics.newton_solve``).  Never fatal: on singular Jacobians,
+    non-convergence or a root that ends on one of the family's reflection
+    fixed points (``FamilyInfo.fixed_points``, where its equation holds
+    whatever the other roots are) the seed comes back unchanged with
+    ``polished`` false and the corresponding flag set.
     """
     if len(seed) == 0:
         return seed, SolutionFlags(polished=True, degenerate=seed.degenerate), ()
@@ -251,6 +254,9 @@ def newton_polish(
     except NoConvergence:
         return seed, SolutionFlags(polished=False, degenerate=seed.degenerate), seed_res
     polished = root_set(spec, solved)
+    fixed = spec.info.fixed_points
+    if any(abs(e - p) <= FIXED_POINT_TOL for e in polished.roots_eta for p in fixed):
+        return seed, SolutionFlags(polished=False, degenerate=seed.degenerate), seed_res
     try:
         # root_set measured the gaps already: only a flagged set can be
         # closer than ROOT_SEPARATION_TOL
@@ -312,9 +318,9 @@ def trig_far_ladder(spec: ModelSpec, exponents: list[int]) -> list[complex]:
     """Estimated z-positions of the trigonometric family's far-out roots.
 
     The weakly-coupled rungs of a deformed state sit near
-    z = -(abcde) q^(2k); the exponent k runs over the combined (near count
-    + rung index), so a state whose representable part has degree d is
-    completed with k = d, d+1, ..., M-1.
+    z = -(abcde) q^(2k), with k = d, d+1, ..., M-1 for a state that keeps
+    d roots finite: the start degree of a continuation leg, or the degree
+    of a truncated eigenvector's representable part.
     """
     q = spec.real_param("q")
     prod = 1.0
@@ -323,32 +329,15 @@ def trig_far_ladder(spec: ModelSpec, exponents: list[int]) -> list[complex]:
     return [complex(-prod * q ** (2 * k)) for k in exponents]
 
 
-def _chain_near_roots(spec: ModelSpec, level: int) -> RootSet:
-    """Near (physical) roots of the level-th state of a trigonometric model.
-
-    A weakly deformed level is its Askey-Wilson-like level plus far rungs;
-    the near part coincides with the top state of the same model truncated
-    to subspace degree ``level``, whose eigenvector is fully representable.
-    """
-    if level == 0:
-        return root_set(spec, ())
-    sub = replace(spec, M=level)
-    pairs = oracle_spectrum(build_matrix(sub))
-    top = pairs[-1]
-    if top.truncated or top.degree != level:
-        raise NoConvergence(
-            f"top state of the degree-{level} model is not representable"
-        )
-    return extract_roots(top, sub, expected=level)
-
-
 def _complete_truncated_roots(spec: ModelSpec, near: RootSet) -> RootSet | None:
     """Fill in the far-root rungs that underflowed the oracle eigenvector.
 
-    Only the trigonometric family develops these ladders.  The representable
-    roots are completed with the analytic rung estimates (``trig_far_ladder``),
-    whose O(q^2)-relative errors the full polish in ``solve`` removes.
-    Returns None when no completion is available.
+    Only the trigonometric family develops these ladders.  The roots of the
+    representable part of a truncated eigenvector, ``near``, are completed
+    with the analytic rung estimates (``trig_far_ladder``), whose
+    O(q^2)-relative errors the full polish in ``solve`` removes.  ``solve``
+    takes this seed only for a truncated state that no continuation leg
+    reproduces.  Returns None when no completion is available.
     """
     if spec.info.coordinate is not Coordinate.COS:
         return None
@@ -370,38 +359,39 @@ def solve(spec: ModelSpec, seed_mode: str = "oracle") -> list[BetheSolution]:
     """Oracle -> roots -> polish -> formula, one solution per eigenpair,
     sorted by (Re, Im) of the oracle eigenvalue.
 
-    ``seed_mode="homotopy"`` seeds the crossed Meixner-Pollaczek and
-    trigonometric families by parameter continuation from their exactly
-    solvable points instead of from oracle eigenvectors (falling back to
-    the oracle seed, flagged per solution, if a continuation leg fails).
+    ``seed_mode="oracle"`` seeds each state from its oracle eigenvector,
+    except a truncated trigonometric one (``OracleEigenpair.truncated``):
+    that is seeded in both modes by parameter continuation from the exactly
+    solvable point or, if no leg reproduces it, by its representable roots
+    plus the analytic ladder (``_complete_truncated_roots``).
+    ``seed_mode="homotopy"`` seeds every crossed Meixner-Pollaczek and
+    trigonometric state by continuation, falling back to the oracle seed,
+    flagged per solution, if its leg fails.
     """
+    from .homotopy import homotopy_root_sets
+
     if seed_mode not in ("oracle", "homotopy"):
         raise ValueError(f"unknown seed mode {seed_mode!r}")
-    om = build_matrix(spec)
-    pairs = oracle_spectrum(om)
+    pairs = oracle_spectrum(build_matrix(spec))
     expected = bethe_root_count(spec)
-    homotopy_seeds: dict[int, RootSet] = {}
-    if seed_mode == "homotopy":
-        from .homotopy import homotopy_root_sets
-
-        homotopy_seeds = homotopy_root_sets(spec, [p.eigenvalue for p in pairs])
+    wanted = {idx for idx, pair in enumerate(pairs) if seed_mode == "homotopy" or pair.truncated}
+    eigenvalues = [p.eigenvalue for p in pairs]
+    homotopy_seeds = homotopy_root_sets(spec, eigenvalues, wanted) if wanted else {}
     solutions = []
     for idx, pair in enumerate(pairs):
         actual = pair.degree
         anomalous = False
         seed = homotopy_seeds.get(idx)
         source = "homotopy"
-        if seed is None or len(seed) != expected:
-            source, seed = "oracle", None
+        if seed is None:
+            source = "oracle"
+            representable = extract_roots(pair, spec, expected=actual)
             if pair.truncated:
-                try:
-                    seed = _complete_truncated_roots(spec, _chain_near_roots(spec, idx))
-                except (NoConvergence, SingularJacobian):
-                    pass
+                seed = _complete_truncated_roots(spec, representable)
             if seed is None:
                 # a lower-degree eigenpolynomial is a state of its own at an
                 # exactly solvable point, and an anomaly anywhere else
-                seed = extract_roots(pair, spec, expected=actual)
+                seed = representable
                 anomalous = actual != expected and (
                     pair.truncated or not compensation_vanishes(spec)
                 )

@@ -40,10 +40,15 @@ solve: ``oracle_spectrum`` of the start model's matrix, whose graded branch
 gives each exactly solvable state its true degree m, then ``extract_roots``.
 A start spectrum the oracle flags degenerate seeds no leg at all.
 
+The caller names the states it wants (all of them, or the oracle mode's
+truncated trigonometric ones).  Legs run in ascending start degree, as the
+fewer roots a start state has the longer its deformed state's ladder of
+escaped roots, and stop as soon as every wanted state has a seed.
+
 A leg that fails anywhere (roots of its start eigenpolynomial, escaped
 roots that the leading-order law puts at 0, a Newton correction, the
-eigenvalue formula) or lands on no oracle eigenvalue is dropped on its
-own; the caller seeds that state from the oracle instead.
+eigenvalue formula) or lands on no wanted oracle eigenvalue is dropped on
+its own; the caller seeds that state from the oracle instead.
 """
 
 from __future__ import annotations
@@ -143,11 +148,13 @@ def _continuation_leg(
 
 
 def homotopy_root_sets(
-    spec: ModelSpec, oracle_eigenvalues: list[complex]
+    spec: ModelSpec, oracle_eigenvalues: list[complex], wanted: set[int]
 ) -> dict[int, RootSet]:
     """Root sets obtained by continuation, keyed by the index of the oracle
-    eigenvalue each one reproduces.  States whose continuation fails, from
-    the start roots on, are left out."""
+    eigenvalue each one reproduces, for the indices in ``wanted`` only.
+    Legs run in ascending start degree and stop once every wanted state has
+    a seed.  States whose continuation fails, from the start roots on, are
+    left out."""
     if spec.info.continuation is None:
         return {}
     target = spec.real_param(spec.info.continuation)
@@ -160,7 +167,9 @@ def homotopy_root_sets(
         return {}
     out: dict[int, RootSet] = {}
     taken: dict[int, float] = {}
-    for pair in states:
+    for pair in sorted(states, key=lambda p: p.degree):
+        if out.keys() >= wanted:
+            break
         try:
             roots = root_set(spec, _continuation_leg(spec, start, pair, target))
             e_val = eigenvalue_from_roots(spec, roots)
@@ -171,7 +180,7 @@ def homotopy_root_sets(
         # a leg may land on a Bethe configuration not realized by this
         # state (the equations admit more solutions than the spectrum);
         # only keep legs that reproduce an oracle eigenvalue
-        if gaps[idx] > 1e-6 * max(1.0, abs(e_val)):
+        if idx not in wanted or gaps[idx] > 1e-6 * max(1.0, abs(e_val)):
             continue
         if idx in taken and taken[idx] <= gaps[idx]:
             continue

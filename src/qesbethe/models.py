@@ -79,24 +79,24 @@ class FamilyInfo:
     parity_sectors: bool = False  # the subspace splits into even/odd sectors
     kinematic_denominator: bool = False  # V carries 1/(2ix(2ix+1))
     continuation: str | None = None  # homotopy parameter, continued from 0
+    # eta of the reflection fixed points (z = 1/z, or x = -x), where a root's
+    # Bethe equation holds whatever the other roots are
+    fixed_points: tuple[float, ...] = ()
     grid_window: tuple[float, float] = (-3.0, 3.0)  # real x range of default_grid
 
 
 _X2 = Coordinate.X_SQUARED
-_HALF_LINE = (0.2, 4.0)
+# the kinematic denominator, the x -> -x fixed point and the half-line window
+_CENTRIFUGAL = dict(kinematic_denominator=True, fixed_points=(0.0,), grid_window=(0.2, 4.0))
 FAMILIES: dict[ModelFamily, FamilyInfo] = {
     ModelFamily.MP_CROSSED: FamilyInfo(("a1", "a2", "beta"), Coordinate.X, continuation="beta"),
     ModelFamily.SEXTIC_I: FamilyInfo(("a", "b", "c"), _X2, parity_sectors=True),
     ModelFamily.SEXTIC_II: FamilyInfo(("a", "b", "c", "d"), _X2, parity_sectors=True),
-    ModelFamily.CENTRIFUGAL_I: FamilyInfo(
-        ("b", "c", "d", "e", "f"), _X2, kinematic_denominator=True, grid_window=_HALF_LINE
-    ),
-    ModelFamily.CENTRIFUGAL_II: FamilyInfo(
-        ("a", "b", "c", "d", "e", "f"), _X2, kinematic_denominator=True, grid_window=_HALF_LINE
-    ),
+    ModelFamily.CENTRIFUGAL_I: FamilyInfo(("b", "c", "d", "e", "f"), _X2, **_CENTRIFUGAL),
+    ModelFamily.CENTRIFUGAL_II: FamilyInfo(("a", "b", "c", "d", "e", "f"), _X2, **_CENTRIFUGAL),
     ModelFamily.TRIG_Q: FamilyInfo(
         ("a", "b", "c", "d", "e", "q"), Coordinate.COS,
-        continuation="a", grid_window=(0.15, math.pi - 0.15),
+        continuation="a", fixed_points=(-1.0, 1.0), grid_window=(0.15, math.pi - 0.15),
     ),
 }
 

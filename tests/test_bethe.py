@@ -4,17 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from qesbethe import bethe
+from qesbethe import bethe, homotopy
 from qesbethe.bethe import (
     bae_residual,
     eigenvalue_from_roots,
     newton_polish,
+    residual_map,
     solve,
 )
-from qesbethe.errors import DegenerateRoots
+from qesbethe.errors import DegenerateRoots, NoConvergence
 from qesbethe.hamiltonian import build_matrix
 from qesbethe.models import drop_factors, eta, model_spec, sector_degrees
-from qesbethe.spectral import RootSet, extract_roots, oracle_spectrum
+from qesbethe.spectral import RootSet, extract_roots, oracle_spectrum, root_set
 
 from conftest import ALL_FAMILIES, spec_for
 from reference_algebra import paper_eigenvalue, restricted_eigenvalue
@@ -278,3 +279,93 @@ class TestSolve:
                 for s in solve(spec):
                     assert s.residual_max <= 1e-9
                     assert s.discrepancy <= 1e-8 * max(1.0, abs(s.E_oracle))
+
+
+def meets_criterion_one(sol) -> bool:
+    return sol.residual_max <= 1e-9 and sol.discrepancy <= 1e-8 * max(1.0, abs(sol.E_oracle))
+
+
+# all five numerator parameters of one sign: the ground state has one near
+# root and five rungs of the escaped-root ladder
+SAME_SIGN = model_spec("trig-q", M=6, a=0.684, b=0.668, c=0.849, d=0.707, e=0.596, q=0.405)
+# a draw from the benchmark's trig-q envelope (|a..e| in (0.2, 0.6), q in
+# (0.5, 0.8)) whose ladder-completed seeds leave two truncated states unpolished
+ENVELOPE_M6 = model_spec(
+    "trig-q", M=6, a=0.39720920749269706, b=0.22432108518322244, c=0.42223844676828937,
+    d=-0.5518604693339688, e=-0.2256857749248764, q=0.761026550698251,
+)
+
+
+class TestTruncatedTrigStates:
+    @pytest.mark.parametrize("seed_mode", ["oracle", "homotopy"])
+    def test_same_sign_ground_state(self, seed_mode):
+        assert meets_criterion_one(solve(SAME_SIGN, seed_mode=seed_mode)[0])
+
+    def test_oracle_mode_continues_only_truncated_states(self):
+        spec = spec_for("trig-q", 8, np.random.default_rng(11))
+        truncated = [p.truncated for p in oracle_spectrum(build_matrix(spec))]
+        assert any(truncated) and not all(truncated)
+        sols = solve(spec)
+        assert [s.seed_source == "homotopy" for s in sols] == truncated
+        assert all(meets_criterion_one(s) for s in sols)
+
+    def test_oracle_mode_builds_two_matrices(self, monkeypatch):
+        """The model's own matrix and the start model's, whatever the
+        number of truncated states."""
+        built = []
+
+        def counted(spec):
+            built.append(spec.M)
+            return build_matrix(spec)
+
+        monkeypatch.setattr(bethe, "build_matrix", counted)
+        monkeypatch.setattr(homotopy, "build_matrix", counted)
+        spec = spec_for("trig-q", 8, np.random.default_rng(11))
+        assert sum(s.seed_source == "homotopy" for s in solve(spec)) > 2
+        assert built == [spec.M, spec.M]
+
+    @pytest.mark.parametrize("spec", [SAME_SIGN, ENVELOPE_M6], ids=["same-sign", "envelope"])
+    def test_ladder_fallback_is_right_or_unpolished(self, spec, monkeypatch):
+        def failing(*args):
+            raise NoConvergence("forced for every leg")
+
+        monkeypatch.setattr(homotopy, "_continuation_leg", failing)
+        pairs = oracle_spectrum(build_matrix(spec))
+        sols = solve(spec)
+        assert any(p.truncated for p in pairs)
+        for pair, sol in zip(pairs, sols):
+            if pair.truncated:
+                assert sol.seed_source == "oracle"
+                assert meets_criterion_one(sol) or not sol.flags.polished
+
+
+class TestFixedPoints:
+    @pytest.mark.parametrize("family", ["trig-q", "centrifugal-i", "centrifugal-ii"])
+    def test_equation_holds_identically(self, family, rng):
+        """At eta = +-1 (z = +-1) and eta = 0 the native variable equals eta,
+        and a root there solves its own equation whatever the others are:
+        the two cross-multiplied sides agree bit for bit, and the ratio
+        form of residual_map to the rounding of one complex division."""
+        spec = spec_for(family, 4, rng)
+        assert spec.info.fixed_points
+        for p in spec.info.fixed_points:
+            for j in range(spec.M):
+                native = rng.uniform(0.1, 0.6, spec.M) * np.exp(1j * rng.uniform(0, 3, spec.M))
+                native[j] = p
+                assert abs(residual_map(spec)(native)[j]) <= 1e-15
+                roots = root_set(spec, native)
+                k = roots.roots_eta.index(p)
+                assert bae_residual(spec, roots)[k] == 0.0
+
+    def test_polish_onto_a_fixed_point_is_not_polished(self):
+        """State 12 of this draw is seeded from its own eigenvector and
+        Newton ends with a root on z = 1, at an eigenvalue gap of 0.70."""
+        spec = model_spec(
+            "trig-q", M=12, a=-0.5335926269841753, b=-0.4883196149168232,
+            c=-0.5619259564049126, d=0.18507588639408276, e=-0.2232430853697623,
+            q=0.9795036114431088,
+        )
+        sol = solve(spec)[12]
+        assert sol.seed_source == "oracle"
+        assert not sol.flags.polished
+        assert all(abs(abs(e) - 1.0) > 1e-3 for e in sol.roots.roots_eta)

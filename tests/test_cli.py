@@ -9,9 +9,11 @@ import jsonschema
 import numpy as np
 import pytest
 
+from qesbethe import bethe, homotopy
 from qesbethe.cli import VERIFY_TOLERANCES, main
 from qesbethe.config import Tolerances
 from qesbethe.models import model_spec, spec_to_json_dict
+from qesbethe.spectral import root_set
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "src/qesbethe/schema/result.schema.json").read_text()
@@ -276,10 +278,10 @@ ESCAPED_ROOTS = {
     "small": ("trig-q", 6, {"a": -0.1331172491348974, "b": -0.13919460414384335,
                             "c": -0.12113935740585571, "d": 0.13098219095714073,
                             "e": 0.1860518478159062, "q": 0.7018425744386362}),
+    # the ground state has one near root and five rungs
+    "same-sign": ("trig-q", 6, {"a": 0.684, "b": 0.668, "c": 0.849, "d": 0.707, "e": 0.596,
+                                "q": 0.405}),
 }
-# the ground-state polish lands on another Bethe solution
-SAME_SIGN = ("trig-q", 6, {"a": 0.684, "b": 0.668, "c": 0.849, "d": 0.707, "e": 0.596,
-                           "q": 0.405})
 
 
 def verify_model(model, capsys, tmp_path):
@@ -296,8 +298,17 @@ class TestVerifyEnvelope:
         code, checks = verify_model(ESCAPED_ROOTS[name], capsys, tmp_path)
         assert code == 0 and all(checks.values()), checks
 
-    def test_wrong_bethe_solution_fails(self, capsys, tmp_path):
-        code, checks = verify_model(SAME_SIGN, capsys, tmp_path)
+    def test_wrong_bethe_solution_fails(self, capsys, tmp_path, monkeypatch):
+        """Seeded with no near root and six rungs, the same-sign ground state
+        polishes onto the fixed point eta = -1, a Bethe solution of no state.
+        With the fixed-point guard switched off, verify still catches it."""
+
+        def ladder_only(spec, eigenvalues, wanted):
+            return {0: bethe._complete_truncated_roots(spec, root_set(spec, ()))}
+
+        monkeypatch.setattr(homotopy, "homotopy_root_sets", ladder_only)
+        monkeypatch.setattr(bethe, "FIXED_POINT_TOL", -1.0)
+        code, checks = verify_model(ESCAPED_ROOTS["same-sign"], capsys, tmp_path)
         assert code == 2
         assert not checks["eigenvalue_match"] and not checks["schrodinger_pointwise"]
 

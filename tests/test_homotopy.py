@@ -100,7 +100,7 @@ class TestHomotopySeeding:
         monkeypatch.setattr(homotopy, "newton_solve", recorded)
         spec = spec_for("mp-crossed", 32, np.random.default_rng(7))
         eigenvalues = [p.eigenvalue for p in oracle_spectrum(build_matrix(spec))]
-        homotopy_root_sets(spec, eigenvalues)
+        homotopy_root_sets(spec, eigenvalues, set(range(len(eigenvalues))))
         assert len(calls) == (spec.M + 1) * CONTINUATION_STEPS
         assert set(calls) == {spec.M}
 
@@ -130,6 +130,8 @@ def test_homotopy_coverage_with_carried_jacobian(family, M, rng, monkeypatch):
     monkeypatch.setattr(homotopy, "newton_solve", recorded)
     for _ in range(3 if M <= 8 else 1):
         spec = spec_for(family, M, rng)
+        # oracle mode continues truncated trig-q states too: solve it first
+        oracle = solve(spec)
         reports.clear()
         polishes.clear()
         with monkeypatch.context() as patch:
@@ -138,7 +140,7 @@ def test_homotopy_coverage_with_carried_jacobian(family, M, rng, monkeypatch):
         assert all(s.seed_source == "homotopy" for s in sols)
         assert len(polishes) == M + 1
         assert [r.iterations for r in polishes] == [0] * (M + 1)
-        for h, o in zip(sols, solve(spec)):
+        for h, o in zip(sols, oracle):
             assert h.residual_max <= 1e-9
             assert h.discrepancy <= 1e-8 * max(1.0, abs(h.E_oracle))
             assert abs(h.E_formula - o.E_formula) <= 1e-9 * max(1.0, abs(o.E_formula))

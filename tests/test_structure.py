@@ -8,8 +8,8 @@ members.  The eigenvalue is read off the eigen-equation, so ``bethe``
 names no family.  The other guards below keep single routes for
 the subspace matrix, the Newton linear algebra and its variables, root
 extraction, root set construction and the pointwise shift of H~
-(``models.step``), keep module internals private, and keep every import
-in use.
+(``models.step``), build no sub-model of another subspace degree, keep
+module internals private, and keep every import in use.
 """
 
 import ast
@@ -334,6 +334,50 @@ def test_rootset_guard_sees_each_form():
         "    return spectral.RootSet(a, a), [RootSet(v, v) for v in a], root_set(a)\n"
     )
     assert _rootset_calls(tree) == [("<module>", 1), ("f", 4), ("g", 6), ("g", 6)]
+
+
+# A state is seeded from its own model: from the oracle eigenvector, or by
+# continuation in a deformation parameter.  A model of another subspace
+# degree, replace(spec, M=...), has other states; the deleted rank-as-level
+# chain took the truncated trig-q states' near roots from such sub-models.
+
+
+def _submodel_builds(tree: ast.AST) -> list[int]:
+    """Lines of every dataclasses.replace call, under any name it is
+    imported as, that sets the subspace degree M."""
+    names = {"replace"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            names |= {alias.asname or alias.name for alias in node.names if alias.name == "replace"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in names and any(k.arg == "M" for k in node.keywords):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_no_submodel_of_another_degree():
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        stray += [f"{path.name}:{line}" for line in _submodel_builds(tree)]
+    assert not stray, "sub-model of another degree built at " + ", ".join(stray)
+
+
+def test_submodel_guard_sees_each_form():
+    tree = ast.parse(
+        "import dataclasses\n"
+        "from dataclasses import replace as dc_replace\n"
+        "def f(spec):\n"
+        "    a = replace(spec, M=2)\n"
+        "    b = dc_replace(spec, M=spec.M - 1, params={})\n"
+        "    c = dataclasses.replace(spec, M=0)\n"
+        "    d = dc_replace(spec, params={}), replace(spec, sector=None)\n"
+        "    return [replace(spec, M=m) for m in range(3)]\n"
+    )
+    assert _submodel_builds(tree) == [4, 5, 6, 8]
 
 
 # A module's underscore-prefixed names are its own: a caller in another
