@@ -21,19 +21,23 @@ parameter t.  Every root has a leading-order law: 1 for the near roots and
 ``_far_seeds`` for the escaped ones (x ~ 1/beta for the crossed family,
 z ~ a for the trigonometric one).  The predictor works on each root's
 ratio to its law: the second step starts every root at the ratio the first
-step ended with, and every later step extrapolates the ratio linearly in t
-from the last two steps (the steps are equal), an error second order in
-the step length.  The corrector is one ``numerics.newton_solve`` call on
-``bethe.residual_map`` of the step's model, in coordinates relative to the
-predicted roots, started from the inverse Jacobian the last step ended
-with: that inverse is held while ||f|| keeps at least halving and is
-refined after each held step by Broyden's rank-one update, and a fresh
-finite-difference Jacobian is built and inverted only when a held step
-fails to halve ||f||, so no step re-inverts a stale Jacobian.  The steps
-before the last are corrected only to INTERMEDIATE_TOL, far below the
-predictor's error; the last one is corrected to the polish tolerance,
-0.1 * ``bethe.POLISH_TARGET``, so the polish of a continuation seed takes
-no Newton iteration.
+step ended with, the third extrapolates the ratio linearly in t from the
+last two steps, and every later one quadratically from the last three
+(the steps are equal), an error third order in the step length.  The
+corrector is one ``numerics.newton_solve`` call on ``bethe.residual_map``
+of the step's model, in coordinates relative to the predicted roots,
+started from the inverse Jacobian the last step ended with, carried in
+the roots' law frame: a row of the inverse maps residuals to one root's
+move, which scales like that root's law, so its rows are multiplied by
+law(t_k) / law(t_{k-1}) (1 for the near roots).  That inverse is held
+while ||f|| keeps at least halving and is refined after each held step
+by Broyden's rank-one update, and a fresh finite-difference Jacobian is
+built and inverted only when a held step fails to halve ||f||, so no
+step re-inverts a stale Jacobian.  The steps before the last are
+corrected only to INTERMEDIATE_TOL, far below the predictor's error; the
+last one is corrected to the polish tolerance, 0.1 *
+``bethe.POLISH_TARGET``, so the polish of a continuation seed takes no
+Newton iteration.
 
 Start states come from the same oracle and root extraction as every other
 solve: ``oracle_spectrum`` of the start model's matrix, whose graded branch
@@ -127,14 +131,16 @@ def _continuation_leg(
     law = np.ones((CONTINUATION_STEPS, spec.M), dtype=complex)
     law[:, m:] = far
     native = np.concatenate([native, far[0]])
-    r_prev = r_last = None
+    ratios: list[np.ndarray] = []  # to the law, latest step first
     inverse = None
     for k, t in enumerate(ts):
         if k:
-            # linear in t, since the steps are equal; the second step has
-            # one ratio to go on and just follows the law
-            r = r_last if k == 1 else 2.0 * r_last - r_prev
-            native = law[k] * r
+            # the ratio held, then extrapolated linearly, then
+            # quadratically in t (the steps are equal)
+            weights = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0))[min(k, 3) - 1]
+            native = law[k] * sum(w * r for w, r in zip(weights, ratios))
+            if inverse is not None:  # its rows move like the roots' laws
+                inverse = (law[k] / law[k - 1])[:, None] * inverse
         tol = INTERMEDIATE_TOL if k + 1 < CONTINUATION_STEPS else 0.1 * POLISH_TARGET
         report = newton_solve(
             residual_map(_continued(spec, t)),
@@ -143,7 +149,7 @@ def _continuation_leg(
             inverse,
         )
         native, inverse = report.x, report.inverse
-        r_prev, r_last = r_last, native / law[k]
+        ratios = [native / law[k], *ratios[:2]]
     return native
 
 

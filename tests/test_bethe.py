@@ -295,6 +295,13 @@ ENVELOPE_M6 = model_spec(
     d=-0.5518604693339688, e=-0.2256857749248764, q=0.761026550698251,
 )
 
+# the 50th trig-q draw of conftest's draw_params from default_rng(11): the
+# degree-0 leg of its ground state ends with a root on eta = 1 at M = 9
+FIXED_POINT_LEG = {
+    "a": -0.7066286477023541, "b": -0.7582076136694641, "c": -0.5628668645267257,
+    "d": -0.5718546835615754, "e": -0.7251789684750364, "q": 0.5767318141201416,
+}
+
 
 class TestTruncatedTrigStates:
     @pytest.mark.parametrize("seed_mode", ["oracle", "homotopy"])
@@ -337,6 +344,13 @@ class TestTruncatedTrigStates:
             if pair.truncated:
                 assert sol.seed_source == "oracle"
                 assert meets_criterion_one(sol) or not sol.flags.polished
+
+    @pytest.mark.parametrize("M", [9, 10])
+    @pytest.mark.parametrize("seed_mode", ["oracle", "homotopy"])
+    def test_fixed_point_leg_is_right_or_unpolished(self, seed_mode, M):
+        spec = model_spec("trig-q", M=M, **FIXED_POINT_LEG)
+        for sol in solve(spec, seed_mode=seed_mode):
+            assert meets_criterion_one(sol) or not sol.flags.polished
 
 
 class TestFixedPoints:

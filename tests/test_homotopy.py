@@ -1,3 +1,5 @@
+from dataclasses import replace as dc_replace
+
 import numpy as np
 import pytest
 
@@ -193,8 +195,9 @@ def test_escaped_roots_start_each_step_at_their_leading_order_position(family, m
     """Each root's leading-order law is t^p: p = 0 for the m near roots and,
     for the M - m escaped ones, p = -1 for the crossed family (x ~ 1/beta)
     and p = 1 for the trigonometric one (z ~ a).  The second step of a leg
-    starts every root at the last step's ratio to its law; every later
-    step extrapolates that ratio linearly from the last two steps."""
+    starts every root at the last step's ratio to its law, the third
+    extrapolates that ratio linearly from the last two steps, and every
+    later one quadratically from the last three (the steps are equal)."""
     spec = spec_for(family, 6, np.random.default_rng(11))
     target = spec.real_param(spec.info.continuation)
     start = _continued(spec, 0.0)
@@ -204,7 +207,7 @@ def test_escaped_roots_start_each_step_at_their_leading_order_position(family, m
 
     def recorded(f, x0, opts, inverse=None):
         report = real(f, x0, opts, inverse)
-        steps.append((ts[len(steps)], np.array(x0), report.x.copy()))
+        steps.append((np.array(x0), report.x.copy()))
         return report
 
     monkeypatch.setattr(homotopy, "newton_solve", recorded)
@@ -214,11 +217,60 @@ def test_escaped_roots_start_each_step_at_their_leading_order_position(family, m
         assert len(steps) == CONTINUATION_STEPS
         power = np.zeros(spec.M)
         power[pair.degree :] = -1.0 if family == "mp-crossed" else 1.0
-        (t0, _seed, out0), (t1, seed1, _out) = steps[:2]
-        np.testing.assert_allclose(seed1, out0 * (t1 / t0) ** power, rtol=1e-14, atol=0)
-        for (t2, _s2, out2), (t1, _s1, out1), (t, seed, _out) in zip(steps, steps[1:], steps[2:]):
-            want = 2.0 * out1 * (t / t1) ** power - out2 * (t / t2) ** power
-            np.testing.assert_allclose(seed, want, rtol=1e-14, atol=0)
+
+        def moved(j, k):
+            """Step j's roots, moved along their laws to step k."""
+            return steps[j][1] * (ts[k] / ts[j]) ** power
+
+        for k in range(1, CONTINUATION_STEPS):
+            if k == 1:
+                want = moved(0, 1)
+            elif k == 2:
+                want = 2.0 * moved(1, 2) - moved(0, 2)
+            else:
+                want = 3.0 * moved(k - 1, k) - 3.0 * moved(k - 2, k) + moved(k - 3, k)
+            np.testing.assert_allclose(steps[k][0], want, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("family", ("mp-crossed", "trig-q"))
+def test_held_inverse_is_carried_in_the_law_frame(family, monkeypatch):
+    """Before step k the inverse that step k - 1 returned has its rows
+    multiplied by law[k] / law[k - 1]: each row maps residuals to one
+    root's move, which scales like that root's leading-order law.  The
+    near-root rows pass bit for bit, and a step that returns no inverse
+    hands none on."""
+    spec = spec_for(family, 6, np.random.default_rng(11))
+    target = spec.real_param(spec.info.continuation)
+    start = _continued(spec, 0.0)
+    pair = next(p for p in oracle_spectrum(build_matrix(start)) if p.degree == 3)
+    ts = [(k + 1) / CONTINUATION_STEPS * target for k in range(CONTINUATION_STEPS)]
+    law = np.ones((CONTINUATION_STEPS, spec.M), dtype=complex)
+    law[:, 3:] = homotopy._far_seeds(spec, 3, ts)
+    dropped = 5  # this step's report hands on no inverse
+    steps = []
+    real = homotopy.newton_solve
+
+    def recorded(f, x0, opts, inverse=None):
+        report = real(f, x0, opts, inverse)
+        if len(steps) == dropped:
+            report = dc_replace(report, inverse=None)
+        steps.append((None if inverse is None else inverse.copy(), report.inverse))
+        return report
+
+    monkeypatch.setattr(homotopy, "newton_solve", recorded)
+    homotopy._continuation_leg(spec, start, pair, target)
+    assert len(steps) == CONTINUATION_STEPS
+    assert steps[0][0] is None and steps[dropped + 1][0] is None
+    carried = 0
+    for k in range(1, CONTINUATION_STEPS):
+        supplied, returned = steps[k][0], steps[k - 1][1]
+        if returned is None:
+            assert supplied is None
+            continue
+        carried += 1
+        np.testing.assert_array_equal(supplied, (law[k] / law[k - 1])[:, None] * returned)
+        np.testing.assert_array_equal(supplied[:3], returned[:3])
+    assert carried >= CONTINUATION_STEPS - 3
 
 
 @pytest.mark.parametrize("family", ("mp-crossed", "trig-q"))
@@ -254,21 +306,32 @@ LEADING_ORDER_RESIDUAL_EVALUATIONS = 14032
 # legs, re-inverted each step's finite-difference Jacobian at the next step
 # and corrected every leg's last step to 1e-11, this many
 HELD_JACOBIAN_RESIDUAL_EVALUATIONS = 8710
+# and the source of 94e04b0, which carried each step's inverse to the next
+# unchanged and extrapolated the ratios to the law linearly, this many
+# residual evaluations and finite-difference Jacobians (printed the same
+# way, with 94e04b0 in place of 9cba8fb)
+RAW_FRAME_RESIDUAL_EVALUATIONS = 7065
+RAW_FRAME_FD_JACOBIANS = 229
 
 
-def continuation_residual_evaluations() -> int:
-    """Residual evaluations of every continuation step over the three
-    M = 8 mp-crossed and trig-q draws of the coverage test."""
-    count = 0
+def continuation_residual_evaluations() -> tuple[int, int]:
+    """Residual evaluations and finite-difference Jacobians of every
+    continuation step over the three M = 8 mp-crossed and trig-q draws of
+    the coverage test."""
+    count = fd_jacobians = 0
     real = homotopy.newton_solve
 
     def counted(f, x0, opts, inverse=None):
+        nonlocal fd_jacobians
+
         def g(x):
             nonlocal count
             count += 1
             return f(x)
 
-        return real(g, x0, opts, inverse=inverse)
+        report = real(g, x0, opts, inverse=inverse)
+        fd_jacobians += report.fd_jacobians
+        return report
 
     homotopy.newton_solve = counted
     try:
@@ -278,13 +341,20 @@ def continuation_residual_evaluations() -> int:
                 solve(spec_for(family, 8, rng), seed_mode="homotopy")
     finally:
         homotopy.newton_solve = real
-    return count
+    return count, fd_jacobians
 
 
 def test_predictor_saves_residual_evaluations():
-    count = continuation_residual_evaluations()
+    count, _fd = continuation_residual_evaluations()
     assert count < LEADING_ORDER_RESIDUAL_EVALUATIONS < UNPREDICTED_RESIDUAL_EVALUATIONS
 
 
 def test_carried_inverse_saves_residual_evaluations():
-    assert continuation_residual_evaluations() < HELD_JACOBIAN_RESIDUAL_EVALUATIONS
+    count, _fd = continuation_residual_evaluations()
+    assert count < HELD_JACOBIAN_RESIDUAL_EVALUATIONS
+
+
+def test_law_frame_inverse_saves_finite_difference_jacobians():
+    count, fd_jacobians = continuation_residual_evaluations()
+    assert count <= 5300 < RAW_FRAME_RESIDUAL_EVALUATIONS
+    assert fd_jacobians <= 150 < RAW_FRAME_FD_JACOBIANS
