@@ -16,28 +16,36 @@ generalized Laguerre polynomial of degree M - m and parameter
 The trigonometric escaped roots are seeded on a geometric q-ladder
 z ~ -(abcde) q^{2m + 2k}.
 
-Each leg takes CONTINUATION_STEPS equal steps in the continuation
-parameter t.  Every root has a leading-order law: 1 for the near roots and
-``_far_seeds`` for the escaped ones (x ~ 1/beta for the crossed family,
-z ~ a for the trigonometric one).  The predictor works on each root's
-ratio to its law: the second step starts every root at the ratio the first
-step ended with, the third extrapolates the ratio linearly in t from the
-last two steps, and every later one quadratically from the last three
-(the steps are equal), an error third order in the step length.  The
-corrector is one ``numerics.newton_solve`` call on ``bethe.residual_map``
-of the step's model, in coordinates relative to the predicted roots,
-started from the inverse Jacobian the last step ended with, carried in
-the roots' law frame: a row of the inverse maps residuals to one root's
-move, which scales like that root's law, so its rows are multiplied by
-law(t_k) / law(t_{k-1}) (1 for the near roots).  That inverse is held
-while ||f|| keeps at least halving and is refined after each held step
-by Broyden's rank-one update, and a fresh finite-difference Jacobian is
-built and inverted only when a held step fails to halve ||f||, so no
-step re-inverts a stale Jacobian.  The steps before the last are
-corrected only to INTERMEDIATE_TOL, far below the predictor's error; the
-last one is corrected to the polish tolerance, 0.1 *
-``bethe.POLISH_TARGET``, so the polish of a continuation seed takes no
-Newton iteration.
+A leg walks the continuation parameter t from 0 to its target in steps
+whose length is controlled (Allgower & Georg, *Introduction to Numerical
+Continuation Methods*, SIAM 2003, ch. 6).  Every root has a leading-order
+law (``_law``): 1 for the near roots, x ~ 1/beta for the crossed family's
+escaped roots and z ~ a for the trigonometric ones.  The predictor works
+on each root's ratio to its law: the first step starts every root on its
+law, and every later one extrapolates the ratios by the Lagrange
+polynomial in t through the last three accepted steps (fewer at the
+start).  The corrector is one ``numerics.newton_solve`` call on
+``bethe.residual_map`` of the step's model, in coordinates relative to the
+predicted roots, started from the inverse Jacobian the last accepted step
+ended with, carried in the roots' law frame: a row of the inverse maps
+residuals to one root's move, which scales like that root's law, so its
+rows are multiplied by law(t_new) / law(t_old) (1 for the near roots).
+That inverse is held, and refined by Broyden's rank-one update, while
+||f|| keeps at least halving (``numerics.newton_solve``).
+
+The first step is FIRST_STEP of the leg.  A step is accepted only if its
+corrector converges and no root moves, in eta, by more than MAX_MOVE of
+its distance to the nearest other predicted root.  A leg's first step
+leaves the escaped roots out of that test unless their law is exact at
+leading order (``FamilyInfo.exact_escape_law``): the trigonometric
+q-ladder is off by O(q^2) relative at every t.  An accepted step scales
+the next step's length by sqrt(MOVE_GOAL / move), clamped to [0.5, 2] and
+to at least MIN_STEP of the leg; a rejected one is retried at half the
+length, and fails the leg when that is below MIN_STEP.  The steps before
+the last are corrected only to INTERMEDIATE_TOL, far below the
+predictor's error; the last one, which ends exactly on the target, to the
+polish tolerance, 0.1 * ``bethe.POLISH_TARGET``, so the polish of a
+continuation seed takes no Newton iteration.
 
 Start states come from the same oracle and root extraction as every other
 solve: ``oracle_spectrum`` of the start model's matrix, whose graded branch
@@ -50,21 +58,23 @@ fewer roots a start state has the longer its deformed state's ladder of
 escaped roots, and stop as soon as every wanted state has a seed.
 
 A leg that fails anywhere (roots of its start eigenpolynomial, escaped
-roots that the leading-order law puts at 0, a Newton correction, the
-eigenvalue formula) or lands on no wanted oracle eigenvalue is dropped on
+roots that the leading-order law puts at 0, a step rejected near MIN_STEP,
+the eigenvalue formula) or lands on no wanted oracle eigenvalue is dropped on
 its own; the caller seeds that state from the oracle instead.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace as dc_replace
+from typing import Callable
 
 import numpy as np
 
 from .bethe import POLISH_TARGET, eigenvalue_from_roots, residual_map, trig_far_ladder
-from .errors import DegenerateRoots, QesError
+from .errors import DegenerateRoots, NoConvergence, QesError
 from .hamiltonian import build_matrix
-from .models import Coordinate, ModelSpec
+from .models import Coordinate, ModelSpec, native_variable
 from .numerics import NewtonOptions, newton_solve
 from .spectral import (
     OracleEigenpair,
@@ -75,8 +85,12 @@ from .spectral import (
     root_set,
 )
 
-CONTINUATION_STEPS = 12
 INTERMEDIATE_TOL = 1e-6  # every earlier step: well below the predictor's error
+# step-length control, in units of the leg's length |target|
+FIRST_STEP = 1 / 8
+MIN_STEP = 1 / 512  # the shortest step; no step is retried below it
+MAX_MOVE = 0.25  # largest accepted root move, in nearest-neighbour distances
+MOVE_GOAL = 0.05  # the move that the next step's length aims at
 
 
 def _continued(spec: ModelSpec, value: float) -> ModelSpec:
@@ -84,21 +98,20 @@ def _continued(spec: ModelSpec, value: float) -> ModelSpec:
     return dc_replace(spec, params={**spec.params, spec.info.continuation: value})
 
 
-def _far_seeds(spec: ModelSpec, m: int, ts: list[float]) -> np.ndarray:
-    """Leading-order positions, at each continuation parameter t of the
-    schedule ``ts`` (one row each), of the M - m roots that the degree-m
-    start state has at infinity: x ~ -u/(2t) for the crossed family,
+def _law(spec: ModelSpec, m: int) -> Callable[[float], np.ndarray]:
+    """Every root's leading-order law as a function of the continuation
+    parameter t: 1 for the m near roots of the degree-m start state and,
+    for the M - m it has at infinity, x ~ -u/(2t) for the crossed family,
     z ~ -(abcde) q^(2k) with a = t for the trigonometric one.  This is the
     one home of the escaped-root law; it seeds a leg's first step and
-    predicts every later one."""
-    if m == spec.M:
-        return np.zeros((len(ts), 0), dtype=complex)
+    frames every later prediction."""
+    near = np.ones(m, dtype=complex)
     if spec.info.coordinate is Coordinate.COS:
         exponents = list(range(m, spec.M))
-        return np.array([trig_far_ladder(_continued(spec, t), exponents) for t in ts])
+        return lambda t: np.concatenate([near, trig_far_ladder(_continued(spec, t), exponents)])
     sum_re = 2.0 * (spec.param("a1").real + spec.param("a2").real)
-    nodes = laguerre_nodes(spec.M - m, 2.0 * m + sum_re - 1.0)
-    return (-nodes / (2.0 * np.array(ts))[:, None]).astype(complex)
+    nodes = laguerre_nodes(spec.M - m, 2.0 * m + sum_re - 1.0) if m < spec.M else np.zeros(0)
+    return lambda t: np.concatenate([near, -nodes / (2.0 * t)])
 
 
 def laguerre_nodes(n: int, alpha: float) -> np.ndarray:
@@ -111,6 +124,26 @@ def laguerre_nodes(n: int, alpha: float) -> np.ndarray:
     return np.linalg.eigvalsh(jacobi + np.diag(off, 1) + np.diag(off, -1))
 
 
+def _lagrange_weights(ts: list[float], t: float) -> list[float]:
+    """Weights of the values at the points ``ts`` in the Lagrange
+    polynomial through them, evaluated at ``t``."""
+    return [
+        math.prod((t - tk) / (tj - tk) for k, tk in enumerate(ts) if k != j)
+        for j, tj in enumerate(ts)
+    ]
+
+
+def _largest_move(spec: ModelSpec, before: np.ndarray, after: np.ndarray, judged: int) -> float:
+    """Largest move in eta of the first ``judged`` roots from ``before`` to
+    ``after``, each against its distance to the nearest other root before."""
+    if native_variable(spec) == "z":
+        before, after = 0.5 * (before + 1.0 / before), 0.5 * (after + 1.0 / after)
+    gaps = np.abs(before[:, None] - before)
+    np.fill_diagonal(gaps, np.inf)
+    moves = np.abs(after - before) / gaps.min(axis=1, initial=np.inf)
+    return float(moves[:judged].max(initial=0.0))
+
+
 def _continuation_leg(
     spec: ModelSpec, start: ModelSpec, pair: OracleEigenpair, target: float
 ) -> np.ndarray:
@@ -120,37 +153,49 @@ def _continuation_leg(
     native = native_values(spec, extract_roots(pair, start, expected=m))
     if target == 0.0:
         return native
-    ts = [(k + 1) / CONTINUATION_STEPS * target for k in range(CONTINUATION_STEPS)]
-    far = _far_seeds(spec, m, ts)
-    if not far.all():
-        raise DegenerateRoots(
-            f"the leading-order law puts escaped roots of the degree-{m} start state at 0"
-        )
-    # every root's leading-order law: 1 for the near roots, _far_seeds for
-    # the escaped ones; the predictor extrapolates each root's ratio to it
-    law = np.ones((CONTINUATION_STEPS, spec.M), dtype=complex)
-    law[:, m:] = far
-    native = np.concatenate([native, far[0]])
-    ratios: list[np.ndarray] = []  # to the law, latest step first
-    inverse = None
-    for k, t in enumerate(ts):
-        if k:
-            # the ratio held, then extrapolated linearly, then
-            # quadratically in t (the steps are equal)
-            weights = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0))[min(k, 3) - 1]
-            native = law[k] * sum(w * r for w, r in zip(weights, ratios))
-            if inverse is not None:  # its rows move like the roots' laws
-                inverse = (law[k] / law[k - 1])[:, None] * inverse
-        tol = INTERMEDIATE_TOL if k + 1 < CONTINUATION_STEPS else 0.1 * POLISH_TARGET
-        report = newton_solve(
-            residual_map(_continued(spec, t)),
-            native,
-            NewtonOptions(tol=tol, max_iter=60),
-            inverse,
-        )
-        native, inverse = report.x, report.inverse
-        ratios = [native / law[k], *ratios[:2]]
-    return native
+    law = _law(spec, m)
+    first_ratio = np.concatenate([native, np.ones(spec.M - m)])
+    ts: list[float] = []  # the last three accepted t's, and each root's
+    ratios: list[np.ndarray] = []  # ratio to its law there
+    done, step, law_t, inverse = 0.0, FIRST_STEP, None, None  # in units of target
+    while True:
+        step = min(step, 1.0 - done)
+        last = step == 1.0 - done
+        t = target if last else (done + step) * target
+        law_t_new = law(t)
+        if not law_t_new.all():
+            raise DegenerateRoots(
+                f"the leading-order law puts escaped roots of the degree-{m} start state at 0"
+            )
+        weights = _lagrange_weights(ts, t)
+        predicted = law_t_new * (sum(w * r for w, r in zip(weights, ratios)) if ts else first_ratio)
+        # a row of the inverse moves one root, which scales like its law
+        carried = None if inverse is None else (law_t_new / law_t)[:, None] * inverse
+        # the escaped roots' first step is judged only where their law is
+        # exact at leading order
+        judged = spec.M if ts or spec.info.exact_escape_law else m
+        try:
+            report = newton_solve(
+                residual_map(_continued(spec, t)),
+                predicted,
+                NewtonOptions(tol=0.1 * POLISH_TARGET if last else INTERMEDIATE_TOL, max_iter=60),
+                carried,
+            )
+        except QesError:  # the corrector failed: reject the step
+            move = math.inf
+        else:
+            move = _largest_move(spec, predicted, report.x, judged)
+        if not move <= MAX_MOVE:
+            step /= 2.0
+            if step < MIN_STEP:
+                raise NoConvergence(f"continuation step below {MIN_STEP} of the leg at t = {t:.6g}")
+            continue
+        if last:
+            return report.x
+        done, law_t, inverse = done + step, law_t_new, report.inverse
+        ts, ratios = [*ts[-2:], t], [*ratios[-2:], report.x / law_t]
+        factor = min(2.0, max(0.5, math.sqrt(MOVE_GOAL / max(move, 1e-300))))
+        step = max(MIN_STEP, step * factor)
 
 
 def homotopy_root_sets(

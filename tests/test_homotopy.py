@@ -5,15 +5,10 @@ import pytest
 
 from conftest import spec_for
 from qesbethe import bethe, homotopy
-from qesbethe.bethe import solve
-from qesbethe.errors import NoConvergence
+from qesbethe.bethe import POLISH_TARGET, residual_map, solve
+from qesbethe.errors import NoConvergence, QesError
 from qesbethe.hamiltonian import build_matrix
-from qesbethe.homotopy import (
-    CONTINUATION_STEPS,
-    _continued,
-    homotopy_root_sets,
-    laguerre_nodes,
-)
+from qesbethe.homotopy import _continued, homotopy_root_sets, laguerre_nodes
 from qesbethe.models import model_spec
 from qesbethe.numerics import NewtonReport
 from qesbethe.spectral import oracle_spectrum
@@ -91,8 +86,9 @@ class TestHomotopySeeding:
         """At M = 32 the start eigenpolynomials of the top degrees span
         coefficient norms up to 1e19 against their exact monic leading
         coefficient; each of the M + 1 legs must still get its roots and
-        take all of its continuation steps.  Newton is stubbed out, so the
-        legs land nowhere and only the step count is checked."""
+        reach its target.  Newton is stubbed out, so no root moves, every
+        step is accepted and doubles the next one: 1/8, 1/4, 1/2 of the leg
+        and the remaining 1/8, four steps per leg."""
         calls = []
 
         def recorded(f, x0, opts, inverse=None):
@@ -103,8 +99,108 @@ class TestHomotopySeeding:
         spec = spec_for("mp-crossed", 32, np.random.default_rng(7))
         eigenvalues = [p.eigenvalue for p in oracle_spectrum(build_matrix(spec))]
         homotopy_root_sets(spec, eigenvalues, set(range(len(eigenvalues))))
-        assert len(calls) == (spec.M + 1) * CONTINUATION_STEPS
+        assert homotopy.FIRST_STEP == 1 / 8
+        assert len(calls) == (spec.M + 1) * 4
         assert set(calls) == {spec.M}
+
+
+# Full-domain crossed draws near the parameter boundary, whose paths a fixed
+# schedule does not resolve: twelve equal steps seeded 1 of the 5 states of
+# the first and 4 of the 5 of the second
+HARD_CROSSED = (
+    dict(a1=2.0981360444341672 - 0.6427173570302189j,
+         a2=0.07029410099054358 - 1.360705223580076j, beta=3.1160794005485437),
+    dict(a1=0.09326660024625519 + 1.3564993934911267j,
+         a2=1.4095835276654323 - 1.4911883357658784j, beta=1.501729211273422),
+)
+
+
+@pytest.mark.parametrize("params", HARD_CROSSED)
+def test_step_length_control_resolves_hard_crossed_paths(params):
+    """Every state of the hard crossed draws is continuation-seeded and
+    meets criterion 1."""
+    sols = solve(model_spec("mp-crossed", M=4, **params), seed_mode="homotopy")
+    assert [s.seed_source for s in sols] == ["homotopy"] * 5
+    for s in sols:
+        assert s.residual_max <= 1e-9
+        assert s.discrepancy <= 1e-8 * max(1.0, abs(s.E_oracle))
+
+
+def _record_step_parameters(monkeypatch) -> list[float]:
+    """The continuation parameter t of every corrector call, in order, via
+    the residual map each step builds."""
+    ts = []
+    real = homotopy.residual_map
+
+    def recorded(spec):
+        ts.append(spec.real_param(spec.info.continuation))
+        return real(spec)
+
+    monkeypatch.setattr(homotopy, "residual_map", recorded)
+    return ts
+
+
+def test_rejected_step_is_retried_at_half_length(monkeypatch):
+    """A corrector that fails once mid-leg rejects that step: t does not
+    advance, the step is retried at half its length from the same point,
+    and the leg still ends exactly on the target, corrected to the polish
+    tolerance."""
+    spec = model_spec("mp-crossed", M=4, a1=1.2, a2=0.8, beta=0.9)
+    start = _continued(spec, 0.0)
+    pair = next(p for p in oracle_spectrum(build_matrix(start)) if p.degree == 2)
+    ts = _record_step_parameters(monkeypatch)
+    tols = []
+    real = homotopy.newton_solve
+
+    def fails_once(f, x0, opts, inverse=None):
+        tols.append(opts.tol)
+        if len(tols) == 3:
+            raise NoConvergence("forced for the third step")
+        return real(f, x0, opts, inverse)
+
+    monkeypatch.setattr(homotopy, "newton_solve", fails_once)
+    x = homotopy._continuation_leg(spec, start, pair, 0.9)
+    assert len(ts) > 4
+    assert 0.0 < ts[1] < ts[3] < ts[2] < 0.9
+    assert ts[3] - ts[1] == pytest.approx((ts[2] - ts[1]) / 2, rel=1e-12)
+    assert ts[-1] == 0.9 and max(ts[:-1]) < 0.9
+    assert tols[-1] == 0.1 * POLISH_TARGET
+    assert set(tols[:-1]) == {homotopy.INTERMEDIATE_TOL}
+    assert np.abs(residual_map(spec)(x)).max() <= 0.1 * POLISH_TARGET
+
+
+def test_leg_whose_steps_all_fail_falls_back_alone(monkeypatch):
+    """A leg whose corrector never converges halves its step from 1/8 of
+    the leg down to 1/512, fails there with a QesError, and only its state
+    is seeded from the oracle."""
+    spec = model_spec("mp-crossed", M=4, a1=1.2, a2=0.8, beta=0.9)
+    start = _continued(spec, 0.0)
+    pairs = oracle_spectrum(build_matrix(start))
+    ts = _record_step_parameters(monkeypatch)
+    real = homotopy.newton_solve
+    degrees = []
+
+    def fails_on_degree_2(f, x0, opts, inverse=None):
+        if degrees[-1] == 2:
+            raise NoConvergence("forced for the degree-2 leg")
+        return real(f, x0, opts, inverse)
+
+    real_leg = homotopy._continuation_leg
+
+    def leg(leg_spec, leg_start, pair, target):
+        degrees.append(pair.degree)
+        return real_leg(leg_spec, leg_start, pair, target)
+
+    monkeypatch.setattr(homotopy, "newton_solve", fails_on_degree_2)
+    monkeypatch.setattr(homotopy, "_continuation_leg", leg)
+    with pytest.raises(QesError):
+        leg(spec, start, next(p for p in pairs if p.degree == 2), 0.9)
+    np.testing.assert_allclose(ts, [0.9 / 2**k for k in range(3, 10)], rtol=1e-15)
+    sols = solve(spec, seed_mode="homotopy")
+    assert [s.seed_source for s in sols].count("oracle") == 1
+    for s in sols:
+        assert s.residual_max <= 1e-9
+        assert s.discrepancy <= 1e-8 * max(1.0, abs(s.E_oracle))
 
 
 @pytest.mark.parametrize(
@@ -118,23 +214,29 @@ def test_homotopy_coverage_with_carried_jacobian(family, M, rng, monkeypatch):
     Jacobians than it takes Newton iterations.  A leg's last step is
     corrected to the polish tolerance, so the polish of every continuation
     seed takes no Newton iteration."""
-    reports, polishes = [], []
+    legs, polishes = [], []  # each leg's corrector reports
     real = homotopy.newton_solve
+    real_leg = homotopy._continuation_leg
+
+    def leg(*args):
+        legs.append([])
+        return real_leg(*args)
 
     def recorded(*args, **kwargs):
-        reports.append(real(*args, **kwargs))
-        return reports[-1]
+        legs[-1].append(real(*args, **kwargs))
+        return legs[-1][-1]
 
     def polish(*args, **kwargs):
         polishes.append(real(*args, **kwargs))
         return polishes[-1]
 
     monkeypatch.setattr(homotopy, "newton_solve", recorded)
+    monkeypatch.setattr(homotopy, "_continuation_leg", leg)
     for _ in range(3 if M <= 8 else 1):
         spec = spec_for(family, M, rng)
         # oracle mode continues truncated trig-q states too: solve it first
         oracle = solve(spec)
-        reports.clear()
+        legs.clear()
         polishes.clear()
         with monkeypatch.context() as patch:
             patch.setattr(bethe, "newton_solve", polish)
@@ -146,9 +248,9 @@ def test_homotopy_coverage_with_carried_jacobian(family, M, rng, monkeypatch):
             assert h.residual_max <= 1e-9
             assert h.discrepancy <= 1e-8 * max(1.0, abs(h.E_oracle))
             assert abs(h.E_formula - o.E_formula) <= 1e-9 * max(1.0, abs(o.E_formula))
-        assert len(reports) == (M + 1) * CONTINUATION_STEPS
-        for leg in range(M + 1):
-            steps = reports[leg * CONTINUATION_STEPS : (leg + 1) * CONTINUATION_STEPS]
+        assert len(legs) == M + 1
+        for steps in legs:
+            assert len(steps) >= 4  # 1/8, 1/4, 1/2 and 1/8 of the leg at the least
             assert sum(r.fd_jacobians for r in steps) < sum(r.iterations for r in steps)
 
 
@@ -190,87 +292,126 @@ def test_held_steps_solve_no_linear_system(family, M, monkeypatch):
     assert [n for n, _r in reports] == [r.fd_jacobians for _n, r in reports]
 
 
-@pytest.mark.parametrize("family", ("mp-crossed", "trig-q"))
-def test_escaped_roots_start_each_step_at_their_leading_order_position(family, monkeypatch):
+def _record_leg(monkeypatch, spec, pair, drop_inverse_at=None) -> list[dict]:
+    """Run the continuation leg of ``pair`` and record every step: its t,
+    the accepted t's it was predicted from, the roots and inverse it was
+    started from, and the roots and inverse its corrector returned.  The
+    report of step ``drop_inverse_at`` hands on no inverse."""
+    steps = []
+    real_newton, real_map = homotopy.newton_solve, homotopy.residual_map
+    real_weights = homotopy._lagrange_weights
+
+    def weights(ts, t):
+        steps.append({"t": t, "nodes": list(ts)})
+        return real_weights(ts, t)
+
+    def newton(f, x0, opts, inverse=None):
+        report = real_newton(f, x0, opts, inverse)
+        if len(steps) - 1 == drop_inverse_at:
+            report = dc_replace(report, inverse=None)
+        steps[-1].update(
+            x0=np.array(x0), x=report.x.copy(), inverse=report.inverse,
+            supplied=None if inverse is None else inverse.copy(),
+        )
+        return report
+
+    def mapped(step_spec):
+        assert step_spec.real_param(step_spec.info.continuation) == steps[-1]["t"]
+        return real_map(step_spec)
+
+    monkeypatch.setattr(homotopy, "_lagrange_weights", weights)
+    monkeypatch.setattr(homotopy, "newton_solve", newton)
+    monkeypatch.setattr(homotopy, "residual_map", mapped)
+    target = spec.real_param(spec.info.continuation)
+    homotopy._continuation_leg(spec, _continued(spec, 0.0), pair, target)
+    assert steps[-1]["t"] == target
+    return steps
+
+
+def _accepted(steps: list[dict], k: int, t: float) -> dict:
+    """The accepted step at ``t`` before step k: the latest one there, as
+    every step after an accepted one lies beyond it."""
+    return next(s for s in reversed(steps[:k]) if s["t"] == t)
+
+
+def _leg_spec(case: str):
+    """The model of a leg test: the first M = 6 rng-11 draw of the family
+    ``case`` or, for "hard", the first hard crossed draw, whose legs reject
+    steps at their start and mid-leg."""
+    if case == "hard":
+        return model_spec("mp-crossed", M=4, **HARD_CROSSED[0])
+    return spec_for(case, 6, np.random.default_rng(11))
+
+
+@pytest.mark.parametrize("case", ("mp-crossed", "trig-q", "hard"))
+def test_escaped_roots_start_each_step_at_their_leading_order_position(case, monkeypatch):
     """Each root's leading-order law is t^p: p = 0 for the m near roots and,
     for the M - m escaped ones, p = -1 for the crossed family (x ~ 1/beta)
-    and p = 1 for the trigonometric one (z ~ a).  The second step of a leg
-    starts every root at the last step's ratio to its law, the third
-    extrapolates that ratio linearly from the last two steps, and every
-    later one quadratically from the last three (the steps are equal)."""
-    spec = spec_for(family, 6, np.random.default_rng(11))
-    target = spec.real_param(spec.info.continuation)
+    and p = 1 for the trigonometric one (z ~ a).  Until a step is accepted
+    the near roots start at the start roots; every later step starts every
+    root at the Lagrange extrapolation in t of its ratio to its law over
+    the last three accepted steps (fewer at first)."""
+    spec = _leg_spec(case)
     start = _continued(spec, 0.0)
-    ts = [(k + 1) / CONTINUATION_STEPS * target for k in range(CONTINUATION_STEPS)]
-    steps = []
-    real = homotopy.newton_solve
-
-    def recorded(f, x0, opts, inverse=None):
-        report = real(f, x0, opts, inverse)
-        steps.append((np.array(x0), report.x.copy()))
-        return report
-
-    monkeypatch.setattr(homotopy, "newton_solve", recorded)
     for pair in oracle_spectrum(build_matrix(start)):
-        steps.clear()
-        homotopy._continuation_leg(spec, start, pair, target)
-        assert len(steps) == CONTINUATION_STEPS
+        with monkeypatch.context() as patch:
+            steps = _record_leg(patch, spec, pair)
+        m = pair.degree
         power = np.zeros(spec.M)
-        power[pair.degree :] = -1.0 if family == "mp-crossed" else 1.0
+        power[m:] = 1.0 if case == "trig-q" else -1.0
+        near = homotopy.native_values(spec, homotopy.extract_roots(pair, start, expected=m))
+        accepted = []
+        for k, step in enumerate(steps):
+            t, nodes = step["t"], step["nodes"]
+            if k and nodes != accepted[-3:]:
+                accepted.append(steps[k - 1]["t"])  # the step before was accepted
+            assert nodes == accepted[-3:]
+            if not nodes:
+                np.testing.assert_array_equal(step["x0"][:m], near)
+                continue
+            want = np.zeros(spec.M, dtype=complex)
+            for j, tj in enumerate(nodes):
+                unit = np.zeros(len(nodes))
+                unit[j] = 1.0
+                # the Lagrange basis polynomial of node j, evaluated at t
+                weight = np.polynomial.polynomial.polyval(
+                    t, np.polynomial.polynomial.polyfit(nodes, unit, len(nodes) - 1)
+                )
+                want += weight * _accepted(steps, k, tj)["x"] * (t / tj) ** power
+            np.testing.assert_allclose(step["x0"], want, rtol=1e-9, atol=0)
 
-        def moved(j, k):
-            """Step j's roots, moved along their laws to step k."""
-            return steps[j][1] * (ts[k] / ts[j]) ** power
 
-        for k in range(1, CONTINUATION_STEPS):
-            if k == 1:
-                want = moved(0, 1)
-            elif k == 2:
-                want = 2.0 * moved(1, 2) - moved(0, 2)
-            else:
-                want = 3.0 * moved(k - 1, k) - 3.0 * moved(k - 2, k) + moved(k - 3, k)
-            np.testing.assert_allclose(steps[k][0], want, rtol=1e-14, atol=0)
-
-
-@pytest.mark.parametrize("family", ("mp-crossed", "trig-q"))
-def test_held_inverse_is_carried_in_the_law_frame(family, monkeypatch):
-    """Before step k the inverse that step k - 1 returned has its rows
-    multiplied by law[k] / law[k - 1]: each row maps residuals to one
-    root's move, which scales like that root's leading-order law.  The
-    near-root rows pass bit for bit, and a step that returns no inverse
-    hands none on."""
-    spec = spec_for(family, 6, np.random.default_rng(11))
-    target = spec.real_param(spec.info.continuation)
-    start = _continued(spec, 0.0)
-    pair = next(p for p in oracle_spectrum(build_matrix(start)) if p.degree == 3)
-    ts = [(k + 1) / CONTINUATION_STEPS * target for k in range(CONTINUATION_STEPS)]
-    law = np.ones((CONTINUATION_STEPS, spec.M), dtype=complex)
-    law[:, 3:] = homotopy._far_seeds(spec, 3, ts)
-    dropped = 5  # this step's report hands on no inverse
-    steps = []
-    real = homotopy.newton_solve
-
-    def recorded(f, x0, opts, inverse=None):
-        report = real(f, x0, opts, inverse)
-        if len(steps) == dropped:
-            report = dc_replace(report, inverse=None)
-        steps.append((None if inverse is None else inverse.copy(), report.inverse))
-        return report
-
-    monkeypatch.setattr(homotopy, "newton_solve", recorded)
-    homotopy._continuation_leg(spec, start, pair, target)
-    assert len(steps) == CONTINUATION_STEPS
-    assert steps[0][0] is None and steps[dropped + 1][0] is None
+@pytest.mark.parametrize("case", ("mp-crossed", "trig-q", "hard"))
+def test_held_inverse_is_carried_in_the_law_frame(case, monkeypatch):
+    """Each step starts from the inverse that the last accepted step
+    returned, its rows multiplied by law(t) / law(t_accepted): each row
+    maps residuals to one root's move, which scales like that root's
+    leading-order law.  The near-root rows pass bit for bit, and an
+    accepted step that returns no inverse (step ``dropped``) hands none
+    on."""
+    degree, dropped = (0, 3) if case == "hard" else (3, 2)
+    spec = _leg_spec(case)
+    pair = next(p for p in oracle_spectrum(build_matrix(_continued(spec, 0.0)))
+                if p.degree == degree)
+    law = homotopy._law(spec, degree)
+    steps = _record_leg(monkeypatch, spec, pair, drop_inverse_at=dropped)
     carried = 0
-    for k in range(1, CONTINUATION_STEPS):
-        supplied, returned = steps[k][0], steps[k - 1][1]
-        if returned is None:
-            assert supplied is None
+    sources = []
+    for k, step in enumerate(steps):
+        if not step["nodes"]:
+            assert step["supplied"] is None
+            continue
+        source = _accepted(steps, k, step["nodes"][-1])
+        sources.append(source)
+        if source["inverse"] is None:
+            assert step["supplied"] is None
             continue
         carried += 1
-        np.testing.assert_array_equal(supplied, (law[k] / law[k - 1])[:, None] * returned)
-        np.testing.assert_array_equal(supplied[:3], returned[:3])
-    assert carried >= CONTINUATION_STEPS - 3
+        want = (law(step["t"]) / law(source["t"]))[:, None] * source["inverse"]
+        np.testing.assert_array_equal(step["supplied"], want)
+        np.testing.assert_array_equal(step["supplied"][:degree], source["inverse"][:degree])
+    assert any(source is steps[dropped] for source in sources)
+    assert carried >= len(sources) - 2
 
 
 @pytest.mark.parametrize("family", ("mp-crossed", "trig-q"))
@@ -312,6 +453,9 @@ HELD_JACOBIAN_RESIDUAL_EVALUATIONS = 8710
 # way, with 94e04b0 in place of 9cba8fb)
 RAW_FRAME_RESIDUAL_EVALUATIONS = 7065
 RAW_FRAME_FD_JACOBIANS = 229
+# and the source of 8f627f6, which took twelve equal steps per leg, this
+# many residual evaluations
+FIXED_SCHEDULE_RESIDUAL_EVALUATIONS = 4998
 
 
 def continuation_residual_evaluations() -> tuple[int, int]:
@@ -358,3 +502,9 @@ def test_law_frame_inverse_saves_finite_difference_jacobians():
     count, fd_jacobians = continuation_residual_evaluations()
     assert count <= 5300 < RAW_FRAME_RESIDUAL_EVALUATIONS
     assert fd_jacobians <= 150 < RAW_FRAME_FD_JACOBIANS
+
+
+def test_step_length_control_saves_residual_evaluations():
+    count, fd_jacobians = continuation_residual_evaluations()
+    assert count <= 4300 < FIXED_SCHEDULE_RESIDUAL_EVALUATIONS
+    assert fd_jacobians <= 150
