@@ -33,19 +33,21 @@ rows are multiplied by law(t_new) / law(t_old) (1 for the near roots).
 That inverse is held, and refined by Broyden's rank-one update, while
 ||f|| keeps at least halving (``numerics.newton_solve``).
 
-The first step is FIRST_STEP of the leg.  A step is accepted only if its
-corrector converges and no root moves, in eta, by more than MAX_MOVE of
-its distance to the nearest other predicted root.  A leg's first step
-leaves the escaped roots out of that test unless their law is exact at
-leading order (``FamilyInfo.exact_escape_law``): the trigonometric
-q-ladder is off by O(q^2) relative at every t.  An accepted step scales
-the next step's length by sqrt(MOVE_GOAL / move), clamped to [0.5, 2] and
-to at least MIN_STEP of the leg; a rejected one is retried at half the
-length, and fails the leg when that is below MIN_STEP.  The steps before
-the last are corrected only to INTERMEDIATE_TOL, far below the
-predictor's error; the last one, which ends exactly on the target, to the
-polish tolerance, 0.1 * ``bethe.POLISH_TARGET``, so the polish of a
-continuation seed takes no Newton iteration.
+The first step is FIRST_STEP of the leg, or 2/M if that is shorter, as
+the first step's largest root move grows about like M.  A step is
+accepted only if its corrector converges and no root moves, in eta, by
+more than MAX_MOVE of its distance to the nearest other predicted root.
+A leg's first step leaves the escaped roots out of that test unless
+their law is exact at leading order (``_law`` says which): the
+trigonometric q-ladder is off by O(q^2) relative at every t.  An
+accepted step scales the next step's length by sqrt(MOVE_GOAL / move),
+clamped to [0.5, 2] and to at least MIN_STEP of the leg; a rejected one
+is retried at half the length, and fails the leg when that is below
+MIN_STEP.  The steps before the last are corrected only to
+INTERMEDIATE_TOL, far below the predictor's error; the last one, which
+ends exactly on the target, to the polish tolerance, 0.1 *
+``bethe.POLISH_TARGET``, so the polish of a continuation seed takes no
+Newton iteration.
 
 Start states come from the same oracle and root extraction as every other
 solve: ``oracle_spectrum`` of the start model's matrix, whose graded branch
@@ -87,7 +89,7 @@ from .spectral import (
 
 INTERMEDIATE_TOL = 1e-6  # every earlier step: well below the predictor's error
 # step-length control, in units of the leg's length |target|
-FIRST_STEP = 1 / 8
+FIRST_STEP = 1 / 8  # up to M = 16; 2/M beyond, as the first move grows like M
 MIN_STEP = 1 / 512  # the shortest step; no step is retried below it
 MAX_MOVE = 0.25  # largest accepted root move, in nearest-neighbour distances
 MOVE_GOAL = 0.05  # the move that the next step's length aims at
@@ -98,20 +100,22 @@ def _continued(spec: ModelSpec, value: float) -> ModelSpec:
     return dc_replace(spec, params={**spec.params, spec.info.continuation: value})
 
 
-def _law(spec: ModelSpec, m: int) -> Callable[[float], np.ndarray]:
+def _law(spec: ModelSpec, m: int) -> tuple[Callable[[float], np.ndarray], bool]:
     """Every root's leading-order law as a function of the continuation
     parameter t: 1 for the m near roots of the degree-m start state and,
     for the M - m it has at infinity, x ~ -u/(2t) for the crossed family,
-    z ~ -(abcde) q^(2k) with a = t for the trigonometric one.  This is the
+    z ~ -(abcde) q^(2k) with a = t for the trigonometric one; and whether
+    the escaped roots' law is exact at leading order, which the Laguerre
+    law is and the q-ladder, off by O(q^2) relative, is not.  This is the
     one home of the escaped-root law; it seeds a leg's first step and
     frames every later prediction."""
     near = np.ones(m, dtype=complex)
     if spec.info.coordinate is Coordinate.COS:
-        exponents = list(range(m, spec.M))
-        return lambda t: np.concatenate([near, trig_far_ladder(_continued(spec, t), exponents)])
+        ladder = list(range(m, spec.M))
+        return lambda t: np.concatenate([near, trig_far_ladder(_continued(spec, t), ladder)]), False
     sum_re = 2.0 * (spec.param("a1").real + spec.param("a2").real)
     nodes = laguerre_nodes(spec.M - m, 2.0 * m + sum_re - 1.0) if m < spec.M else np.zeros(0)
-    return lambda t: np.concatenate([near, -nodes / (2.0 * t)])
+    return lambda t: np.concatenate([near, -nodes / (2.0 * t)]), True
 
 
 def laguerre_nodes(n: int, alpha: float) -> np.ndarray:
@@ -153,11 +157,11 @@ def _continuation_leg(
     native = native_values(spec, extract_roots(pair, start, expected=m))
     if target == 0.0:
         return native
-    law = _law(spec, m)
+    law, exact_law = _law(spec, m)
     first_ratio = np.concatenate([native, np.ones(spec.M - m)])
     ts: list[float] = []  # the last three accepted t's, and each root's
     ratios: list[np.ndarray] = []  # ratio to its law there
-    done, step, law_t, inverse = 0.0, FIRST_STEP, None, None  # in units of target
+    done, step, law_t, inverse = 0.0, min(FIRST_STEP, 2.0 / spec.M), None, None  # of target
     while True:
         step = min(step, 1.0 - done)
         last = step == 1.0 - done
@@ -173,7 +177,7 @@ def _continuation_leg(
         carried = None if inverse is None else (law_t_new / law_t)[:, None] * inverse
         # the escaped roots' first step is judged only where their law is
         # exact at leading order
-        judged = spec.M if ts or spec.info.exact_escape_law else m
+        judged = spec.M if ts or exact_law else m
         try:
             report = newton_solve(
                 residual_map(_continued(spec, t)),

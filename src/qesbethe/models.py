@@ -79,9 +79,6 @@ class FamilyInfo:
     parity_sectors: bool = False  # the subspace splits into even/odd sectors
     kinematic_denominator: bool = False  # V carries 1/(2ix(2ix+1))
     continuation: str | None = None  # homotopy parameter, continued from 0
-    # the continuation's law for the roots that escape to infinity at the
-    # start is exact at leading order (trig-q's q-ladder is off by O(q^2))
-    exact_escape_law: bool = True
     # eta of the reflection fixed points (z = 1/z, or x = -x), where a root's
     # Bethe equation holds whatever the other roots are
     fixed_points: tuple[float, ...] = ()
@@ -99,8 +96,7 @@ FAMILIES: dict[ModelFamily, FamilyInfo] = {
     ModelFamily.CENTRIFUGAL_II: FamilyInfo(("a", "b", "c", "d", "e", "f"), _X2, **_CENTRIFUGAL),
     ModelFamily.TRIG_Q: FamilyInfo(
         ("a", "b", "c", "d", "e", "q"), Coordinate.COS,
-        continuation="a", exact_escape_law=False,
-        fixed_points=(-1.0, 1.0), grid_window=(0.15, math.pi - 0.15),
+        continuation="a", fixed_points=(-1.0, 1.0), grid_window=(0.15, math.pi - 0.15),
     ),
 }
 

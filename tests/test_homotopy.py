@@ -1,4 +1,6 @@
+import math
 from dataclasses import replace as dc_replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -87,8 +89,9 @@ class TestHomotopySeeding:
         coefficient norms up to 1e19 against their exact monic leading
         coefficient; each of the M + 1 legs must still get its roots and
         reach its target.  Newton is stubbed out, so no root moves, every
-        step is accepted and doubles the next one: 1/8, 1/4, 1/2 of the leg
-        and the remaining 1/8, four steps per leg."""
+        step is accepted and doubles the next one: the first step is 2/M
+        of the leg, so 1/16, 1/8, 1/4, 1/2 and the remaining 1/16, five
+        steps per leg."""
         calls = []
 
         def recorded(f, x0, opts, inverse=None):
@@ -99,8 +102,7 @@ class TestHomotopySeeding:
         spec = spec_for("mp-crossed", 32, np.random.default_rng(7))
         eigenvalues = [p.eigenvalue for p in oracle_spectrum(build_matrix(spec))]
         homotopy_root_sets(spec, eigenvalues, set(range(len(eigenvalues))))
-        assert homotopy.FIRST_STEP == 1 / 8
-        assert len(calls) == (spec.M + 1) * 4
+        assert len(calls) == (spec.M + 1) * 5
         assert set(calls) == {spec.M}
 
 
@@ -343,6 +345,13 @@ def _leg_spec(case: str):
     return spec_for(case, 6, np.random.default_rng(11))
 
 
+def _exact_lagrange_weights(nodes: list[float], t: float) -> list[float]:
+    """The Lagrange weights of ``nodes`` at ``t``, each computed in exact
+    rational arithmetic and rounded once."""
+    t, exact = Fraction(t), [Fraction(n) for n in nodes]
+    return [float(math.prod((t - tk) / (tj - tk) for tk in exact if tk != tj)) for tj in exact]
+
+
 @pytest.mark.parametrize("case", ("mp-crossed", "trig-q", "hard"))
 def test_escaped_roots_start_each_step_at_their_leading_order_position(case, monkeypatch):
     """Each root's leading-order law is t^p: p = 0 for the m near roots and,
@@ -369,16 +378,13 @@ def test_escaped_roots_start_each_step_at_their_leading_order_position(case, mon
             if not nodes:
                 np.testing.assert_array_equal(step["x0"][:m], near)
                 continue
-            want = np.zeros(spec.M, dtype=complex)
-            for j, tj in enumerate(nodes):
-                unit = np.zeros(len(nodes))
-                unit[j] = 1.0
-                # the Lagrange basis polynomial of node j, evaluated at t
-                weight = np.polynomial.polynomial.polyval(
-                    t, np.polynomial.polynomial.polyfit(nodes, unit, len(nodes) - 1)
-                )
-                want += weight * _accepted(steps, k, tj)["x"] * (t / tj) ** power
-            np.testing.assert_allclose(step["x0"], want, rtol=1e-9, atol=0)
+            terms = [
+                weight * _accepted(steps, k, tj)["x"] * (t / tj) ** power
+                for weight, tj in zip(_exact_lagrange_weights(nodes, t), nodes)
+            ]
+            # each root's sum rounds at eps times its largest term, not its result
+            error = np.abs(step["x0"] - sum(terms)) / np.abs(terms).max(axis=0)
+            assert error.max() <= 1e-14
 
 
 @pytest.mark.parametrize("case", ("mp-crossed", "trig-q", "hard"))
@@ -393,7 +399,7 @@ def test_held_inverse_is_carried_in_the_law_frame(case, monkeypatch):
     spec = _leg_spec(case)
     pair = next(p for p in oracle_spectrum(build_matrix(_continued(spec, 0.0)))
                 if p.degree == degree)
-    law = homotopy._law(spec, degree)
+    law, _exact = homotopy._law(spec, degree)
     steps = _record_leg(monkeypatch, spec, pair, drop_inverse_at=dropped)
     carried = 0
     sources = []
