@@ -239,7 +239,11 @@ def newton_polish(
     """
     if len(seed) == 0:
         return seed, SolutionFlags(polished=True, degenerate=seed.degenerate), ()
-    seed_res = bae_residual(spec, seed, allow_degenerate=True)
+
+    def unpolished(degenerate: bool = seed.degenerate, jacobian_singular: bool = False):
+        flags = SolutionFlags(degenerate=degenerate, jacobian_singular=jacobian_singular)
+        return seed, flags, bae_residual(spec, seed, allow_degenerate=True)
+
     try:
         solved = newton_solve(
             residual_map(spec),
@@ -247,26 +251,22 @@ def newton_polish(
             NewtonOptions(tol=0.1 * POLISH_TARGET),
         ).x
     except SingularJacobian:
-        flags = SolutionFlags(
-            polished=False, degenerate=seed.degenerate, jacobian_singular=True
-        )
-        return seed, flags, seed_res
+        return unpolished(jacobian_singular=True)
     except NoConvergence:
-        return seed, SolutionFlags(polished=False, degenerate=seed.degenerate), seed_res
+        return unpolished()
     polished = root_set(spec, solved)
     fixed = spec.info.fixed_points
     if any(abs(e - p) <= FIXED_POINT_TOL for e in polished.roots_eta for p in fixed):
-        return seed, SolutionFlags(polished=False, degenerate=seed.degenerate), seed_res
+        return unpolished()
     try:
         # root_set measured the gaps already: only a flagged set can be
         # closer than ROOT_SEPARATION_TOL
         res = bae_residual(spec, polished, allow_degenerate=not polished.degenerate)
     except DegenerateRoots:
-        return seed, SolutionFlags(polished=False, degenerate=True), seed_res
-    if max(res, default=0.0) <= max(POLISH_TARGET, max(seed_res, default=0.0)):
-        flags = SolutionFlags(polished=True, degenerate=polished.degenerate)
-        return polished, flags, res
-    return seed, SolutionFlags(polished=False, degenerate=seed.degenerate), seed_res
+        return unpolished(degenerate=True)
+    if max(res, default=0.0) <= POLISH_TARGET:
+        return polished, SolutionFlags(polished=True, degenerate=polished.degenerate), res
+    return unpolished()
 
 
 # ---------------------------------------------------------------------------
@@ -314,42 +314,6 @@ def eigenvalue_from_roots(spec: ModelSpec, roots: RootSet) -> complex:
     return _eigen_equation_at(spec, roots.roots_eta, FALLBACK_ANCHOR if on_anchor else ANCHOR)
 
 
-def trig_far_ladder(spec: ModelSpec, exponents: list[int]) -> list[complex]:
-    """Estimated z-positions of the trigonometric family's far-out roots.
-
-    The weakly-coupled rungs of a deformed state sit near
-    z = -(abcde) q^(2k), with k = d, d+1, ..., M-1 for a state that keeps
-    d roots finite: the start degree of a continuation leg, or the degree
-    of a truncated eigenvector's representable part.
-    """
-    q = spec.real_param("q")
-    prod = 1.0
-    for name in ("a", "b", "c", "d", "e"):
-        prod *= spec.real_param(name)
-    return [complex(-prod * q ** (2 * k)) for k in exponents]
-
-
-def _complete_truncated_roots(spec: ModelSpec, near: RootSet) -> RootSet | None:
-    """Fill in the far-root rungs that underflowed the oracle eigenvector.
-
-    Only the trigonometric family develops these ladders.  The roots of the
-    representable part of a truncated eigenvector, ``near``, are completed
-    with the analytic rung estimates (``trig_far_ladder``), whose
-    O(q^2)-relative errors the full polish in ``solve`` removes.  ``solve``
-    takes this seed only for a truncated state that no continuation leg
-    reproduces.  Returns None when no completion is available.
-    """
-    if spec.info.coordinate is not Coordinate.COS:
-        return None
-    deg_rep = len(near)
-    if spec.M <= deg_rep:
-        return None
-    far = trig_far_ladder(spec, list(range(deg_rep, spec.M)))
-    if any(abs(z) < 1e-280 for z in far):
-        return None
-    return root_set(spec, np.concatenate([native_values(spec, near), far]))
-
-
 # ---------------------------------------------------------------------------
 # End-to-end solve
 # ---------------------------------------------------------------------------
@@ -362,8 +326,8 @@ def solve(spec: ModelSpec, seed_mode: str = "oracle") -> list[BetheSolution]:
     ``seed_mode="oracle"`` seeds each state from its oracle eigenvector,
     except a truncated trigonometric one (``OracleEigenpair.truncated``):
     that is seeded in both modes by parameter continuation from the exactly
-    solvable point or, if no leg reproduces it, by its representable roots
-    plus the analytic ladder (``_complete_truncated_roots``).
+    solvable point, the only route to its underflowed roots; one that no
+    leg reproduces comes back with its representable roots, unpolished.
     ``seed_mode="homotopy"`` seeds every crossed Meixner-Pollaczek and
     trigonometric state by continuation, falling back to the oracle seed,
     flagged per solution, if its leg fails.
@@ -379,23 +343,24 @@ def solve(spec: ModelSpec, seed_mode: str = "oracle") -> list[BetheSolution]:
     homotopy_seeds = homotopy_root_sets(spec, eigenvalues, wanted) if wanted else {}
     solutions = []
     for idx, pair in enumerate(pairs):
-        actual = pair.degree
         anomalous = False
         seed = homotopy_seeds.get(idx)
         source = "homotopy"
         if seed is None:
             source = "oracle"
-            representable = extract_roots(pair, spec, expected=actual)
-            if pair.truncated:
-                seed = _complete_truncated_roots(spec, representable)
-            if seed is None:
-                # a lower-degree eigenpolynomial is a state of its own at an
-                # exactly solvable point, and an anomaly anywhere else
-                seed = representable
-                anomalous = actual != expected and (
-                    pair.truncated or not compensation_vanishes(spec)
-                )
-        roots, flags, residuals = newton_polish(spec, seed)
+            seed = extract_roots(pair, spec, expected=pair.degree)
+            # a lower-degree eigenpolynomial is a state of its own at an
+            # exactly solvable point, and an anomaly anywhere else
+            anomalous = pair.degree != expected and (
+                pair.truncated or not compensation_vanishes(spec)
+            )
+        if source == "oracle" and pair.truncated:
+            # no leg reproduced the state: a polish of its representable
+            # roots, too few, can land on a Bethe solution of no state
+            roots, flags = seed, SolutionFlags()
+            residuals = bae_residual(spec, seed, allow_degenerate=True)
+        else:
+            roots, flags, residuals = newton_polish(spec, seed)
         if flags.degenerate or anomalous:
             flags = replace(flags, degenerate=True)
         e_formula = eigenvalue_from_roots(spec, roots)

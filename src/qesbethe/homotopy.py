@@ -16,22 +16,28 @@ generalized Laguerre polynomial of degree M - m and parameter
 The trigonometric escaped roots are seeded on a geometric q-ladder
 z ~ -(abcde) q^{2m + 2k}.
 
-A leg walks the continuation parameter t from 0 to its target in steps
-whose length is controlled (Allgower & Georg, *Introduction to Numerical
-Continuation Methods*, SIAM 2003, ch. 6).  Every root has a leading-order
-law (``_law``): 1 for the near roots, x ~ 1/beta for the crossed family's
-escaped roots and z ~ a for the trigonometric ones.  The predictor works
-on each root's ratio to its law: the first step starts every root on its
-law, and every later one extrapolates the ratios by the Lagrange
-polynomial in t through the last three accepted steps (fewer at the
-start).  The corrector is one ``numerics.newton_solve`` call on
-``bethe.residual_map`` of the step's model, in coordinates relative to the
-predicted roots, started from the inverse Jacobian the last accepted step
-ended with, carried in the roots' law frame: a row of the inverse maps
-residuals to one root's move, which scales like that root's law, so its
-rows are multiplied by law(t_new) / law(t_old) (1 for the near roots).
-That inverse is held, and refined by Broyden's rank-one update, while
-||f|| keeps at least halving (``numerics.newton_solve``).
+A leg walks a real path variable t from 0 to its target in steps whose
+length is controlled (Allgower & Georg, *Introduction to Numerical
+Continuation Methods*, SIAM 2003, ch. 6), each at the continuation
+parameter a(t) (``_on_path``): t itself for the crossed family, and for the
+trigonometric one a detour through complex a, real again on the target, as
+a real leg can end with a root on the fixed point eta = +-1 and a complex
+path misses any given point with probability one (the gamma trick:
+Sommese & Wampler 2005, ch. 7; Hao, Nepomechie & Sommese, PRE 88 (2013)
+052113).  Every root has a leading-order law (``_law``) in a: 1 for the
+near roots, x ~ 1/beta for the crossed family's escaped roots and z ~ a
+for the trigonometric ones.  The predictor works on each root's ratio to
+its law: the first step starts every root on its law, and every later one
+extrapolates the ratios by the Lagrange polynomial in t through the last
+three accepted steps (fewer at the start).  The corrector is one
+``numerics.newton_solve`` call on ``bethe.residual_map`` of the step's
+model, in coordinates relative to the predicted roots, started from the
+inverse Jacobian the last accepted step ended with, carried in the roots'
+law frame: a row of the inverse maps residuals to one root's move, which
+scales like that root's law, so its rows are multiplied by
+law(a_new) / law(a_old) (1 for the near roots).  That inverse is held, and
+refined by Broyden's rank-one update, while ||f|| keeps at least halving
+(``numerics.newton_solve``).
 
 The first step is FIRST_STEP of the leg, or 2/M if that is shorter, as
 the first step's largest root move grows about like M.  A step is
@@ -62,7 +68,8 @@ escaped roots, and stop as soon as every wanted state has a seed.
 A leg that fails anywhere (roots of its start eigenpolynomial, escaped
 roots that the leading-order law puts at 0, a step rejected near MIN_STEP,
 the eigenvalue formula) or lands on no wanted oracle eigenvalue is dropped on
-its own; the caller seeds that state from the oracle instead.
+its own; the caller seeds that state from the oracle instead or, for a
+truncated trigonometric state, returns its representable roots unpolished.
 """
 
 from __future__ import annotations
@@ -73,7 +80,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bethe import POLISH_TARGET, eigenvalue_from_roots, residual_map, trig_far_ladder
+from .bethe import POLISH_TARGET, eigenvalue_from_roots, residual_map
 from .errors import DegenerateRoots, NoConvergence, QesError
 from .hamiltonian import build_matrix
 from .models import Coordinate, ModelSpec, native_variable
@@ -95,12 +102,35 @@ MAX_MOVE = 0.25  # largest accepted root move, in nearest-neighbour distances
 MOVE_GOAL = 0.05  # the move that the next step's length aims at
 
 
-def _continued(spec: ModelSpec, value: float) -> ModelSpec:
+def _continued(spec: ModelSpec, value: complex) -> ModelSpec:
     """The model with its continuation parameter set to ``value``."""
     return dc_replace(spec, params={**spec.params, spec.info.continuation: value})
 
 
-def _law(spec: ModelSpec, m: int) -> tuple[Callable[[float], np.ndarray], bool]:
+def _on_path(spec: ModelSpec, t: float, target: float) -> complex:
+    """The continuation parameter at path variable t: t + i detour |target|
+    4 s (1 - s), s = t / target (``FamilyInfo.detour``); t if that is 0."""
+    if not spec.info.detour or t == target:
+        return t
+    s = t / target
+    return t + 1j * spec.info.detour * abs(target) * 4.0 * s * (1.0 - s)
+
+
+def trig_far_ladder(spec: ModelSpec, exponents: list[int]) -> list[complex]:
+    """Estimated z-positions of the trigonometric family's far-out roots.
+
+    The weakly-coupled rungs of a deformed state sit near
+    z = -(abcde) q^(2k), with k = d, d+1, ..., M-1 for a state that keeps
+    d roots finite (the start degree of a continuation leg).
+    """
+    q = spec.real_param("q")
+    prod = 1.0 + 0j
+    for name in ("a", "b", "c", "d", "e"):
+        prod *= spec.param(name)
+    return [-prod * q ** (2 * k) for k in exponents]
+
+
+def _law(spec: ModelSpec, m: int) -> tuple[Callable[[complex], np.ndarray], bool]:
     """Every root's leading-order law as a function of the continuation
     parameter t: 1 for the m near roots of the degree-m start state and,
     for the M - m it has at infinity, x ~ -u/(2t) for the crossed family,
@@ -166,7 +196,8 @@ def _continuation_leg(
         step = min(step, 1.0 - done)
         last = step == 1.0 - done
         t = target if last else (done + step) * target
-        law_t_new = law(t)
+        at = _on_path(spec, t, target)
+        law_t_new = law(at)
         if not law_t_new.all():
             raise DegenerateRoots(
                 f"the leading-order law puts escaped roots of the degree-{m} start state at 0"
@@ -180,7 +211,7 @@ def _continuation_leg(
         judged = spec.M if ts or exact_law else m
         try:
             report = newton_solve(
-                residual_map(_continued(spec, t)),
+                residual_map(_continued(spec, at)),
                 predicted,
                 NewtonOptions(tol=0.1 * POLISH_TARGET if last else INTERMEDIATE_TOL, max_iter=60),
                 carried,

@@ -6,7 +6,7 @@ canonical one everywhere downstream, including JSON output.
 
 Every root set is built by ``root_set`` from the sector's Newton variable
 (``models.native_variable``), whether it comes from an eigenpolynomial, a
-Newton polish, a trigonometric ladder completion or a continuation leg.
+Newton polish or a continuation leg.
 It fixes the representatives once and for all: for the x^2-based families
 the sign gauge is resolved to Re x > 0 (or Re x = 0, Im x >= 0), and for
 the trigonometric family to |z| <= 1 with ties on the unit circle broken by

@@ -289,7 +289,7 @@ def meets_criterion_one(sol) -> bool:
 # root and five rungs of the escaped-root ladder
 SAME_SIGN = model_spec("trig-q", M=6, a=0.684, b=0.668, c=0.849, d=0.707, e=0.596, q=0.405)
 # a draw from the benchmark's trig-q envelope (|a..e| in (0.2, 0.6), q in
-# (0.5, 0.8)) whose ladder-completed seeds leave two truncated states unpolished
+# (0.5, 0.8)) with truncated states
 ENVELOPE_M6 = model_spec(
     "trig-q", M=6, a=0.39720920749269706, b=0.22432108518322244, c=0.42223844676828937,
     d=-0.5518604693339688, e=-0.2256857749248764, q=0.761026550698251,
@@ -297,9 +297,16 @@ ENVELOPE_M6 = model_spec(
 
 # the 50th trig-q draw of conftest's draw_params from default_rng(11): the
 # degree-0 leg of its ground state ends with a root on eta = 1 at M = 9
+# when it walks the real a axis
 FIXED_POINT_LEG = {
     "a": -0.7066286477023541, "b": -0.7582076136694641, "c": -0.5628668645267257,
     "d": -0.5718546835615754, "e": -0.7251789684750364, "q": 0.5767318141201416,
+}
+# the 50th full-domain trig-q draw of bench/workloads' draw_params from
+# default_rng(11), whose real-axis ground-state leg does the same at M 11-13
+FIXED_POINT_FULL = {
+    "a": -0.794573051028378, "b": -0.861281847012507, "c": -0.6086411447878987,
+    "d": -0.6202653907396376, "e": -0.8185647992277136, "q": 0.551325083110672,
 }
 
 
@@ -332,7 +339,10 @@ class TestTruncatedTrigStates:
         assert built == [spec.M, spec.M]
 
     @pytest.mark.parametrize("spec", [SAME_SIGN, ENVELOPE_M6], ids=["same-sign", "envelope"])
-    def test_ladder_fallback_is_right_or_unpolished(self, spec, monkeypatch):
+    def test_unseeded_truncated_state_is_unpolished(self, spec, monkeypatch):
+        """With every leg failing, a truncated state comes back with its
+        representable roots, unpolished: no Newton solve runs on them."""
+
         def failing(*args):
             raise NoConvergence("forced for every leg")
 
@@ -343,14 +353,23 @@ class TestTruncatedTrigStates:
         for pair, sol in zip(pairs, sols):
             if pair.truncated:
                 assert sol.seed_source == "oracle"
-                assert meets_criterion_one(sol) or not sol.flags.polished
+                assert not sol.flags.polished and sol.flags.degenerate
+                assert len(sol.roots) == pair.degree < spec.M
 
-    @pytest.mark.parametrize("M", [9, 10])
+    @pytest.mark.parametrize(
+        ("M", "params"),
+        [(M, FIXED_POINT_LEG) for M in (9, 10, 12, 13)]
+        + [(M, FIXED_POINT_FULL) for M in (11, 12, 13)],
+        ids=["9", "10", "12", "13", "full-11", "full-12", "full-13"],
+    )
     @pytest.mark.parametrize("seed_mode", ["oracle", "homotopy"])
-    def test_fixed_point_leg_is_right_or_unpolished(self, seed_mode, M):
-        spec = model_spec("trig-q", M=M, **FIXED_POINT_LEG)
-        for sol in solve(spec, seed_mode=seed_mode):
-            assert meets_criterion_one(sol) or not sol.flags.polished
+    def test_fixed_point_leg_is_right_or_unpolished(self, seed_mode, M, params):
+        """Every state meets criterion 1, and the ground state is seeded by
+        continuation: its leg through complex a misses the fixed point
+        eta = 1 that the real-axis leg ends on."""
+        sols = solve(model_spec("trig-q", M=M, **params), seed_mode=seed_mode)
+        assert sols[0].seed_source == "homotopy"
+        assert all(meets_criterion_one(sol) for sol in sols)
 
 
 class TestFixedPoints:

@@ -304,7 +304,7 @@ class TestVerifyEnvelope:
         With the fixed-point guard switched off, verify still catches it."""
 
         def ladder_only(spec, eigenvalues, wanted):
-            return {0: bethe._complete_truncated_roots(spec, root_set(spec, ()))}
+            return {0: root_set(spec, homotopy.trig_far_ladder(spec, list(range(spec.M))))}
 
         monkeypatch.setattr(homotopy, "homotopy_root_sets", ladder_only)
         monkeypatch.setattr(bethe, "FIXED_POINT_TOL", -1.0)

@@ -295,10 +295,13 @@ def test_held_steps_solve_no_linear_system(family, M, monkeypatch):
 
 
 def _record_leg(monkeypatch, spec, pair, drop_inverse_at=None) -> list[dict]:
-    """Run the continuation leg of ``pair`` and record every step: its t,
-    the accepted t's it was predicted from, the roots and inverse it was
-    started from, and the roots and inverse its corrector returned.  The
-    report of step ``drop_inverse_at`` hands on no inverse."""
+    """Run the continuation leg of ``pair`` and record every step: its path
+    variable t and continuation parameter a, the accepted t's it was
+    predicted from, the roots and inverse it was started from, and the
+    roots and inverse its corrector returned.  The report of step
+    ``drop_inverse_at`` hands on no inverse.  Off the target, a = t + i
+    detour |target| 4 s (1 - s), s = t / target; with no detour a is the
+    real t itself."""
     steps = []
     real_newton, real_map = homotopy.newton_solve, homotopy.residual_map
     real_weights = homotopy._lagrange_weights
@@ -317,14 +320,21 @@ def _record_leg(monkeypatch, spec, pair, drop_inverse_at=None) -> list[dict]:
         )
         return report
 
+    target = spec.real_param(spec.info.continuation)
+    detour = spec.info.detour
+
     def mapped(step_spec):
-        assert step_spec.real_param(step_spec.info.continuation) == steps[-1]["t"]
+        a, t = step_spec.param(step_spec.info.continuation), steps[-1]["t"]
+        s = t / target
+        assert a.real == t
+        assert a.imag == pytest.approx(detour * abs(target) * 4 * s * (1 - s), rel=1e-15)
+        assert isinstance(a, complex) == (bool(detour) and t != target)
+        steps[-1]["a"] = a
         return real_map(step_spec)
 
     monkeypatch.setattr(homotopy, "_lagrange_weights", weights)
     monkeypatch.setattr(homotopy, "newton_solve", newton)
     monkeypatch.setattr(homotopy, "residual_map", mapped)
-    target = spec.real_param(spec.info.continuation)
     homotopy._continuation_leg(spec, _continued(spec, 0.0), pair, target)
     assert steps[-1]["t"] == target
     return steps
@@ -354,12 +364,14 @@ def _exact_lagrange_weights(nodes: list[float], t: float) -> list[float]:
 
 @pytest.mark.parametrize("case", ("mp-crossed", "trig-q", "hard"))
 def test_escaped_roots_start_each_step_at_their_leading_order_position(case, monkeypatch):
-    """Each root's leading-order law is t^p: p = 0 for the m near roots and,
-    for the M - m escaped ones, p = -1 for the crossed family (x ~ 1/beta)
-    and p = 1 for the trigonometric one (z ~ a).  Until a step is accepted
-    the near roots start at the start roots; every later step starts every
-    root at the Lagrange extrapolation in t of its ratio to its law over
-    the last three accepted steps (fewer at first)."""
+    """Each root's leading-order law is a^p in the continuation parameter
+    a = a(t) at path variable t: p = 0 for the m near roots and, for the
+    M - m escaped ones, p = -1 for the crossed family (x ~ 1/beta, a = t)
+    and p = 1 for the trigonometric one (z ~ a, a complex off the target).
+    Until a step is accepted the near roots start at the start roots;
+    every later step starts every root at the Lagrange extrapolation in the
+    real t of its ratio to its law over the last three accepted steps
+    (fewer at first)."""
     spec = _leg_spec(case)
     start = _continued(spec, 0.0)
     for pair in oracle_spectrum(build_matrix(start)):
@@ -379,8 +391,10 @@ def test_escaped_roots_start_each_step_at_their_leading_order_position(case, mon
                 np.testing.assert_array_equal(step["x0"][:m], near)
                 continue
             terms = [
-                weight * _accepted(steps, k, tj)["x"] * (t / tj) ** power
-                for weight, tj in zip(_exact_lagrange_weights(nodes, t), nodes)
+                weight * node["x"] * (step["a"] / node["a"]) ** power
+                for weight, node in zip(
+                    _exact_lagrange_weights(nodes, t), [_accepted(steps, k, tj) for tj in nodes]
+                )
             ]
             # each root's sum rounds at eps times its largest term, not its result
             error = np.abs(step["x0"] - sum(terms)) / np.abs(terms).max(axis=0)
@@ -390,7 +404,8 @@ def test_escaped_roots_start_each_step_at_their_leading_order_position(case, mon
 @pytest.mark.parametrize("case", ("mp-crossed", "trig-q", "hard"))
 def test_held_inverse_is_carried_in_the_law_frame(case, monkeypatch):
     """Each step starts from the inverse that the last accepted step
-    returned, its rows multiplied by law(t) / law(t_accepted): each row
+    returned, its rows multiplied by law(a) / law(a_accepted), a = a(t) the
+    continuation parameter of each step's path variable t: each row
     maps residuals to one root's move, which scales like that root's
     leading-order law.  The near-root rows pass bit for bit, and an
     accepted step that returns no inverse (step ``dropped``) hands none
@@ -413,7 +428,7 @@ def test_held_inverse_is_carried_in_the_law_frame(case, monkeypatch):
             assert step["supplied"] is None
             continue
         carried += 1
-        want = (law(step["t"]) / law(source["t"]))[:, None] * source["inverse"]
+        want = (law(step["a"]) / law(source["a"]))[:, None] * source["inverse"]
         np.testing.assert_array_equal(step["supplied"], want)
         np.testing.assert_array_equal(step["supplied"][:degree], source["inverse"][:degree])
     assert any(source is steps[dropped] for source in sources)

@@ -1,21 +1,25 @@
-"""Continuation coverage sweep: which states ``solve --seed homotopy``
-seeds by continuation, and what its legs cost.
+"""Continuation coverage sweep: which states ``solve`` seeds by
+continuation, which it leaves unpolished or gets wrong, and what its legs
+cost.
 
-Three samples, each drawn from its own ``numpy.random.default_rng(11)``,
-20 models per M at M = 4, 6, 8, 10 in that order:
+Five samples, each drawn from its own ``numpy.random.default_rng(11)``:
 
-* mp-crossed, full-domain draws (``bench/workloads.draw_params(..., "full")``);
-* trig-q, acceptance-range draws (``tests/conftest.spec_for``);
-* trig-q, full-domain draws.
+* ``--seed homotopy``, 20 models per M at M = 4, 6, 8, 10 in that order:
+  mp-crossed full-domain draws (``bench/workloads.draw_params(..., "full")``),
+  trig-q acceptance-range draws (``tests/conftest.spec_for``) and trig-q
+  full-domain draws;
+* ``--seed oracle``, 30 models per M at M = 11, 12, 13, 14, where the
+  trig-q ladders outgrow the eigenvector and every truncated state needs
+  its continuation leg: trig-q acceptance-range and full-domain draws.
 
-Every state of every model that builds is solved with ``seed_mode="homotopy"``.
+Every state of every model that builds is solved in the sample's seed mode.
 The script prints, per sample, the models built, the states, how many of
-them are continuation-seeded, how many are wrong (``polished`` but missing
-criterion 1: residual <= 1e-9 and eigenvalue gap <= 1e-8 max(1, |E|)) and
-the residual evaluations of the continuation legs.  ``--out`` writes each
-state's ``seed_source`` to JSON; ``--compare OLD.json`` lists the states
-that OLD seeded by continuation and this tree does not (lost) and the
-reverse (gained).
+them are continuation-seeded, how many come back unpolished, how many are
+wrong (``polished`` but missing criterion 1: residual <= 1e-9 and
+eigenvalue gap <= 1e-8 max(1, |E|)) and the residual evaluations of the
+continuation legs.  ``--out`` writes each state's ``seed_source`` to JSON;
+``--compare OLD.json`` lists the states that OLD seeded by continuation and
+this tree does not (lost) and the reverse (gained).
 
 Run from the repository root with numpy and pytest (``tests/conftest``
 imports it) installed, no install of the package needed:
@@ -41,9 +45,15 @@ from qesbethe import homotopy, model_spec  # noqa: E402
 from qesbethe.bethe import solve  # noqa: E402
 from qesbethe.errors import QesError  # noqa: E402
 
-SAMPLES = (("mp-crossed", "full"), ("trig-q", "conftest"), ("trig-q", "full"))
-MS = (4, 6, 8, 10)
-DRAWS = 20
+SMALL, LARGE = (4, 6, 8, 10), (11, 12, 13, 14)
+# family, domain, seed mode, the M's and the draws per M
+SAMPLES = (
+    ("mp-crossed", "full", "homotopy", SMALL, 20),
+    ("trig-q", "conftest", "homotopy", SMALL, 20),
+    ("trig-q", "full", "homotopy", SMALL, 20),
+    ("trig-q", "conftest", "oracle", LARGE, 30),
+    ("trig-q", "full", "oracle", LARGE, 30),
+)
 SEED = 11
 
 
@@ -79,23 +89,25 @@ def sweep() -> tuple[dict[str, str], list[dict]]:
     rows = []
     homotopy.residual_map = counted_map
     try:
-        for family, domain in SAMPLES:
+        for family, domain, mode, ms, draws in SAMPLES:
             rng = np.random.default_rng(SEED)
             evaluations = 0
-            row = {"sample": f"{family}/{domain}", "models": 0, "states": 0,
-                   "continued": 0, "wrong": 0}
-            for M in MS:
-                for draw in range(DRAWS):
+            row = {"sample": f"{family}/{domain}/{mode}", "models": 0, "states": 0,
+                   "continued": 0, "unpolished": 0, "wrong": 0}
+            for M in ms:
+                for draw in range(draws):
                     spec = _spec(family, domain, M, rng)
                     try:
-                        sols = solve(spec, seed_mode="homotopy")
+                        sols = solve(spec, seed_mode=mode)
                     except QesError:
                         continue
                     row["models"] += 1
                     for k, sol in enumerate(sols):
+                        # the two modes sweep disjoint M's
                         sources[f"{family}/{domain}/{M}/{draw}/{k}"] = sol.seed_source
                         row["states"] += 1
                         row["continued"] += sol.seed_source == "homotopy"
+                        row["unpolished"] += not sol.flags.polished
                         row["wrong"] += _is_wrong(sol)
             row["leg_residual_evals"] = evaluations
             rows.append(row)
@@ -110,11 +122,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--compare", help="an earlier --out file to report lost and gained states")
     args = parser.parse_args(argv)
     sources, rows = sweep()
-    print(f"{'sample':<20} {'models':>6} {'states':>6} {'continued':>9} {'wrong':>5} "
-          f"{'leg evals':>10}")
+    print(f"{'sample':<25} {'models':>6} {'states':>6} {'continued':>9} {'unpolished':>10} "
+          f"{'wrong':>5} {'leg evals':>10}")
     for r in rows:
-        print(f"{r['sample']:<20} {r['models']:>6} {r['states']:>6} {r['continued']:>9} "
-              f"{r['wrong']:>5} {r['leg_residual_evals']:>10}")
+        print(f"{r['sample']:<25} {r['models']:>6} {r['states']:>6} {r['continued']:>9} "
+              f"{r['unpolished']:>10} {r['wrong']:>5} {r['leg_residual_evals']:>10}")
     if args.out:
         Path(args.out).write_text(json.dumps(sources, indent=0, sort_keys=True) + "\n")
     if args.compare:
