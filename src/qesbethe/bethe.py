@@ -274,44 +274,57 @@ def newton_polish(
 # ---------------------------------------------------------------------------
 
 
-def _eigen_equation_at(spec: ModelSpec, roots_eta: Sequence[complex], x0: complex) -> complex:
-    """E from H~ Psi = E Psi at the point x0, Psi built from the roots.
+def _eigen_equation_at(spec: ModelSpec, x0: complex) -> Callable[[Sequence[complex]], complex]:
+    """E from H~ Psi = E Psi at the point x0, as a function of the roots
+    that build Psi; what no root enters (eta at x0 and x0 -+ s, V, V* and
+    alpha_M at x0) is evaluated here, once.
 
     The shifted wavefunctions enter as Psi(x0 -+ s)/Psi(x0), s the step of
     H~ (``models.step``), each a product of per-root ratios, so that no
     product of far-out roots over- or underflows."""
     s = step(spec)
     eta0, eta_minus, eta_plus = eta(spec, np.array([x0, x0 - s, x0 + s])).tolist()
-    r_minus = r_plus = 1.0
-    for e in roots_eta:
-        r_minus *= (eta_minus - e) / (eta0 - e)
-        r_plus *= (eta_plus - e) / (eta0 - e)
-    if spec.sector is Sector.ODD:
-        r_minus *= (x0 - s) / x0
-        r_plus *= (x0 + s) / x0
-    return (
-        potential_v(spec, x0) * (r_minus - 1.0)
-        + potential_v_star(spec, x0) * (r_plus - 1.0)
-        + compensation_alpha(spec, x0)
-    )
+    odd = spec.sector is Sector.ODD
+    v = potential_v(spec, x0)
+    v_star = potential_v_star(spec, x0)
+    alpha = compensation_alpha(spec, x0)
+
+    def energy(roots_eta: Sequence[complex]) -> complex:
+        r_minus = r_plus = 1.0
+        for e in roots_eta:
+            r_minus *= (eta_minus - e) / (eta0 - e)
+            r_plus *= (eta_plus - e) / (eta0 - e)
+        if odd:
+            r_minus *= (x0 - s) / x0
+            r_plus *= (x0 + s) / x0
+        return v * (r_minus - 1.0) + v_star * (r_plus - 1.0) + alpha
+
+    return energy
 
 
-def eigenvalue_from_roots(spec: ModelSpec, roots: RootSet) -> complex:
-    """E({eta_l}) read off the eigen-equation H~ Psi = E Psi (Baxter's T-Q
-    relation) at one point off every grid and pole.
+def eigenvalue_from_roots(spec: ModelSpec, root_sets: Sequence[RootSet]) -> list[complex]:
+    """E({eta_l}) of each root set, read off the eigen-equation H~ Psi = E
+    Psi (Baxter's T-Q relation) at one point off every grid and pole.
 
     Fewer roots than the subspace degree carries are allowed: at exactly
     solvable parameter points eigenfunctions of every lower degree coexist
     in the subspace, and the same equation holds for them.  The second
-    anchor is used when a root sits on eta at the first, where Psi vanishes.
+    anchor is used for a root set with a root on eta at the first, where Psi
+    vanishes.  Each anchor's root-free terms are evaluated once for all the
+    root sets, and the second anchor's only if some root set needs it.
     """
     expected = bethe_root_count(spec)
-    if len(roots) > expected:
-        raise ValueError(f"expected at most {expected} roots, got {len(roots)}")
+    for roots in root_sets:
+        if len(roots) > expected:
+            raise ValueError(f"expected at most {expected} roots, got {len(roots)}")
     eta0 = eta(spec, ANCHOR)
     clearance = ANCHOR_CLEARANCE * abs(eta0)
-    on_anchor = any(abs(e - eta0) <= clearance for e in roots.roots_eta)
-    return _eigen_equation_at(spec, roots.roots_eta, FALLBACK_ANCHOR if on_anchor else ANCHOR)
+    anchors = [
+        FALLBACK_ANCHOR if any(abs(e - eta0) <= clearance for e in roots.roots_eta) else ANCHOR
+        for roots in root_sets
+    ]
+    equations = {x0: _eigen_equation_at(spec, x0) for x0 in set(anchors)}
+    return [equations[x0](roots.roots_eta) for x0, roots in zip(anchors, root_sets)]
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +354,16 @@ def solve(spec: ModelSpec, seed_mode: str = "oracle") -> list[BetheSolution]:
     wanted = {idx for idx, pair in enumerate(pairs) if seed_mode == "homotopy" or pair.truncated}
     eigenvalues = [p.eigenvalue for p in pairs]
     homotopy_seeds = homotopy_root_sets(spec, eigenvalues, wanted) if wanted else {}
-    solutions = []
+    unseeded = [idx for idx in range(len(pairs)) if idx not in homotopy_seeds]
+    oracle_seeds = dict(zip(unseeded, extract_roots([pairs[idx] for idx in unseeded], spec)))
+    polished = []  # (roots, flags, residuals, seed source) per pair
     for idx, pair in enumerate(pairs):
         anomalous = False
         seed = homotopy_seeds.get(idx)
         source = "homotopy"
         if seed is None:
             source = "oracle"
-            seed = extract_roots(pair, spec, expected=pair.degree)
+            seed = oracle_seeds[idx]
             # a lower-degree eigenpolynomial is a state of its own at an
             # exactly solvable point, and an anomaly anywhere else
             anomalous = pair.degree != expected and (
@@ -363,16 +378,17 @@ def solve(spec: ModelSpec, seed_mode: str = "oracle") -> list[BetheSolution]:
             roots, flags, residuals = newton_polish(spec, seed)
         if flags.degenerate or anomalous:
             flags = replace(flags, degenerate=True)
-        e_formula = eigenvalue_from_roots(spec, roots)
-        solutions.append(
-            BetheSolution(
-                spec=spec,
-                roots=roots,
-                E_formula=e_formula,
-                E_oracle=pair.eigenvalue,
-                residuals=residuals,
-                flags=flags,
-                seed_source=source,
-            )
+        polished.append((roots, flags, residuals, source))
+    energies = eigenvalue_from_roots(spec, [roots for roots, *_ in polished])
+    return [
+        BetheSolution(
+            spec=spec,
+            roots=roots,
+            E_formula=e_formula,
+            E_oracle=pair.eigenvalue,
+            residuals=residuals,
+            flags=flags,
+            seed_source=source,
         )
-    return solutions
+        for pair, e_formula, (roots, flags, residuals, source) in zip(pairs, energies, polished)
+    ]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -50,7 +51,7 @@ VERIFY_CHECKS = (
      lambda spec, sols, pts: float(zero_mode_residual(spec, pts).max())),
     ("schrodinger_pointwise", "schrodinger",
      lambda spec, sols, pts: max(
-         (float(schrodinger_residual(spec, s, pts).max()) for s in sols), default=0.0)),
+         (float(r.max()) for r in schrodinger_residual(spec, sols, pts)), default=0.0)),
 )
 VERIFY_TOLERANCES = tuple(tol for _, tol, _ in VERIFY_CHECKS)
 
@@ -129,7 +130,10 @@ def _tolerances_from_args(
         if "=" not in item:
             raise ValueError(f"--tol expects NAME=VALUE, got {item!r}")
         name, value = item.split("=", 1)
-        overrides[name.strip()] = float(value)
+        name, threshold = name.strip(), float(value)
+        if not (math.isfinite(threshold) and threshold >= 0.0):
+            raise ValueError(f"--tol {name} must be finite and non-negative, got {value!r}")
+        overrides[name] = threshold
     unknown = sorted(set(overrides) - set(applied))
     if unknown:
         raise ValueError(f"{where} applies no tolerance {unknown}, only {list(applied)}")

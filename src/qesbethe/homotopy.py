@@ -184,7 +184,8 @@ def _continuation_leg(
     """Native Bethe variables of the deformed state that continues the
     start eigenpair ``pair``; raises QesError when the leg fails."""
     m = pair.degree
-    native = native_values(spec, extract_roots(pair, start, expected=m))
+    (start_roots,) = extract_roots([pair], start)
+    native = native_values(spec, start_roots)
     if target == 0.0:
         return native
     law, exact_law = _law(spec, m)
@@ -258,7 +259,7 @@ def homotopy_root_sets(
             break
         try:
             roots = root_set(spec, _continuation_leg(spec, start, pair, target))
-            e_val = eigenvalue_from_roots(spec, roots)
+            (e_val,) = eigenvalue_from_roots(spec, [roots])
         except (ValueError, QesError):
             continue
         gaps = [abs(e_val - ev) for ev in oracle_eigenvalues]

@@ -42,16 +42,38 @@ COND_LIMIT = 1e12  # largest kappa_1 = ||J||_1 ||J^-1||_1, from the inverse Newt
 # ---------------------------------------------------------------------------
 
 
-def poly_roots(coeffs) -> list[complex]:
-    """All roots, with multiplicity, of the polynomial with ascending
-    coefficients ``coeffs``, via balanced companion-matrix eigenvalues.
-    The leading coefficient is taken as exact, however small against the
-    others: eigenpolynomials are monic by construction, and their wide
-    coefficient range is genuine, not cancellation debris."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.size < 2:
-        raise ValueError("root finding needs degree >= 1")
-    return [complex(r) for r in np.roots(coeffs[::-1])]
+def poly_roots(polys: Sequence) -> list[list[complex]]:
+    """All roots, with multiplicity, of each polynomial in ``polys`` (each
+    a 1-D sequence of ascending coefficients, not all zero), via balanced
+    companion-matrix eigenvalues; a constant has none.
+
+    Each companion is built as ``np.roots`` builds it, so every root is
+    bit for bit that of ``np.roots``: the first-row companion of the
+    polynomial without its zero top coefficients, and its zero constant
+    coefficients split off as exact zero roots, listed last.  The leading
+    coefficient is taken as exact, however small against the others:
+    eigenpolynomials are monic by construction, and their wide coefficient
+    range is genuine, not cancellation debris.  The companions of one
+    degree go through one ``eigvals`` call on their stack."""
+    out: list[list[complex]] = []
+    by_degree: dict[int, list[tuple[int, np.ndarray]]] = {}
+    for i, p in enumerate(polys):
+        coeffs = np.asarray(p, dtype=complex)
+        nonzero = np.flatnonzero(coeffs)
+        if coeffs.ndim != 1 or nonzero.size == 0:
+            raise ValueError(f"polynomial {i} is not a non-zero coefficient vector")
+        out.append([0j] * int(nonzero[0]))
+        desc = coeffs[nonzero[0] : nonzero[-1] + 1][::-1]
+        if desc.size > 1:
+            by_degree.setdefault(desc.size - 1, []).append((i, desc))
+    for n, members in by_degree.items():
+        desc = np.stack([d for _, d in members])
+        companion = np.zeros((len(members), n, n), dtype=complex)
+        companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+        companion[:, 0, :] = -desc[:, 1:] / desc[:, :1]
+        for (i, _), roots in zip(members, np.linalg.eigvals(companion).tolist()):
+            out[i] = roots + out[i]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ Im z >= 0, and x = -i log z to Re x in (-pi, pi] with ties on the negative
 real z axis broken by Re x = +pi; the roots are sorted by (Re, Im) of eta.
 
 Eigenpolynomials, like every polynomial in the package, are arrays of
-ascending complex coefficients.
+ascending complex coefficients.  ``extract_roots`` finds the roots of a
+model's eigenpolynomials together, in one ``numerics.poly_roots`` batch.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import numpy as np
 from .models import (
     Coordinate,
     ModelSpec,
-    bethe_root_count,
     compensation_vanishes,
     native_variable,
 )
@@ -229,33 +229,31 @@ def native_values(spec: ModelSpec, roots: RootSet) -> np.ndarray:
     return np.asarray(getattr(roots, f"roots_{native_variable(spec)}"), dtype=complex)
 
 
-def roots_of_eta_poly(spec: ModelSpec, coeffs: np.ndarray) -> RootSet:
-    """Root set of the monic eta-polynomial with ascending coefficients
-    ``coeffs`` (see ``root_set``)."""
-    eta_roots = poly_roots(coeffs) if len(coeffs) > 1 else []
-    variable = native_variable(spec)
-    if variable == "z":
-        return root_set(spec, [canonical_z_from_eta(r) for r in eta_roots])
-    if variable == "x":
-        return root_set(spec, [canonical_x_from_eta(spec, r) for r in eta_roots])
-    return root_set(spec, eta_roots)
-
-
 def extract_roots(
-    pair: OracleEigenpair,
+    pairs: Sequence[OracleEigenpair],
     spec: ModelSpec,
     expected: int | None = None,
-) -> RootSet:
-    """Roots of the eigen-polynomial with canonical representatives.
+) -> list[RootSet]:
+    """Root sets of the eigenpolynomials of ``pairs``, each of its own
+    degree, with canonical representatives (see ``root_set``); the roots
+    of all of them come from one ``numerics.poly_roots`` call.
 
-    ``expected`` defaults to the sector's Bethe root count; pass the actual
-    eigen-polynomial degree when working with exactly solvable restrictions.
+    ``expected``, if given, is the degree every pair must have.
     """
-    if expected is None:
-        expected = bethe_root_count(spec)
-    if pair.degree != expected:
-        raise ValueError(
-            f"eigenpolynomial degree {pair.degree} != expected root "
-            f"count {expected}"
-        )
-    return roots_of_eta_poly(spec, pair.eigenpoly)
+    for pair in pairs:
+        if expected is not None and pair.degree != expected:
+            raise ValueError(
+                f"eigenpolynomial degree {pair.degree} != expected root "
+                f"count {expected}"
+            )
+    variable = native_variable(spec)
+    out = []
+    for eta_roots in poly_roots([pair.eigenpoly for pair in pairs]):
+        if variable == "z":
+            native = [canonical_z_from_eta(r) for r in eta_roots]
+        elif variable == "x":
+            native = [canonical_x_from_eta(spec, r) for r in eta_roots]
+        else:
+            native = eta_roots
+        out.append(root_set(spec, native))
+    return out

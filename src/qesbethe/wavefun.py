@@ -18,13 +18,16 @@ a common-mode bug in one of them cannot hide in both.
 Every check takes an array of points (a scalar works too) and evaluates
 them in one batch: all Gamma (or q-Pochhammer) arguments of a call go
 through a single kernel call, and the shifted wavefunctions are one product
-over (points x roots).
+over (points x roots).  The Schroedinger check takes all of a model's
+solutions at once: V, V*, alpha_M and eta are evaluated once per call,
+and only Psi once per solution.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -175,33 +178,48 @@ def phi0_squared_z(spec: ModelSpec, z):
     return scalar_or_array(num / den)
 
 
+def _polynomial_part(
+    spec: ModelSpec, roots_eta: Sequence[complex], pts: np.ndarray, etas: np.ndarray
+) -> np.ndarray:
+    """Psi from the roots at the points ``pts``, whose eta values are
+    ``etas``."""
+    out = np.prod(etas[..., None] - np.asarray(roots_eta, dtype=complex), axis=-1)
+    return out * pts if spec.sector is Sector.ODD else out
+
+
 def eigenfunction_value(spec: ModelSpec, sol: BetheSolution, x):
     """Polynomial part Psi(x) = prod (eta(x) - eta_l), times x in the odd
     sextic sector, evaluated from the Bethe roots at a point or an array."""
     pts = np.asarray(x, dtype=complex)
-    roots = np.asarray(sol.roots.roots_eta, dtype=complex)
-    out = np.prod(np.asarray(eta(spec, pts))[..., None] - roots, axis=-1)
-    if spec.sector is Sector.ODD:
-        out = out * pts
-    return scalar_or_array(out)
+    etas = np.asarray(eta(spec, pts))
+    return scalar_or_array(_polynomial_part(spec, sol.roots.roots_eta, pts, etas))
 
 
-def schrodinger_residual(spec: ModelSpec, sol: BetheSolution, x):
-    """Pointwise |H~ Psi - E Psi| / scale at x (a point or an array), by
-    direct evaluation of the shifted wavefunction (independent of the
-    matrix construction)."""
+def schrodinger_residual(spec: ModelSpec, solutions: Sequence[BetheSolution], x) -> list:
+    """Pointwise |H~ Psi - E Psi| / scale at x (a point or an array) for
+    each of a model's solutions, each in the shape of x, by direct
+    evaluation of the shifted wavefunction (independent of the matrix
+    construction).  V, V*, alpha_M and eta at the points and the shifted
+    points are evaluated once for all the solutions, then Psi per
+    solution."""
     pts = _points(x)
     s = step(spec)
-    psi, psi_m, psi_p = eigenfunction_value(spec, sol, np.stack([pts, pts - s, pts + s]))
+    shifted = np.stack([pts, pts - s, pts + s])
+    etas = np.asarray(eta(spec, shifted))
     v = potential_v(spec, pts)
     vs = potential_v_star(spec, pts)
-    t1 = v * (psi_m - psi)
-    t2 = vs * (psi_p - psi)
-    t3 = compensation_alpha(spec, pts) * psi
-    lhs = t1 + t2 + t3
-    rhs = sol.E_formula * psi
-    scale = np.maximum(np.abs(np.stack([rhs, t1, t2, t3])).max(axis=0), EPS)
-    return _shaped(np.abs(lhs - rhs) / scale, x)
+    alpha = compensation_alpha(spec, pts)
+    out = []
+    for sol in solutions:
+        psi, psi_m, psi_p = _polynomial_part(spec, sol.roots.roots_eta, shifted, etas)
+        t1 = v * (psi_m - psi)
+        t2 = vs * (psi_p - psi)
+        t3 = alpha * psi
+        lhs = t1 + t2 + t3
+        rhs = sol.E_formula * psi
+        scale = np.maximum(np.abs(np.stack([rhs, t1, t2, t3])).max(axis=0), EPS)
+        out.append(_shaped(np.abs(lhs - rhs) / scale, x))
+    return out
 
 
 def grid_rows(spec: ModelSpec, sol: BetheSolution, grid: GridSpec) -> list[dict]:
@@ -212,7 +230,7 @@ def grid_rows(spec: ModelSpec, sol: BetheSolution, grid: GridSpec) -> list[dict]
         grid.points,
         phi0_squared(spec, pts).tolist(),
         eigenfunction_value(spec, sol, pts).tolist(),
-        schrodinger_residual(spec, sol, pts).tolist(),
+        schrodinger_residual(spec, [sol], pts)[0].tolist(),
     )
     return [
         dict(zip(GRID_COLUMNS, (x.real, x.imag, p2.real, p2.imag, psi.real, psi.imag, res)))

@@ -220,7 +220,7 @@ def test_criterion_7_wavefunction_layer():
                 worst_zero = max(worst_zero, zero_mode_residual(spec, x))
             for sol in solve(spec):
                 for x in pts:
-                    worst_schro = max(worst_schro, schrodinger_residual(spec, sol, x))
+                    worst_schro = max(worst_schro, schrodinger_residual(spec, [sol], x)[0])
             for x in pts:
                 v = phi0_squared(spec, x)
                 ok = ok and v.real > 0 and abs(v.imag) <= 1e-10 * abs(v)

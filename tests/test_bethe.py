@@ -47,7 +47,7 @@ class TestResidual:
             for pair in pairs:
                 if pair.degree == 0:
                     continue
-                roots = extract_roots(pair, spec, expected=pair.degree)
+                (roots,) = extract_roots([pair], spec)
                 res = bae_residual(spec, roots, allow_degenerate=True)
                 assert max(res) <= 1e-9
 
@@ -63,7 +63,7 @@ class TestResidual:
             spec = spec_for(family, M, rng)
             pairs = oracle_spectrum(build_matrix(spec))
             pair = pairs[-1]
-            roots = extract_roots(pair, spec, expected=pair.degree)
+            (roots,) = extract_roots([pair], spec)
             res0 = bae_residual(spec, roots, allow_degenerate=True)
             flipped = RootSet(
                 tuple(-x for x in roots.roots_x), roots.roots_eta, roots.roots_z
@@ -75,7 +75,7 @@ class TestResidual:
         spec = spec_for("trig-q", 4, rng)
         pairs = oracle_spectrum(build_matrix(spec))
         pair = pairs[-1]
-        roots = extract_roots(pair, spec)
+        (roots,) = extract_roots([pair], spec, expected=spec.M)
         res0 = bae_residual(spec, roots, allow_degenerate=True)
         inverted = RootSet(
             roots.roots_x,
@@ -143,7 +143,7 @@ class TestRootGauge:
 class TestEigenvalueFormula:
     def test_hand_worked_value(self):
         spec = model_spec("mp-crossed", M=1, a1=1, a2=1, beta=math.pi / 2)
-        e = eigenvalue_from_roots(spec, mp_rootset(1.0))
+        (e,) = eigenvalue_from_roots(spec, [mp_rootset(1.0)])
         np.testing.assert_allclose(e, 2.0, atol=1e-14)
 
     def test_beta_zero_root_independent(self):
@@ -154,7 +154,7 @@ class TestEigenvalueFormula:
 
     def test_trig_empty_rootset(self):
         spec = model_spec("trig-q", M=0, a=0.5, b=0.4, c=0.3, d=0.2, e=0.1, q=0.5)
-        e = eigenvalue_from_roots(spec, RootSet((), (), ()))
+        (e,) = eigenvalue_from_roots(spec, [RootSet((), (), ())])
         np.testing.assert_allclose(e, 0.0, atol=1e-14)
 
     def test_count_mismatch_rejected(self):
@@ -162,7 +162,7 @@ class TestEigenvalueFormula:
         # degree carries are not a state of the model
         spec = model_spec("mp-crossed", M=3, a1=1, a2=1, beta=0.4)
         with pytest.raises(ValueError):
-            eigenvalue_from_roots(spec, mp_rootset(1.0, -0.5, 0.2, 2.0))
+            eigenvalue_from_roots(spec, [mp_rootset(1.0, -0.5, 0.2, 2.0)])
 
     def test_symmetric_dependence_on_eta_sum(self, rng):
         # the paper's closed form depends on the roots only through
@@ -220,10 +220,22 @@ class TestEigenvalueFormula:
         spec = model_spec("sextic-i", M=4, sector="even", a=1.1, b=0.7, c=2.0)
         on_anchor = eta(spec, bethe.ANCHOR) * (1.0 + offset)
         roots = RootSet((0j, 0j), (on_anchor, -1.3 + 0.4j))
-        e = eigenvalue_from_roots(spec, roots)
+        (e,) = eigenvalue_from_roots(spec, [roots])
         assert cmath.isfinite(e)
         monkeypatch.setattr(bethe, "ANCHOR", bethe.FALLBACK_ANCHOR)
-        assert e == eigenvalue_from_roots(spec, roots)
+        assert [e] == eigenvalue_from_roots(spec, [roots])
+
+    def test_each_root_set_reads_as_alone(self):
+        # the anchors' root-free terms are shared by a model's root sets:
+        # each value equals its one-element call, bit for bit, whichever
+        # anchor it is read at
+        spec = model_spec("sextic-i", M=4, sector="even", a=1.1, b=0.7, c=2.0)
+        on_anchor = RootSet((0j, 0j), (eta(spec, bethe.ANCHOR), -1.3 + 0.4j))
+        sets = [root_set(spec, [0.4 + 0.2j, 1.7]), on_anchor, RootSet((), ()),
+                root_set(spec, [0.9 - 0.1j])]
+        assert eigenvalue_from_roots(spec, sets) == [
+            eigenvalue_from_roots(spec, [roots])[0] for roots in sets
+        ]
 
 
 class TestSolve:

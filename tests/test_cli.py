@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from qesbethe import bethe, homotopy
+from qesbethe import bethe, homotopy, models
 from qesbethe.cli import VERIFY_TOLERANCES, main
 from qesbethe.config import Tolerances
 from qesbethe.models import model_spec, spec_to_json_dict
@@ -266,6 +266,43 @@ class TestVerifyCommand:
         assert out == ""
         assert "divide_exact" in err
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "-1"])
+    def test_non_finite_or_negative_tolerance_exit_one(self, capsys, value):
+        # inf would switch the check off, nan fail it; neither is a threshold
+        code, out, err = run_cli(VERIFY_EXAMPLE + ["--tol", f"bae_residual={value}"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "--tol bae_residual must be finite and non-negative" in err
+
+    @pytest.mark.parametrize(
+        "family, flags",
+        [
+            ("mp-crossed", ["--a1", "1.2", "--a2", "0.8", "--beta", "0.6"]),
+            # no truncated state at M = 8, so no continuation leg, which
+            # reads its own eigenvalue, runs
+            ("trig-q", ["--a", "0.8", "--b", "0.7", "--c", "-0.6", "--d", "0.5", "--e", "0.6",
+                        "--q", "0.85"]),
+        ],
+    )
+    def test_potential_evaluated_per_model_not_per_state(self, capsys, monkeypatch, family, flags):
+        # V and V* are state-independent: the eigenvalue read-off and the
+        # Schroedinger check evaluate them once per model
+        calls = []
+        potential = models._potential
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return potential(*args, **kwargs)
+
+        monkeypatch.setattr(models, "_potential", counted)
+        counts = []
+        for M in (2, 8):
+            calls.clear()
+            code, _, _ = run_cli(["verify", "--family", family, "--M", str(M), *flags], capsys)
+            assert code == 0
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
 
 # former holes of the verified envelope, at default tolerances
 ESCAPED_ROOTS = {
@@ -376,6 +413,13 @@ class TestLimitsCommand:
         )
         assert code == 1
         assert "exact_limit" in err
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "-1"])
+    def test_non_finite_or_negative_tolerance_exit_one(self, capsys, value):
+        code, out, err = run_cli(AW_M4 + ["--tol", f"exact_limit={value}"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "--tol exact_limit must be finite and non-negative" in err
 
 
 class TestNegativeValues:

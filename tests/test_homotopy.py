@@ -60,10 +60,10 @@ class TestHomotopySeeding:
     def test_failed_start_state_falls_back_alone(self, monkeypatch):
         real = homotopy.extract_roots
 
-        def failing(pair, *args, **kwargs):
-            if pair.degree == 2:
+        def failing(pairs, *args, **kwargs):
+            if any(pair.degree == 2 for pair in pairs):
                 raise NoConvergence("forced for the degree-2 start state")
-            return real(pair, *args, **kwargs)
+            return real(pairs, *args, **kwargs)
 
         monkeypatch.setattr(homotopy, "extract_roots", failing)
         spec = model_spec("mp-crossed", M=4, a1=1.2, a2=0.8, beta=0.9)
@@ -380,7 +380,7 @@ def test_escaped_roots_start_each_step_at_their_leading_order_position(case, mon
         m = pair.degree
         power = np.zeros(spec.M)
         power[m:] = 1.0 if case == "trig-q" else -1.0
-        near = homotopy.native_values(spec, homotopy.extract_roots(pair, start, expected=m))
+        near = homotopy.native_values(spec, homotopy.extract_roots([pair], start, expected=m)[0])
         accepted = []
         for k, step in enumerate(steps):
             t, nodes = step["t"], step["nodes"]

@@ -170,17 +170,36 @@ class TestPolyDivideExact:
 
 class TestPolyRoots:
     def test_quadratic_pm_i(self):
-        roots = sorted(poly_roots([1, 0, 1]), key=lambda z: z.imag)
+        roots = sorted(poly_roots([[1, 0, 1]])[0], key=lambda z: z.imag)
         np.testing.assert_allclose(roots, [-1j, 1j], atol=1e-12)
 
     def test_double_root(self):
-        roots = poly_roots(np.array([1, -2, 1]))
+        roots = poly_roots([np.array([1, -2, 1])])[0]
         np.testing.assert_allclose(sorted(r.real for r in roots), [1, 1], atol=1e-7)
 
     def test_cubic_integers(self):
         np.testing.assert_allclose(
-            sorted(r.real for r in poly_roots([-6, 11, -6, 1])), [1, 2, 3], atol=1e-10
+            sorted(r.real for r in poly_roots([[-6, 11, -6, 1]])[0]), [1, 2, 3], atol=1e-10
         )
+
+    def test_batch_is_np_roots_bit_for_bit(self, rng):
+        # zero constant coefficients give exact zero roots, listed last;
+        # zero top coefficients are dropped; one batch mixes the degrees
+        polys = [
+            [0, 0, 2.0, -3.0, 1.0],
+            [0, 1.0],
+            [3.0],
+            [0, 0, 5.0 - 1j],
+            [1.0, 2.0, 3.0, 0.0],
+            *(rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in (2, 5, 5, 9, 9, 9)),
+        ]
+        for poly, roots in zip(polys, poly_roots(polys), strict=True):
+            want = np.roots(np.asarray(poly, dtype=complex)[::-1])
+            assert np.asarray(roots, dtype=complex).tobytes() == want.astype(complex).tobytes()
+
+    def test_zero_polynomial_rejected(self):
+        with pytest.raises(ValueError):
+            poly_roots([[1.0, 1.0], [0.0, 0.0]])
 
     def test_round_trip_with_matching(self, rng):
         scipy_optimize = pytest.importorskip("scipy.optimize", exc_type=ImportError)
@@ -195,7 +214,7 @@ class TestPolyRoots:
                 )
                 if sep >= 1e-3:
                     break
-            found = poly_roots(poly_from_roots(list(roots), "x").coeffs)
+            (found,) = poly_roots([poly_from_roots(list(roots), "x").coeffs])
             cost = np.abs(np.subtract.outer(np.asarray(found), roots))
             rows, cols = scipy_optimize.linear_sum_assignment(cost)
             assert cost[rows, cols].max() < 1e-8

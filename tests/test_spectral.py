@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qesbethe.hamiltonian import build_matrix
-from qesbethe.models import model_spec
+from qesbethe.models import drop_factors, model_spec
+from qesbethe.numerics import poly_roots
 from qesbethe.spectral import (
     canonical_z_from_eta,
     extract_roots,
@@ -85,14 +86,13 @@ class TestExtractRoots:
     def test_linear_eta_poly(self):
         spec = model_spec("mp-crossed", M=1, a1=1, a2=1, beta=math.pi / 2)
         pairs = oracle_spectrum(build_matrix(spec))
-        roots = extract_roots(pairs[1], spec)
+        (roots,) = extract_roots([pairs[1]], spec)
         np.testing.assert_allclose(roots.roots_x, [1.0], atol=1e-12)
 
     def test_sqrt_representative_for_sextic(self, rng):
         spec = spec_for("sextic-i", 8, rng)
         pairs = oracle_spectrum(build_matrix(spec))
-        for pair in pairs:
-            roots = extract_roots(pair, spec)
+        for roots in extract_roots(pairs, spec):
             for x, e in zip(roots.roots_x, roots.roots_eta):
                 assert x.real > 0 or (abs(x.real) < 1e-14 and x.imag >= 0)
                 assert abs(x * x - e) <= 1e-12 * max(1.0, abs(e))
@@ -100,8 +100,7 @@ class TestExtractRoots:
     def test_trig_representative_inside_disc(self, rng):
         spec = spec_for("trig-q", 5, rng)
         pairs = oracle_spectrum(build_matrix(spec))
-        for pair in pairs:
-            roots = extract_roots(pair, spec, expected=pair.degree)
+        for roots in extract_roots(pairs, spec):
             for z, e in zip(roots.roots_z, roots.roots_eta):
                 assert abs(z) <= 1.0 + 1e-12
                 assert abs(0.5 * (z + 1 / z) - e) <= 1e-10 * max(1.0, abs(e))
@@ -115,11 +114,11 @@ class TestExtractRoots:
         # eta - 4 over eta = x^2 picks the representative x = 2
         sx = model_spec("sextic-i", M=2, sector="even", a=1, b=1, c=1)
         pair = OracleEigenpair(0.0, np.array([-4.0, 1.0]))
-        np.testing.assert_allclose(extract_roots(pair, sx).roots_x, [2.0], atol=1e-12)
+        np.testing.assert_allclose(extract_roots([pair], sx)[0].roots_x, [2.0], atol=1e-12)
         # eta - 1 over eta = cos x picks z = 1, x = 0
         tq = model_spec("trig-q", M=1, a=0.1, b=0, c=0, d=0, e=0, q=0.5)
         pair = OracleEigenpair(0.0, np.array([-1.0, 1.0]))
-        roots = extract_roots(pair, tq)
+        (roots,) = extract_roots([pair], tq)
         np.testing.assert_allclose(roots.roots_z, [1.0], atol=1e-7)
         np.testing.assert_allclose(canonical_x_from_eta(tq, 1.0), 0.0, atol=1e-7)
 
@@ -139,7 +138,7 @@ class TestExtractRoots:
                 want = expected[family](M)
                 full_degree = [p for p in pairs if p.degree == want]
                 assert full_degree, f"no full-degree state for {family} M={M}"
-                roots = extract_roots(full_degree[-1], spec)
+                (roots,) = extract_roots(full_degree[-1:], spec, expected=want)
                 assert len(roots) == want
 
     def test_reconstruction_from_roots(self, rng):
@@ -149,7 +148,7 @@ class TestExtractRoots:
             for pair in pairs:
                 if pair.truncated:
                     continue
-                roots = extract_roots(pair, spec)
+                (roots,) = extract_roots([pair], spec)
                 rebuilt = poly_from_roots(roots.roots_eta, "eta")
                 scale = np.abs(pair.eigenpoly).max()
                 for a, b in zip(rebuilt.coeffs, pair.eigenpoly):
@@ -159,7 +158,57 @@ class TestExtractRoots:
         spec = model_spec("mp-crossed", M=2, a1=1, a2=1, beta=0.4)
         pairs = oracle_spectrum(build_matrix(spec))
         with pytest.raises(ValueError):
-            extract_roots(pairs[0], spec, expected=5)
+            extract_roots(pairs[:1], spec, expected=5)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=complex).tobytes()
+
+
+class TestBatchedRoots:
+    """extract_roots finds a model's eigenpolynomial roots in one batch;
+    each must be bit for bit what np.roots finds for that polynomial alone,
+    as every root set, and so the output, rests on them."""
+
+    @staticmethod
+    def assert_np_roots(spec):
+        pairs = oracle_spectrum(build_matrix(spec))
+        batch = poly_roots([pair.eigenpoly for pair in pairs])
+        for pair, roots in zip(pairs, batch, strict=True):
+            assert _bits(roots) == _bits(np.roots(pair.eigenpoly[::-1]))
+        assert extract_roots(pairs, spec) == [extract_roots([p], spec)[0] for p in pairs]
+
+    @pytest.mark.parametrize("M", [1, 4, 8, 12, 24])
+    @pytest.mark.parametrize("family", [f for f in ALL_FAMILIES if f != "trig-q"])
+    def test_every_x_family(self, family, M, rng):
+        # the sextic families at M and M + 1: both parity sectors
+        for m in (M, M + 1) if family.startswith("sextic") else (M,):
+            self.assert_np_roots(spec_for(family, m, rng))
+
+    @pytest.mark.parametrize("M", [1, 4, 8, 12])
+    def test_trig_q(self, M):
+        # a draw whose matrix builds at M = 12, where many conftest draws
+        # raise InversionAsymmetry; no trig-q matrix here builds at M = 24
+        # (InexactDivision or SubspaceLeak, the benchmark's M24 probe)
+        self.assert_np_roots(model_spec("trig-q", M=M, a=0.5, b=0.4, c=0.3, d=0.2, e=0.1, q=0.6))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            model_spec("mp-crossed", M=8, a1=1.3 + 0.4j, a2=0.8 - 0.2j, beta=0.0),
+            model_spec("trig-q", M=6, a=0.0, b=-0.3, c=0.2, d=0.6, e=0.45, q=0.65),
+            drop_factors(
+                model_spec("centrifugal-i", M=7, b=0.8, c=1.3, d=2.0, e=0.6, f=1.0), ("f",)
+            ),
+            model_spec("sextic-ii", M=0, sector="even", a=1.0, b=2.0, c=0.7, d=1.1),
+        ],
+        ids=["mp-beta0", "trig-a0", "wilson", "M0"],
+    )
+    def test_graded_spectra(self, spec):
+        # one degree per state: a batch of one per degree, degree 0 included
+        pairs = oracle_spectrum(build_matrix(spec))
+        assert len({p.degree for p in pairs}) == len(pairs)
+        self.assert_np_roots(spec)
 
 
 class TestRootSet:

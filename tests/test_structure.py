@@ -244,9 +244,9 @@ def test_newton_residual_guard_sees_each_form():
 
 
 # Root extraction has one route: spectral.extract_roots calls
-# numerics.poly_roots on an oracle eigenpolynomial.  A second caller (such as
-# a private eigensolver in homotopy or limits) would fork the treatment of
-# exactly solvable states again.
+# numerics.poly_roots on oracle eigenpolynomials, a model's together.  A
+# second caller (such as a private eigensolver in homotopy or limits) would
+# fork the treatment of exactly solvable states again.
 
 ROOT_FINDER_MODULES = {"numerics.py", "spectral.py"}
 

@@ -93,12 +93,12 @@ class TestSchrodingerResidual:
     def test_hand_worked_state(self):
         spec = model_spec("mp-crossed", M=1, a1=1, a2=1, beta=math.pi / 2)
         sol = solve(spec)[1]
-        assert schrodinger_residual(spec, sol, 0.3) <= 1e-12
+        assert schrodinger_residual(spec, [sol], 0.3)[0] <= 1e-12
 
     def test_m_zero_state(self):
         spec = model_spec("mp-crossed", M=0, a1=1, a2=1, beta=0.4)
         sol = solve(spec)[0]
-        assert schrodinger_residual(spec, sol, 0.9) <= 1e-12
+        assert schrodinger_residual(spec, [sol], 0.9)[0] <= 1e-12
 
     def test_wrong_eigenvalue_detected(self):
         import dataclasses
@@ -106,15 +106,14 @@ class TestSchrodingerResidual:
         spec = model_spec("mp-crossed", M=1, a1=1, a2=1, beta=math.pi / 2)
         sol = solve(spec)[1]
         bad = dataclasses.replace(sol, E_formula=sol.E_formula + 1.0)
-        assert schrodinger_residual(spec, bad, 0.3) > 1e-3
+        assert schrodinger_residual(spec, [bad], 0.3)[0] > 1e-3
 
     def test_every_solution_every_family(self, rng):
         for family in ALL_FAMILIES:
             spec = spec_for(family, 4, rng)
             sols = solve(spec)
-            for sol in sols:
-                for x in default_grid(spec, 8).points:
-                    assert schrodinger_residual(spec, sol, x) <= 1e-8
+            for x in default_grid(spec, 8).points:
+                assert max(schrodinger_residual(spec, sols, x)) <= 1e-8
 
     def test_beta_near_zero_escaped_roots_pass(self):
         """Just off beta = 0 the largest roots sit near 1/(2|beta|), where
@@ -132,10 +131,23 @@ class TestSchrodingerResidual:
             beta=-0.0004886281286418104,
         )
         points = default_grid(spec, 12).points
-        for sol in solve(spec):
-            assert schrodinger_residual(spec, sol, points).max() <= 1e-8
-            exact = dataclasses.replace(sol, E_formula=sol.E_oracle)
-            assert schrodinger_residual(spec, exact, points).max() <= 1e-12
+        sols = solve(spec)
+        exact = [dataclasses.replace(sol, E_formula=sol.E_oracle) for sol in sols]
+        assert max(r.max() for r in schrodinger_residual(spec, sols, points)) <= 1e-8
+        assert max(r.max() for r in schrodinger_residual(spec, exact, points)) <= 1e-12
+
+    def test_each_solution_reads_as_alone(self, rng):
+        # V, V*, alpha_M and eta are shared by a model's solutions: each
+        # residual equals its one-element call bit for bit
+        for family in ALL_FAMILIES:
+            spec = spec_for(family, 4, rng)
+            sols = solve(spec)
+            points = default_grid(spec, 12).points
+            together = schrodinger_residual(spec, sols, points)
+            assert len(together) == len(sols)
+            for sol, residual in zip(sols, together):
+                (alone,) = schrodinger_residual(spec, [sol], points)
+                assert residual.tobytes() == alone.tobytes()
 
 
 class TestGridRows:
@@ -185,15 +197,18 @@ class TestBatchedEqualsScalar:
 
         check(zero_mode_residual, rtol=0, atol=1e-14)
         check(phi0_squared, rtol=1e-13)
-        for sol in solve(spec):
-            check(schrodinger_residual, sol, rtol=0, atol=1e-14)
+        sols = solve(spec)
+        for sol, residual in zip(sols, schrodinger_residual(spec, sols, pts)):
+            assert residual.shape == pts.shape
+            one_by_one = [[schrodinger_residual(spec, [sol], x)[0] for x in row] for row in pts]
+            np.testing.assert_allclose(residual, one_by_one, rtol=0, atol=1e-14)
             check(eigenfunction_value, sol, rtol=1e-13)
 
     def test_scalar_in_scalar_out(self):
         spec = model_spec("sextic-i", M=2, sector="even", a=1.0, b=2.0, c=3.0)
         assert isinstance(zero_mode_residual(spec, 0.7), float)
         assert isinstance(phi0_squared(spec, 0.7), complex)
-        assert isinstance(schrodinger_residual(spec, solve(spec)[0], 0.7), float)
+        assert isinstance(schrodinger_residual(spec, solve(spec)[:1], 0.7)[0], float)
 
     def test_potential_pole_names_the_point(self):
         spec = model_spec("centrifugal-i", M=1, b=1.2, c=0.7, d=2.2, e=0.9, f=1.6)
