@@ -4,14 +4,14 @@ root sets, and the eigenvalue read off the roots through the eigen-equation.
 Each family's equation is evaluated as a pair (L_j, R_j) of denominator-free
 products; the reported residual is |L_j - R_j| / max(|L_j|, |R_j|, eps).
 Cross-multiplication removes every kinematic pole and all branch-cut
-ambiguity, which keeps the Newton iteration smooth in the sector-native
-variables (``models.native_variable``).  Polished roots go back through
+ambiguity, which keeps the Newton iteration smooth in the Newton variables
+of the model's chart (``models.Chart``), which also says at which points,
+x or z, the two sides are evaluated.  Polished roots go back through
 ``spectral.root_set``, like every other root set.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -20,14 +20,11 @@ import numpy as np
 from .errors import DegenerateRoots, NoConvergence, SingularJacobian
 from .hamiltonian import build_matrix
 from .models import (
-    Coordinate,
     ModelSpec,
-    Sector,
     bethe_root_count,
     compensation_alpha,
     compensation_vanishes,
     eta,
-    native_variable,
     numerator_constants,
     potential_v,
     potential_v_star,
@@ -39,7 +36,6 @@ from .spectral import (
     RootSet,
     extract_roots,
     min_separation,
-    native_values,
     oracle_spectrum,
     root_set,
 )
@@ -97,11 +93,12 @@ def _sides_x(spec: ModelSpec) -> _Sides:
     """(L_j, R_j) of the x-based families as a function of the roots x_j;
     the family facts are read here, once per map."""
     conj_pairs = [(p, p.conjugate()) for p in numerator_constants(spec)]
-    pair_product = spec.info.coordinate is Coordinate.X_SQUARED
+    # eta = x^2: eta(x_j -+ i) - eta_l factors into (x_j - x_l -+ i)(x_j + x_l -+ i)
+    pair_product = spec.chart.eta_degree == 2
     # the l = j pair factor (2x_j - i)/(2x_j + i) cancels against the
     # kinematic denominator where V carries one, and stays otherwise
     self_pair = pair_product and not spec.info.kinematic_denominator
-    odd = spec.sector is Sector.ODD
+    odd = spec.chart.odd
     phase2 = v_phase(spec).conjugate() ** 2  # e^{2 i beta} for the crossed model
 
     def sides(xs: Sequence[complex]) -> list[tuple[complex, complex]]:
@@ -165,9 +162,9 @@ def _sides_z(spec: ModelSpec) -> _Sides:
 
 
 def _sides(spec: ModelSpec) -> _Sides:
-    """(L_j, R_j) as a function of the z_j (trigonometric family) or the
-    x_j (every other family)."""
-    return _sides_z(spec) if native_variable(spec) == "z" else _sides_x(spec)
+    """(L_j, R_j) as a function of the chart's points (``Chart.points``):
+    the z_j for eta = cos x, the x_j for every other coordinate."""
+    return _sides_z(spec) if spec.chart.trigonometric else _sides_x(spec)
 
 
 def bae_residual(
@@ -178,17 +175,17 @@ def bae_residual(
     """Normalized cross-multiplied residual of every Bethe equation."""
     if len(roots) == 0:
         return ()
-    variable = native_variable(spec)
-    native = getattr(roots, f"roots_{variable}")
+    chart = spec.chart
+    native = chart.newton(roots)
     if native is None:
-        raise ValueError(f"root set is missing its {variable} representatives")
+        raise ValueError(f"root set is missing its {chart.variable} representatives")
     if not allow_degenerate and min_separation(native) < ROOT_SEPARATION_TOL:
         raise DegenerateRoots(
             f"roots closer than {ROOT_SEPARATION_TOL:.1e}; the ansatz assumes "
             "distinct roots"
         )
     out = []
-    for lhs, rhs in _sides(spec)(roots.roots_x if variable == "eta" else native):
+    for lhs, rhs in _sides(spec)(chart.points(roots)):
         out.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs), EPS))
     return tuple(out)
 
@@ -208,13 +205,10 @@ def residual_map(spec: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
     family facts are read once, here, not on every evaluation.
     """
     sides_of = _sides(spec)
-    on_eta = native_variable(spec) == "eta"
+    points_of = spec.chart.points_of
 
     def g(v: np.ndarray) -> np.ndarray:
-        vals = v.tolist()
-        if on_eta:
-            vals = [cmath.sqrt(e) for e in vals]
-        sides = sides_of(vals)
+        sides = sides_of(points_of(v.tolist()))
         return np.asarray(
             [lhs / rhs - 1.0 if rhs != 0 else lhs - rhs for lhs, rhs in sides],
             dtype=complex,
@@ -247,7 +241,7 @@ def newton_polish(
     try:
         solved = newton_solve(
             residual_map(spec),
-            native_values(spec, seed),
+            spec.chart.newton(seed),
             NewtonOptions(tol=0.1 * POLISH_TARGET),
         ).x
     except SingularJacobian:
@@ -284,7 +278,7 @@ def _eigen_equation_at(spec: ModelSpec, x0: complex) -> Callable[[Sequence[compl
     product of far-out roots over- or underflows."""
     s = step(spec)
     eta0, eta_minus, eta_plus = eta(spec, np.array([x0, x0 - s, x0 + s])).tolist()
-    odd = spec.sector is Sector.ODD
+    odd = spec.chart.odd
     v = potential_v(spec, x0)
     v_star = potential_v_star(spec, x0)
     alpha = compensation_alpha(spec, x0)
@@ -302,7 +296,9 @@ def _eigen_equation_at(spec: ModelSpec, x0: complex) -> Callable[[Sequence[compl
     return energy
 
 
-def eigenvalue_from_roots(spec: ModelSpec, root_sets: Sequence[RootSet]) -> list[complex]:
+def eigenvalue_from_roots(
+    spec: ModelSpec, root_sets: Sequence[RootSet], equations: dict | None = None
+) -> list[complex]:
     """E({eta_l}) of each root set, read off the eigen-equation H~ Psi = E
     Psi (Baxter's T-Q relation) at one point off every grid and pole.
 
@@ -312,6 +308,9 @@ def eigenvalue_from_roots(spec: ModelSpec, root_sets: Sequence[RootSet]) -> list
     anchor is used for a root set with a root on eta at the first, where Psi
     vanishes.  Each anchor's root-free terms are evaluated once for all the
     root sets, and the second anchor's only if some root set needs it.
+    ``equations`` keeps them, keyed by anchor, for later calls on the same
+    model: ``solve`` shares one dict between its continuation legs and its
+    own call.
     """
     expected = bethe_root_count(spec)
     for roots in root_sets:
@@ -323,7 +322,10 @@ def eigenvalue_from_roots(spec: ModelSpec, root_sets: Sequence[RootSet]) -> list
         FALLBACK_ANCHOR if any(abs(e - eta0) <= clearance for e in roots.roots_eta) else ANCHOR
         for roots in root_sets
     ]
-    equations = {x0: _eigen_equation_at(spec, x0) for x0 in set(anchors)}
+    if equations is None:
+        equations = {}
+    for x0 in set(anchors) - equations.keys():
+        equations[x0] = _eigen_equation_at(spec, x0)
     return [equations[x0](roots.roots_eta) for x0, roots in zip(anchors, root_sets)]
 
 
@@ -353,7 +355,8 @@ def solve(spec: ModelSpec, seed_mode: str = "oracle") -> list[BetheSolution]:
     expected = bethe_root_count(spec)
     wanted = {idx for idx, pair in enumerate(pairs) if seed_mode == "homotopy" or pair.truncated}
     eigenvalues = [p.eigenvalue for p in pairs]
-    homotopy_seeds = homotopy_root_sets(spec, eigenvalues, wanted) if wanted else {}
+    equations: dict = {}  # the eigen-equation's root-free terms, per anchor
+    homotopy_seeds = homotopy_root_sets(spec, eigenvalues, wanted, equations) if wanted else {}
     unseeded = [idx for idx in range(len(pairs)) if idx not in homotopy_seeds]
     oracle_seeds = dict(zip(unseeded, extract_roots([pairs[idx] for idx in unseeded], spec)))
     polished = []  # (roots, flags, residuals, seed source) per pair
@@ -379,7 +382,7 @@ def solve(spec: ModelSpec, seed_mode: str = "oracle") -> list[BetheSolution]:
         if flags.degenerate or anomalous:
             flags = replace(flags, degenerate=True)
         polished.append((roots, flags, residuals, source))
-    energies = eigenvalue_from_roots(spec, [roots for roots, *_ in polished])
+    energies = eigenvalue_from_roots(spec, [roots for roots, *_ in polished], equations)
     return [
         BetheSolution(
             spec=spec,

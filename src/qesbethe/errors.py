@@ -49,6 +49,11 @@ class SectorMismatch(QesError):
     subspace degree."""
 
 
+class SubspaceTooLarge(QesError):
+    """The invariant subspace has more states than the oracle's dense
+    eigensolver takes (``numerics.MAX_EIG_DIM``)."""
+
+
 class UnsupportedFamily(QesError):
     """Operation not defined for this model family."""
 

@@ -32,16 +32,13 @@ symmetry, then leak), and a failure names the lowest failing column.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InexactDivision, InversionAsymmetry, NonFiniteEntries, SubspaceLeak
 from .models import (
-    Coordinate,
     ModelSpec,
-    Sector,
     compensation_coefficient,
     numerator_constants,
     sector_dimension,
@@ -111,8 +108,7 @@ def _images_x(spec: ModelSpec, rows: np.ndarray) -> tuple[np.ndarray, int, dict]
         shifts, inexact = divide_rows_exact(total, _DEN_PRODUCT, DIVIDE_TOL)
     else:
         shifts = convolve_rows(dm, num) + convolve_rows(dp, num_star)
-    eta_degree = 1 if spec.info.coordinate is Coordinate.X else 2
-    image, _ = _plus(shifts, 0, compensation_coefficient(spec) * rows, eta_degree)
+    image, _ = _plus(shifts, 0, compensation_coefficient(spec) * rows, spec.chart.eta_degree)
     return image, 0, inexact
 
 
@@ -158,7 +154,7 @@ def _images_z(spec: ModelSpec, rows: np.ndarray, lo: int) -> tuple[np.ndarray, i
 
 
 def _images(spec: ModelSpec, rows: np.ndarray, lo: int) -> tuple[np.ndarray, int, dict]:
-    if spec.info.coordinate is Coordinate.COS:
+    if spec.chart.trigonometric:
         return _images_z(spec, rows, lo)
     return _images_x(spec, rows)
 
@@ -167,7 +163,7 @@ def apply_htilde(spec: ModelSpec, coeffs, lo: int = 0) -> tuple[np.ndarray, int]
     """H~ on one polynomial, given by its ascending coefficients in the
     computational variable (x, or z from the exponent ``lo`` for trig-q):
     the image's coefficients and the exponent of the first of them."""
-    if lo and spec.info.coordinate is not Coordinate.COS:
+    if lo and not spec.chart.trigonometric:
         raise ValueError("a polynomial in x starts at x^0")
     image, image_lo, inexact = _images(spec, np.array([coeffs], dtype=complex), lo)
     if inexact:
@@ -180,45 +176,13 @@ class OperatorMatrix:
     """H~ restricted to the invariant subspace, in the monomial eta-basis.
 
     Column k holds the eta-coordinates of H~ applied to basis_k, where
-    basis_k = eta^k (times a prefactor x in the odd sextic sector).
+    basis_k = eta^k (times a prefactor x in the odd sextic sector;
+    ``models.Chart.basis``).
     """
 
     spec: ModelSpec
     dim: int
     matrix: np.ndarray
-
-
-@functools.lru_cache(maxsize=128)
-def _basis(coordinate: Coordinate, odd: bool, dim: int) -> tuple[np.ndarray, int, np.ndarray]:
-    """Read-only rows of basis_0 .. basis_{dim-1} in the computational
-    variable, the exponent of their first column, and the index of basis_k's
-    coefficient in an image (the power of x, or of eta for trig-q)."""
-    if coordinate is Coordinate.X_SQUARED:
-        positions = int(odd) + 2 * np.arange(dim)
-    else:
-        positions = np.arange(dim)
-    if coordinate is Coordinate.COS:
-        # eta^k = 2^-k z^-k (1 + z^2)^k on the window z^(1-dim) .. z^(dim-1);
-        # the binomial table's zeros above the diagonal land past each row's
-        # own terms
-        k = positions[:, None]
-        wide = np.zeros((dim, 3 * dim), dtype=complex)
-        wide[k, dim - 1 - k + 2 * positions] = binomial_shift(dim, 1.0) * 0.5**k
-        rows, lo = wide[:, : 2 * dim - 1].copy(), 1 - dim
-    else:
-        rows, lo = np.zeros((dim, positions[-1] + 1), dtype=complex), 0
-        rows[np.arange(dim), positions] = 1.0
-    rows.flags.writeable = False
-    positions.flags.writeable = False
-    return rows, lo, positions
-
-
-def basis_rows(spec: ModelSpec, dim: int) -> tuple[np.ndarray, int]:
-    """basis_0 .. basis_{dim-1} (basis_k = eta^k, times x in the odd sextic
-    sector) as read-only coefficient rows in the computational variable (x,
-    or z for trig-q), and the exponent of the first column."""
-    rows, lo, _ = _basis(spec.info.coordinate, spec.sector is Sector.ODD, dim)
-    return rows, lo
 
 
 def _subspace_matrix(spec: ModelSpec, rows: np.ndarray, lo: int, dim: int) -> np.ndarray:
@@ -235,11 +199,11 @@ def _subspace_matrix(spec: ModelSpec, rows: np.ndarray, lo: int, dim: int) -> np
         raise NonFiniteEntries(
             f"column {bad[0]} of {spec.family.value} (M={spec.M}): entries left the double range"
         )
-    if spec.info.coordinate is Coordinate.COS:
+    if spec.chart.trigonometric:
         coeffs, asymmetric = symmetric_rows_to_eta(image, image_lo)
     else:
         coeffs, asymmetric = image, {}
-    positions = _basis(spec.info.coordinate, spec.sector is Sector.ODD, dim)[2]
+    positions = spec.chart.basis(dim)[2]
     if coeffs.shape[1] <= positions[-1]:
         coeffs = _plus(coeffs, 0, np.zeros((len(coeffs), positions[-1] + 1)), 0)[0]
     outside = np.abs(coeffs)
@@ -269,7 +233,7 @@ def build_matrix(spec: ModelSpec) -> OperatorMatrix:
     """Assemble the matrix of H~ on the invariant subspace, verifying that
     no column leaks outside it."""
     dim = sector_dimension(spec)
-    rows, lo = basis_rows(spec, dim)
+    rows, lo, _ = spec.chart.basis(dim)
     # entries that leave the double range are reported by the finiteness
     # check in _subspace_matrix, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):

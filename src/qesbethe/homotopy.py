@@ -83,13 +83,12 @@ import numpy as np
 from .bethe import POLISH_TARGET, eigenvalue_from_roots, residual_map
 from .errors import DegenerateRoots, NoConvergence, QesError
 from .hamiltonian import build_matrix
-from .models import Coordinate, ModelSpec, native_variable
+from .models import ModelSpec
 from .numerics import NewtonOptions, newton_solve
 from .spectral import (
     OracleEigenpair,
     RootSet,
     extract_roots,
-    native_values,
     oracle_spectrum,
     root_set,
 )
@@ -140,7 +139,7 @@ def _law(spec: ModelSpec, m: int) -> tuple[Callable[[complex], np.ndarray], bool
     one home of the escaped-root law; it seeds a leg's first step and
     frames every later prediction."""
     near = np.ones(m, dtype=complex)
-    if spec.info.coordinate is Coordinate.COS:
+    if spec.chart.trigonometric:
         ladder = list(range(m, spec.M))
         return lambda t: np.concatenate([near, trig_far_ladder(_continued(spec, t), ladder)]), False
     sum_re = 2.0 * (spec.param("a1").real + spec.param("a2").real)
@@ -169,9 +168,9 @@ def _lagrange_weights(ts: list[float], t: float) -> list[float]:
 
 def _largest_move(spec: ModelSpec, before: np.ndarray, after: np.ndarray, judged: int) -> float:
     """Largest move in eta of the first ``judged`` roots from ``before`` to
-    ``after``, each against its distance to the nearest other root before."""
-    if native_variable(spec) == "z":
-        before, after = 0.5 * (before + 1.0 / before), 0.5 * (after + 1.0 / after)
+    ``after``, each against its distance to the nearest other root before;
+    the roots are given in the chart's Newton variable."""
+    before, after = spec.chart.eta_of(before), spec.chart.eta_of(after)
     gaps = np.abs(before[:, None] - before)
     np.fill_diagonal(gaps, np.inf)
     moves = np.abs(after - before) / gaps.min(axis=1, initial=np.inf)
@@ -185,7 +184,7 @@ def _continuation_leg(
     start eigenpair ``pair``; raises QesError when the leg fails."""
     m = pair.degree
     (start_roots,) = extract_roots([pair], start)
-    native = native_values(spec, start_roots)
+    native = np.asarray(spec.chart.newton(start_roots), dtype=complex)
     if target == 0.0:
         return native
     law, exact_law = _law(spec, m)
@@ -235,13 +234,18 @@ def _continuation_leg(
 
 
 def homotopy_root_sets(
-    spec: ModelSpec, oracle_eigenvalues: list[complex], wanted: set[int]
+    spec: ModelSpec,
+    oracle_eigenvalues: list[complex],
+    wanted: set[int],
+    equations: dict | None = None,
 ) -> dict[int, RootSet]:
     """Root sets obtained by continuation, keyed by the index of the oracle
     eigenvalue each one reproduces, for the indices in ``wanted`` only.
     Legs run in ascending start degree and stop once every wanted state has
     a seed.  States whose continuation fails, from the start roots on, are
-    left out."""
+    left out.  Each leg's eigenvalue reads the eigen-equation terms kept in
+    ``equations`` (``bethe.eigenvalue_from_roots``), so that V, V* and
+    alpha_M are evaluated once per model, not once per leg."""
     if spec.info.continuation is None:
         return {}
     target = spec.real_param(spec.info.continuation)
@@ -259,7 +263,7 @@ def homotopy_root_sets(
             break
         try:
             roots = root_set(spec, _continuation_leg(spec, start, pair, target))
-            (e_val,) = eigenvalue_from_roots(spec, [roots])
+            (e_val,) = eigenvalue_from_roots(spec, [roots], equations)
         except (ValueError, QesError):
             continue
         gaps = [abs(e_val - ev) for ev in oracle_eigenvalues]

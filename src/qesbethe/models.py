@@ -15,6 +15,10 @@ degree-M invariant polynomial subspace:
 branches on; only the formulas that define a model (validation, the phase
 of V, the compensation coefficient) dispatch on the family itself.
 
+The coordinate and the sector fix the model's ``Chart`` (``ModelSpec.chart``),
+one of four module constants: eta, the basis, the root representatives and
+the Newton variable.  No other module branches on the coordinate.
+
 Every family is one difference operator, H~ Psi = V(x) [Psi(x - s) - Psi(x)]
 + V*(x) [Psi(x + s) - Psi(x)] + alpha_M(x) Psi(x), whose step s (``step``) is
 i for the x-families and i ln q for trig-q, where x - s is z -> qz.
@@ -28,17 +32,18 @@ relies on it.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import PoleOfPotential, SectorMismatch, UnsupportedFamily
-from .numerics import scalar_or_array
+from .errors import PoleOfPotential, SectorMismatch, SubspaceTooLarge, UnsupportedFamily
+from .numerics import MAX_EIG_DIM, binomial_shift, scalar_or_array
 
 HALF_EXCLUSION = 1e-6  # centrifugal families reject parameters this close to 1/2
 POLE_TOL = 1e-12
@@ -59,15 +64,133 @@ class Sector(Enum):
     ODD = "odd"
 
 
-class Coordinate(Enum):
-    """The sinusoidal coordinate eta.  It also fixes the subspace basis
-    (powers of eta), the root representatives (x, x with Re x >= 0, or z =
-    e^{ix} with |z| <= 1) and, with the sector, the Newton variable
-    (``native_variable``)."""
+def _same(values):
+    return values
 
-    X = "x"
-    X_SQUARED = "x^2"
-    COS = "cos x"
+
+def _gauge_x(x: complex) -> complex:
+    """The sign representative of +-x with Re x > 0, or Re x = 0, Im x >= 0."""
+    return -x if x.real < 0 or (x.real == 0 and x.imag < 0) else x
+
+
+def _gauge_z(z: complex) -> complex:
+    """The representative of z, 1/z with |z| <= 1, ties on the unit circle
+    broken by Im z >= 0."""
+    if abs(z) > 1.0:
+        z = 1.0 / z
+    if abs(abs(z) - 1.0) < 1e-12 and z.imag < 0:
+        z = z.conjugate()
+    return z
+
+
+def _x_from_z(z: complex) -> complex:
+    """x = -i log z with Re x in (-pi, pi], ties on the negative real z axis
+    broken by Re x = +pi as ``_gauge_z`` breaks ties on the unit circle."""
+    x = -1j * cmath.log(z)
+    if z.real < 0 and abs(z.imag) < 1e-12 * abs(z):
+        x = complex(abs(x.real), x.imag)
+    return x
+
+
+def _z_from_eta(eta_l: complex) -> complex:
+    """Solve z + 1/z = 2 eta for the representative with |z| <= 1."""
+    # stable branch: form the larger root first, invert for the smaller
+    s = cmath.sqrt(eta_l - 1.0) * cmath.sqrt(eta_l + 1.0)
+    big = eta_l + s if abs(eta_l + s) >= abs(eta_l - s) else eta_l - s
+    if abs(big) < 1e-300:
+        raise ValueError("degenerate eta: no z representative")
+    return _gauge_z(1.0 / big)
+
+
+def _representatives_cos(values: list[complex]) -> tuple:
+    zs = [_gauge_z(z) for z in values]
+    return [0.5 * (z + 1.0 / z) for z in zs], [_x_from_z(z) for z in zs], zs
+
+
+@dataclass(frozen=True, eq=False)
+class Chart:
+    """The sinusoidal coordinate eta(x) in one sector, and what it fixes.
+
+    The subspace basis is eta^k, times x where ``odd``.  Bethe root l is
+    eta_l, with representatives x_l (eta(x_l) = eta_l) and, for eta = cos x,
+    z_l = e^{i x_l}, gauge-fixed by ``representatives`` (the sign of x, or
+    z -> 1/z).  Newton solves the Bethe equations in ``variable``: eta for
+    the x^2 full and even sectors, x for eta = x and the odd sector, z for
+    eta = cos x.  ``eta`` and ``eta_of`` act on numpy arrays elementwise,
+    the other maps on Python complex numbers or lists of them.
+    """
+
+    variable: str
+    eta: Callable[[np.ndarray], np.ndarray]  # eta(x)
+    eta_degree: int  # of eta in the computational variable, x or z
+    odd: bool
+    trigonometric: bool  # x -> z = e^{ix}: Laurent algebra, q-shifts, q-Pochhammer phi0^2
+    representatives: Callable[[list], tuple]  # Newton values -> gauge-fixed (etas, xs, zs | None)
+    newton: Callable[[Any], Sequence[complex]]  # a RootSet's Newton values
+    from_eta: Callable[[complex], complex]  # eta_l -> its gauge-fixed Newton value
+    points: Callable[[Any], Sequence[complex]]  # a RootSet's x (or z), where Bethe sides are read
+    points_of: Callable[[list], list]  # the same points of raw Newton values
+    eta_of: Callable[[np.ndarray], np.ndarray]  # eta of Newton values
+
+    @functools.lru_cache(maxsize=128)
+    def basis(self, dim: int) -> tuple[np.ndarray, int, np.ndarray]:
+        """Read-only rows of basis_0 .. basis_{dim-1} in the computational
+        variable (x, or z), the exponent of their first column, and the
+        index of basis_k's coefficient in an image (the power of x, or of
+        eta for eta = cos x)."""
+        positions = int(self.odd) + self.eta_degree * np.arange(dim)
+        if self.trigonometric:
+            # eta^k = 2^-k z^-k (1 + z^2)^k on the window z^(1-dim) .. z^(dim-1);
+            # the binomial table's zeros above the diagonal land past each row's
+            # own terms
+            k = positions[:, None]
+            wide = np.zeros((dim, 3 * dim), dtype=complex)
+            wide[k, dim - 1 - k + 2 * positions] = binomial_shift(dim, 1.0) * 0.5**k
+            rows, lo = wide[:, : 2 * dim - 1].copy(), 1 - dim
+        else:
+            rows, lo = np.zeros((dim, positions[-1] + 1), dtype=complex), 0
+            rows[np.arange(dim), positions] = 1.0
+        rows.flags.writeable = False
+        positions.flags.writeable = False
+        return rows, lo, positions
+
+
+X_CHART = Chart(
+    variable="x", eta=_same, eta_degree=1, odd=False, trigonometric=False,
+    representatives=lambda xs: (xs, xs, None),
+    newton=lambda roots: roots.roots_x,
+    from_eta=_same,
+    points=lambda roots: roots.roots_x,
+    points_of=_same,
+    eta_of=_same,
+)
+X2_CHART = Chart(
+    variable="eta", eta=lambda x: x * x, eta_degree=2, odd=False, trigonometric=False,
+    representatives=lambda etas: (etas, [_gauge_x(cmath.sqrt(e)) for e in etas], None),
+    newton=lambda roots: roots.roots_eta,
+    from_eta=_same,
+    points=lambda roots: roots.roots_x,
+    points_of=lambda etas: [cmath.sqrt(e) for e in etas],
+    eta_of=_same,
+)
+X2_ODD_CHART = Chart(
+    variable="x", eta=lambda x: x * x, eta_degree=2, odd=True, trigonometric=False,
+    representatives=lambda xs: ([x * x for x in xs], [_gauge_x(x) for x in xs], None),
+    newton=lambda roots: roots.roots_x,
+    from_eta=lambda eta_l: _gauge_x(cmath.sqrt(eta_l)),
+    points=lambda roots: roots.roots_x,
+    points_of=_same,
+    eta_of=lambda x: x * x,
+)
+COS_CHART = Chart(
+    variable="z", eta=np.cos, eta_degree=1, odd=False, trigonometric=True,
+    representatives=_representatives_cos,
+    newton=lambda roots: roots.roots_z,
+    from_eta=_z_from_eta,
+    points=lambda roots: roots.roots_z,
+    points_of=_same,
+    eta_of=lambda z: 0.5 * (z + 1.0 / z),
+)
 
 
 @dataclass(frozen=True)
@@ -75,7 +198,7 @@ class FamilyInfo:
     """The structural facts of one family that the pipeline branches on."""
 
     param_names: tuple[str, ...]
-    coordinate: Coordinate
+    chart: Chart  # of the full or even sector; the odd one is X2_ODD_CHART
     parity_sectors: bool = False  # the subspace splits into even/odd sectors
     kinematic_denominator: bool = False  # V carries 1/(2ix(2ix+1))
     continuation: str | None = None  # homotopy parameter, continued from 0
@@ -86,17 +209,16 @@ class FamilyInfo:
     grid_window: tuple[float, float] = (-3.0, 3.0)  # real x range of default_grid
 
 
-_X2 = Coordinate.X_SQUARED
 # the kinematic denominator, the x -> -x fixed point and the half-line window
 _CENTRIFUGAL = dict(kinematic_denominator=True, fixed_points=(0.0,), grid_window=(0.2, 4.0))
 FAMILIES: dict[ModelFamily, FamilyInfo] = {
-    ModelFamily.MP_CROSSED: FamilyInfo(("a1", "a2", "beta"), Coordinate.X, continuation="beta"),
-    ModelFamily.SEXTIC_I: FamilyInfo(("a", "b", "c"), _X2, parity_sectors=True),
-    ModelFamily.SEXTIC_II: FamilyInfo(("a", "b", "c", "d"), _X2, parity_sectors=True),
-    ModelFamily.CENTRIFUGAL_I: FamilyInfo(("b", "c", "d", "e", "f"), _X2, **_CENTRIFUGAL),
-    ModelFamily.CENTRIFUGAL_II: FamilyInfo(("a", "b", "c", "d", "e", "f"), _X2, **_CENTRIFUGAL),
+    ModelFamily.MP_CROSSED: FamilyInfo(("a1", "a2", "beta"), X_CHART, continuation="beta"),
+    ModelFamily.SEXTIC_I: FamilyInfo(("a", "b", "c"), X2_CHART, parity_sectors=True),
+    ModelFamily.SEXTIC_II: FamilyInfo(("a", "b", "c", "d"), X2_CHART, parity_sectors=True),
+    ModelFamily.CENTRIFUGAL_I: FamilyInfo(("b", "c", "d", "e", "f"), X2_CHART, **_CENTRIFUGAL),
+    ModelFamily.CENTRIFUGAL_II: FamilyInfo(("a", "b", "c", "d", "e", "f"), X2_CHART, **_CENTRIFUGAL),
     ModelFamily.TRIG_Q: FamilyInfo(
-        ("a", "b", "c", "d", "e", "q"), Coordinate.COS,
+        ("a", "b", "c", "d", "e", "q"), COS_CHART,
         continuation="a", detour=0.3, fixed_points=(-1.0, 1.0),
         grid_window=(0.15, math.pi - 0.15),
     ),
@@ -130,6 +252,11 @@ class ModelSpec:
     def info(self) -> FamilyInfo:
         """The family's structural record."""
         return FAMILIES[self.family]
+
+    @property
+    def chart(self) -> Chart:
+        """The coordinate chart of this family and sector."""
+        return X2_ODD_CHART if self.sector is Sector.ODD else FAMILIES[self.family].chart
 
 
 def _as_complex(v: Any) -> complex:
@@ -194,7 +321,10 @@ def model_spec(
 
     ``validate=False`` bypasses the parameter-range checks (needed by the
     formal-limit tests that pin parameters at excluded values); the
-    finiteness and sector consistency checks always run.
+    finiteness and sector consistency checks always run, and so does the
+    size check: a subspace of more than ``numerics.MAX_EIG_DIM`` states,
+    which the oracle cannot diagonalize, raises SubspaceTooLarge before
+    anything is built.
     """
     if not isinstance(family, ModelFamily):
         family = ModelFamily(family)
@@ -217,9 +347,15 @@ def model_spec(
         if not cmath.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v!r}")
     _validate_sector(family, M, sector)
+    spec = ModelSpec(family, cparams, int(M), sector)
+    dim = len(sector_degrees(spec))
+    if dim > MAX_EIG_DIM:
+        raise SubspaceTooLarge(
+            f"M = {M} gives a subspace of dimension {dim}, above the limit of {MAX_EIG_DIM}"
+        )
     if validate:
         _validate(family, cparams)
-    return ModelSpec(family, cparams, int(M), sector)
+    return spec
 
 
 def mp_conjugate_pair(a1: complex, beta: float, M: int) -> ModelSpec:
@@ -317,23 +453,15 @@ def v_phase(spec: ModelSpec) -> complex:
 
 
 def eta(spec: ModelSpec, x):
-    """Sinusoidal coordinate: x, x^2 or cos x depending on the family.
+    """The sinusoidal coordinate of the model's chart: x, x^2 or cos x.
     Elementwise over an array of points; a scalar gives a Python complex."""
-    x = np.asarray(x, dtype=complex)
-    coordinate = spec.info.coordinate
-    if coordinate is Coordinate.X:
-        out = x
-    elif coordinate is Coordinate.COS:
-        out = np.cos(x)
-    else:
-        out = x * x
-    return scalar_or_array(out)
+    return scalar_or_array(spec.chart.eta(np.asarray(x, dtype=complex)))
 
 
 def step(spec: ModelSpec) -> complex:
     """The step s of H~ (module docstring): i for the x-families, i ln q
     for trig-q, so that x - s is the q-shift z -> qz."""
-    if spec.info.coordinate is Coordinate.COS:
+    if spec.chart.trigonometric:
         return 1j * math.log(spec.real_param("q"))
     return 1j
 
@@ -342,7 +470,7 @@ def _potential(spec: ModelSpec, x, conjugated: bool):
     """V(x), or its analytic conjugate V*(x), elementwise; raises
     PoleOfPotential on denominator zeros, naming the first such x."""
     x = np.asarray(x, dtype=complex)
-    if spec.info.coordinate is Coordinate.COS:
+    if spec.chart.trigonometric:
         # V*(z) = V(1/z) for real parameters: V* at x is V at z = e^{-ix}
         z = np.exp(-1j * x if conjugated else 1j * x)
         num = np.ones_like(z)
@@ -411,18 +539,6 @@ def compensation_vanishes(spec: ModelSpec) -> bool:
     """True when the deformation is switched off and the model is exactly
     solvable (restricted specs, beta = 0, or a vanishing q-deformation)."""
     return abs(compensation_coefficient(spec)) < 1e-14 * max(1.0, spec.M)
-
-
-def native_variable(spec: ModelSpec) -> str:
-    """The Newton variable of the Bethe equations, named like the
-    ``spectral.RootSet`` field that holds it: "z" for eta = cos x, "x" for
-    eta = x and the odd sector, "eta" for the other x^2 sectors."""
-    coordinate = spec.info.coordinate
-    if coordinate is Coordinate.COS:
-        return "z"
-    if coordinate is Coordinate.X or spec.sector is Sector.ODD:
-        return "x"
-    return "eta"
 
 
 def sector_degrees(spec: ModelSpec) -> range:

@@ -4,14 +4,14 @@ monic eigen-polynomials in eta, and extract candidate Bethe roots.
 Eigenpairs are sorted by (Re, Im) of the eigenvalue; that order is the
 canonical one everywhere downstream, including JSON output.
 
-Every root set is built by ``root_set`` from the sector's Newton variable
-(``models.native_variable``), whether it comes from an eigenpolynomial, a
-Newton polish or a continuation leg.
-It fixes the representatives once and for all: for the x^2-based families
-the sign gauge is resolved to Re x > 0 (or Re x = 0, Im x >= 0), and for
-the trigonometric family to |z| <= 1 with ties on the unit circle broken by
-Im z >= 0, and x = -i log z to Re x in (-pi, pi] with ties on the negative
-real z axis broken by Re x = +pi; the roots are sorted by (Re, Im) of eta.
+Every root set is built by ``root_set`` from the Newton variables of the
+model's chart (``models.Chart``), whether it comes from an eigenpolynomial,
+a Newton polish or a continuation leg.  The chart fixes the representatives
+once and for all: for the x^2-based families the sign gauge is resolved to
+Re x > 0 (or Re x = 0, Im x >= 0), and for the trigonometric family to
+|z| <= 1 with ties on the unit circle broken by Im z >= 0, and x = -i log z
+to Re x in (-pi, pi] with ties on the negative real z axis broken by
+Re x = +pi; ``root_set`` sorts the roots by (Re, Im) of eta.
 
 Eigenpolynomials, like every polynomial in the package, are arrays of
 ascending complex coefficients.  ``extract_roots`` finds the roots of a
@@ -20,19 +20,13 @@ model's eigenpolynomials together, in one ``numerics.poly_roots`` batch.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .models import (
-    Coordinate,
-    ModelSpec,
-    compensation_vanishes,
-    native_variable,
-)
+from .models import ModelSpec, compensation_vanishes
 from .hamiltonian import OperatorMatrix
 from .numerics import eig_general, poly_roots
 
@@ -114,7 +108,6 @@ def oracle_spectrum(om: OperatorMatrix) -> list[OracleEigenpair]:
         if abs(values[i + 1] - values[i]) < DEGENERATE_EIG_TOL * scale:
             flags[i] = flags[i + 1] = True
     graded = compensation_vanishes(om.spec)
-    ladder_family = om.spec.info.coordinate is Coordinate.COS
     diag = np.diag(om.matrix)
     pairs = []
     for rank, k in enumerate(order):
@@ -126,7 +119,7 @@ def oracle_spectrum(om: OperatorMatrix) -> list[OracleEigenpair]:
             # everything above that index is rounding noise
             vec = vec[: int(np.argmin(np.abs(diag - w[k]))) + 1]
         vec = _without_top(vec)
-        if ladder_family and not graded:
+        if om.spec.chart.trigonometric and not graded:
             big = np.abs(vec).max()
             if abs(vec[-1]) < NOISE_FLOOR * big:
                 # geometric root ladders push true top coefficients below
@@ -157,76 +150,18 @@ def min_separation(values: Sequence[complex]) -> float:
     return float(gap.min())
 
 
-def _gauge_x(x: complex) -> complex:
-    """The sign representative of +-x with Re x > 0, or Re x = 0, Im x >= 0."""
-    return -x if x.real < 0 or (x.real == 0 and x.imag < 0) else x
-
-
-def _gauge_z(z: complex) -> complex:
-    """The representative of z, 1/z with |z| <= 1, ties on the unit circle
-    broken by Im z >= 0."""
-    if abs(z) > 1.0:
-        z = 1.0 / z
-    if abs(abs(z) - 1.0) < 1e-12 and z.imag < 0:
-        z = z.conjugate()
-    return z
-
-
-def _x_from_z(z: complex) -> complex:
-    """x = -i log z with Re x in (-pi, pi], ties on the negative real z axis
-    broken by Re x = +pi as ``_gauge_z`` breaks ties on the unit circle."""
-    x = -1j * cmath.log(z)
-    if z.real < 0 and abs(z.imag) < 1e-12 * abs(z):
-        x = complex(abs(x.real), x.imag)
-    return x
-
-
-def canonical_x_from_eta(spec: ModelSpec, eta_l: complex) -> complex:
-    """Representative x with eta(x) = eta_l, resolving the gauge freedom."""
-    coordinate = spec.info.coordinate
-    if coordinate is Coordinate.X:
-        return eta_l
-    if coordinate is Coordinate.COS:
-        return _x_from_z(canonical_z_from_eta(eta_l))
-    return _gauge_x(cmath.sqrt(eta_l))
-
-
-def canonical_z_from_eta(eta_l: complex) -> complex:
-    """Solve z + 1/z = 2 eta for the representative with |z| <= 1."""
-    # stable branch: form the larger root first, invert for the smaller
-    s = cmath.sqrt(eta_l - 1.0) * cmath.sqrt(eta_l + 1.0)
-    big = eta_l + s if abs(eta_l + s) >= abs(eta_l - s) else eta_l - s
-    if abs(big) < 1e-300:
-        raise ValueError("degenerate eta: no z representative")
-    return _gauge_z(1.0 / big)
-
-
 def root_set(spec: ModelSpec, native: Sequence[complex]) -> RootSet:
-    """The root set whose Newton variables (``models.native_variable``)
-    are ``native``: gauge-fixed representatives in every coordinate, sorted
-    by (Re, Im) of eta, with the close-pair flag."""
-    variable = native_variable(spec)
-    values = [complex(v) for v in native]
-    if variable == "z":
-        zs = [_gauge_z(z) for z in values]
-        rows = [(0.5 * (z + 1.0 / z), _x_from_z(z), z) for z in zs]
-    elif variable == "eta":
-        rows = [(e, _gauge_x(cmath.sqrt(e)), None) for e in values]
-    elif spec.info.coordinate is Coordinate.X:
-        rows = [(x, x, None) for x in values]
-    else:
-        rows = [(x * x, _gauge_x(x), None) for x in values]
-    rows.sort(key=lambda r: (r[0].real, r[0].imag))  # (eta, x, z) per root
-    etas = tuple(r[0] for r in rows)
-    xs = tuple(r[1] for r in rows)
-    zs = tuple(r[2] for r in rows) if variable == "z" else None
-    close = min_separation({"x": xs, "eta": etas, "z": zs}[variable]) < DEGENERATE_ROOT_TOL
-    return RootSet(xs, etas, zs, close)
-
-
-def native_values(spec: ModelSpec, roots: RootSet) -> np.ndarray:
-    """The Newton variables of ``roots``, the inverse of ``root_set``."""
-    return np.asarray(getattr(roots, f"roots_{native_variable(spec)}"), dtype=complex)
+    """The root set whose Newton variables (``models.Chart.variable``) are
+    ``native``: gauge-fixed representatives in every coordinate, sorted by
+    (Re, Im) of eta, with the close-pair flag."""
+    chart = spec.chart
+    etas, xs, zs = chart.representatives([complex(v) for v in native])
+    order = sorted(range(len(etas)), key=lambda k: (etas[k].real, etas[k].imag))
+    xs, etas, zs = (None if col is None else tuple(col[k] for k in order) for col in (xs, etas, zs))
+    roots = RootSet(xs, etas, zs)
+    if min_separation(chart.newton(roots)) < DEGENERATE_ROOT_TOL:
+        return replace(roots, degenerate=True)
+    return roots
 
 
 def extract_roots(
@@ -246,14 +181,8 @@ def extract_roots(
                 f"eigenpolynomial degree {pair.degree} != expected root "
                 f"count {expected}"
             )
-    variable = native_variable(spec)
-    out = []
-    for eta_roots in poly_roots([pair.eigenpoly for pair in pairs]):
-        if variable == "z":
-            native = [canonical_z_from_eta(r) for r in eta_roots]
-        elif variable == "x":
-            native = [canonical_x_from_eta(spec, r) for r in eta_roots]
-        else:
-            native = eta_roots
-        out.append(root_set(spec, native))
-    return out
+    from_eta = spec.chart.from_eta
+    return [
+        root_set(spec, [from_eta(r) for r in eta_roots])
+        for eta_roots in poly_roots([pair.eigenpoly for pair in pairs])
+    ]

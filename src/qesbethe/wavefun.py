@@ -34,9 +34,7 @@ import numpy as np
 from .bethe import BetheSolution
 from .errors import PoleOfGamma, PoleOfPotential, QesError
 from .models import (
-    Coordinate,
     ModelSpec,
-    Sector,
     compensation_alpha,
     eta,
     numerator_constants,
@@ -133,7 +131,7 @@ def _log_phi0_squared_x(spec: ModelSpec, x: np.ndarray, shifts: tuple[complex, .
 def phi0_squared(spec: ModelSpec, x):
     """Square of the pseudo ground state at x (a point or an array)."""
     pts = _points(x)
-    if spec.info.coordinate is Coordinate.COS:
+    if spec.chart.trigonometric:
         return _shaped(phi0_squared_z(spec, np.exp(1j * pts)), x)
     return _shaped(np.exp(_log_phi0_squared_x(spec, pts, (0.0,))[0]), x)
 
@@ -147,7 +145,7 @@ def zero_mode_residual(spec: ModelSpec, x):
     """
     pts = _points(x)
     half = step(spec) / 2
-    if spec.info.coordinate is Coordinate.COS:
+    if spec.chart.trigonometric:
         minus, plus = pts - half, pts + half
         phi_minus, phi_plus = phi0_squared_z(spec, np.exp(1j * np.stack([minus, plus])))
         lhs = potential_v_star(spec, minus) * phi_minus
@@ -184,7 +182,7 @@ def _polynomial_part(
     """Psi from the roots at the points ``pts``, whose eta values are
     ``etas``."""
     out = np.prod(etas[..., None] - np.asarray(roots_eta, dtype=complex), axis=-1)
-    return out * pts if spec.sector is Sector.ODD else out
+    return out * pts if spec.chart.odd else out
 
 
 def eigenfunction_value(spec: ModelSpec, sol: BetheSolution, x):

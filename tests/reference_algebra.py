@@ -31,7 +31,6 @@ from qesbethe.errors import (
 )
 from qesbethe.hamiltonian import DIVIDE_TOL, LEAK_TOL
 from qesbethe.models import (
-    Coordinate,
     ModelFamily,
     ModelSpec,
     Sector,
@@ -336,7 +335,7 @@ def _v_numerators(spec: ModelSpec) -> tuple[PolynomialC, PolynomialC]:
 
 def apply_htilde(spec: ModelSpec, psi: PolynomialC) -> PolynomialC:
     """H~ on one polynomial in x (x-families)."""
-    if spec.info.coordinate is Coordinate.COS:
+    if spec.family is ModelFamily.TRIG_Q:
         raise UnsupportedFamily("use apply_htilde_z for the trigonometric family")
     dm = poly_shift(psi, -1j) - psi
     dp = poly_shift(psi, +1j) - psi
@@ -351,7 +350,7 @@ def apply_htilde(spec: ModelSpec, psi: PolynomialC) -> PolynomialC:
     coef = compensation_coefficient(spec)
     if coef == 0:
         return shift_part
-    eta_degree = 1 if spec.info.coordinate is Coordinate.X else 2
+    eta_degree = 1 if spec.family is ModelFamily.MP_CROSSED else 2
     return shift_part + poly_mul(psi, poly_monomial(eta_degree, "x")).scale(coef)
 
 
@@ -380,10 +379,9 @@ def apply_htilde_z(spec: ModelSpec, f: LaurentC) -> LaurentC:
 def basis_polynomial(spec: ModelSpec, k: int) -> PolynomialC | LaurentC:
     """basis_k = eta^k (times x in the odd sextic sector) in the
     computational variable."""
-    coordinate = spec.info.coordinate
-    if coordinate is Coordinate.COS:
+    if spec.family is ModelFamily.TRIG_Q:
         return eta_power_as_laurent(k)
-    if coordinate is Coordinate.X:
+    if spec.family is ModelFamily.MP_CROSSED:
         return poly_monomial(k, "x")
     return poly_monomial(2 * k + (1 if spec.sector is Sector.ODD else 0), "x")
 
@@ -393,10 +391,9 @@ def _eta_coordinates(spec: ModelSpec, out, dim: int) -> tuple[np.ndarray, float]
     coefficient outside them."""
     col = np.zeros(dim, dtype=complex)
     overflow = 0.0
-    coordinate = spec.info.coordinate
-    if coordinate is Coordinate.COS:
+    if spec.family is ModelFamily.TRIG_Q:
         coeffs, step, offset = symmetric_laurent_to_eta(out), 1, 0
-    elif coordinate is Coordinate.X:
+    elif spec.family is ModelFamily.MP_CROSSED:
         coeffs, step, offset = out.coeffs, 1, 0
     else:
         coeffs, step, offset = out.coeffs, 2, 1 if spec.sector is Sector.ODD else 0
@@ -417,7 +414,7 @@ def subspace_matrix(
 ) -> np.ndarray:
     """(dim x len(columns)) coordinates of H~ on each column, checked column
     by column in order: exact division, then z -> 1/z symmetry, then leak."""
-    apply = apply_htilde_z if spec.info.coordinate is Coordinate.COS else apply_htilde
+    apply = apply_htilde_z if spec.family is ModelFamily.TRIG_Q else apply_htilde
     matrix = np.zeros((dim, len(columns)), dtype=complex)
     for k, psi in enumerate(columns):
         out = apply(spec, psi)

@@ -96,6 +96,23 @@ class TestSolveCommand:
         assert code == 1 and out == ""
         assert err == "qesbethe: error: parameter 'a' is beyond the double range\n"
 
+    @pytest.mark.parametrize("form", ["flags", "spec", "limits"])
+    def test_subspace_beyond_the_eigensolver_exit_one(self, capsys, tmp_path, form):
+        if form == "flags":
+            args = ["solve", "--family", "mp-crossed", "--a1", "1", "--a2", "1", "--beta", "0.3",
+                    "--M", "256"]
+        elif form == "spec":
+            path = tmp_path / "model.json"
+            path.write_text(json.dumps(
+                {"family": "sextic-i", "params": {"a": 1, "b": 1, "c": 1}, "M": 512}))
+            args = ["verify", "--spec", str(path)]
+        else:
+            args = ["limits", "--case", "ch-from-mp", "--a1", "1", "--a2", "1", "--M", "256"]
+        code, out, err = run_cli(args, capsys)
+        assert code == 1 and out == ""
+        assert err == ("qesbethe: error: M = {} gives a subspace of dimension 257, above the "
+                       "limit of 256\n").format(args[-1] if form != "spec" else 512)
+
     def test_homotopy_seed_mode(self, capsys):
         code, out, _ = run_cli(WORKED_EXAMPLE + ["--seed", "homotopy"], capsys)
         assert code == 0
@@ -278,10 +295,13 @@ class TestVerifyCommand:
         "family, flags",
         [
             ("mp-crossed", ["--a1", "1.2", "--a2", "0.8", "--beta", "0.6"]),
-            # no truncated state at M = 8, so no continuation leg, which
-            # reads its own eigenvalue, runs
+            # no truncated state at M = 8, so no continuation leg runs
             ("trig-q", ["--a", "0.8", "--b", "0.7", "--c", "-0.6", "--d", "0.5", "--e", "0.6",
                         "--q", "0.85"]),
+            # six truncated states at M = 8, each seeded by a continuation
+            # leg that reads its own eigenvalue
+            ("trig-q", ["--a", "0.3", "--b", "-0.2", "--c", "0.25", "--d", "0.4", "--e", "-0.35",
+                        "--q", "0.6"]),
         ],
     )
     def test_potential_evaluated_per_model_not_per_state(self, capsys, monkeypatch, family, flags):
@@ -340,7 +360,7 @@ class TestVerifyEnvelope:
         polishes onto the fixed point eta = -1, a Bethe solution of no state.
         With the fixed-point guard switched off, verify still catches it."""
 
-        def ladder_only(spec, eigenvalues, wanted):
+        def ladder_only(spec, eigenvalues, wanted, equations):
             return {0: root_set(spec, homotopy.trig_far_ladder(spec, list(range(spec.M))))}
 
         monkeypatch.setattr(homotopy, "homotopy_root_sets", ladder_only)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qesbethe.errors import PoleOfPotential, SectorMismatch, UnsupportedFamily
+from qesbethe.errors import PoleOfPotential, SectorMismatch, SubspaceTooLarge, UnsupportedFamily
 from qesbethe.models import (
     ModelFamily,
     Sector,
@@ -22,6 +22,8 @@ from qesbethe.models import (
     spec_to_json_dict,
     step,
 )
+
+from qesbethe.numerics import MAX_EIG_DIM
 
 from conftest import ALL_FAMILIES, draw_params, spec_for
 from reference_algebra import symmetric_coefficients
@@ -77,6 +79,24 @@ class TestValidation:
             name = list(params)[k % len(params)]
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 model_spec(family, M=2, **{**params, name: bad})
+
+    @pytest.mark.parametrize(
+        "family, params, largest, beyond",
+        [
+            ("mp-crossed", dict(a1=1, a2=1, beta=0.3), 255, 256),
+            ("sextic-i", dict(a=1, b=1, c=1), 510, 512),
+            ("sextic-i", dict(a=1, b=1, c=1), 511, 513),
+        ],
+    )
+    def test_subspace_beyond_the_eigensolver_rejected(self, family, params, largest, beyond):
+        assert sector_dimension(model_spec(family, M=largest, **params)) == MAX_EIG_DIM
+        message = f"M = {beyond} gives a subspace of dimension 257, above the limit of 256"
+        with pytest.raises(SubspaceTooLarge, match=message):
+            model_spec(family, M=beyond, **params)
+
+    def test_huge_subspace_rejected_before_any_work(self):
+        with pytest.raises(SubspaceTooLarge, match="dimension 1000001"):
+            model_spec("mp-crossed", M=10**6, a1=1, a2=1, beta=0.3)
 
     def test_conjugate_pair_constructor(self):
         spec = mp_conjugate_pair(1.5 + 0.5j, 0.3, 4)

@@ -7,7 +7,6 @@ from qesbethe.hamiltonian import build_matrix
 from qesbethe.models import drop_factors, model_spec
 from qesbethe.numerics import poly_roots
 from qesbethe.spectral import (
-    canonical_z_from_eta,
     extract_roots,
     oracle_spectrum,
     root_set,
@@ -106,10 +105,11 @@ class TestExtractRoots:
                 assert abs(0.5 * (z + 1 / z) - e) <= 1e-10 * max(1.0, abs(e))
 
     def test_z_from_eta_unit(self):
-        assert abs(canonical_z_from_eta(1.0) - 1.0) < 1e-12
+        tq = model_spec("trig-q", M=1, a=0.1, b=0, c=0, d=0, e=0, q=0.5)
+        assert abs(tq.chart.from_eta(1.0) - 1.0) < 1e-12
 
     def test_single_root_representatives(self):
-        from qesbethe.spectral import OracleEigenpair, canonical_x_from_eta
+        from qesbethe.spectral import OracleEigenpair
 
         # eta - 4 over eta = x^2 picks the representative x = 2
         sx = model_spec("sextic-i", M=2, sector="even", a=1, b=1, c=1)
@@ -120,7 +120,7 @@ class TestExtractRoots:
         pair = OracleEigenpair(0.0, np.array([-1.0, 1.0]))
         (roots,) = extract_roots([pair], tq)
         np.testing.assert_allclose(roots.roots_z, [1.0], atol=1e-7)
-        np.testing.assert_allclose(canonical_x_from_eta(tq, 1.0), 0.0, atol=1e-7)
+        np.testing.assert_allclose(roots.roots_x, [0.0], atol=1e-7)
 
     def test_root_count_bookkeeping(self, rng):
         expected = {
@@ -233,6 +233,19 @@ class TestRootSet:
         for z in direct.roots_z:
             assert abs(z) <= 1.0
         assert direct.roots_z[1] == np.exp(0.7j)
+
+    @pytest.mark.parametrize(
+        "family, M",
+        [(f, 4) for f in ALL_FAMILIES] + [("sextic-i", 5), ("sextic-ii", 5)],
+    )
+    def test_idempotent_on_its_own_output(self, family, M, rng):
+        # the chart's representatives are a fixed point of root_set, in
+        # every coordinate and to the last bit (signed zeros included)
+        for _ in range(5):
+            spec = spec_for(family, M, rng)
+            for roots in extract_roots(oracle_spectrum(build_matrix(spec)), spec):
+                again = root_set(spec, spec.chart.newton(roots))
+                assert repr(again) == repr(roots)
 
     def test_trig_x_on_negative_z_axis_is_plus_pi(self):
         # z just above, on and just below the negative real axis (signed

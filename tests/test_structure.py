@@ -1,7 +1,8 @@
 """Structural guards: each decision of the pipeline lives in one place.
 
-Modules branch on the facts in ``models.FAMILIES`` (coordinate, sector
-split, kinematic denominator, ...), never on the family itself; only the
+Modules branch on the facts in ``models.FAMILIES`` (sector split,
+kinematic denominator, ...) and in the model's ``models.Chart``, never on
+the family or the coordinate itself; only the
 formulas that define a model (compensation coefficient, potential phase)
 and the parameter validation compare ``ModelFamily``
 members.  The eigenvalue is read off the eigen-equation, so ``bethe``
@@ -381,7 +382,7 @@ def test_submodel_guard_sees_each_form():
 
 
 # A module's underscore-prefixed names are its own: a caller in another
-# module uses a public name (bethe.residual_map, spectral.native_values),
+# module uses a public name (bethe.residual_map, spectral.root_set),
 # so each internal can change without a second module having to know.
 
 
@@ -488,6 +489,70 @@ def test_step_guard_sees_each_form():
         "    return x + 0.5j, 1.0, 'j'\n"
     )
     assert _coordinate_uses_and_imaginary_literals(tree) == [2, 3, 4]
+
+
+# The coordinate, with the sector, is one models.Chart: eta(x), the basis,
+# the roots' representatives and the Newton variable.  Outside models, a
+# Coordinate member, a .coordinate read, Sector.ODD, native_variable, a
+# comparison with a variable name or a RootSet field name built from one
+# re-derives what the chart holds.
+
+CHART_NAMES = {"Coordinate", "native_variable"}
+VARIABLE_NAMES = {"x", "z", "eta"}
+
+
+def _chart_rederivations(tree: ast.AST) -> list[int]:
+    """Lines that name Coordinate or native_variable (also in an import),
+    read ``.coordinate``, name ``Sector.ODD``, compare with "x", "z" or
+    "eta", or build an f-string that names ``roots_``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in CHART_NAMES:
+            found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and any(a.name in CHART_NAMES for a in node.names):
+            found.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and (
+            node.attr in CHART_NAMES | {"coordinate"}
+            or (node.attr == "ODD" and ast.unparse(node.value).split(".")[-1] == "Sector")
+        ):
+            found.append(node.lineno)
+        elif isinstance(node, ast.Compare) and any(
+            isinstance(sub, ast.Constant) and sub.value in VARIABLE_NAMES
+            for op in [node.left, *node.comparators]
+            for sub in ast.walk(op)
+        ):
+            found.append(node.lineno)
+        elif isinstance(node, ast.JoinedStr) and any(
+            isinstance(part, ast.Constant) and "roots_" in part.value for part in node.values
+        ):
+            found.append(node.lineno)
+    return sorted(set(found))
+
+
+def test_only_models_derives_the_chart():
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "models.py":
+            tree = ast.parse(path.read_text(), filename=str(path))
+            stray += [f"{path.name}:{line}" for line in _chart_rederivations(tree)]
+    assert not stray, "coordinate facts re-derived outside models.Chart at " + ", ".join(stray)
+
+
+def test_chart_guard_sees_each_form():
+    tree = ast.parse(
+        "from .models import Coordinate, ModelSpec\n"
+        "from . import models\n"
+        "def f(spec, roots, v):\n"
+        "    a = spec.info.coordinate is Coordinate.COS\n"
+        "    b = spec.sector is Sector.ODD or spec.sector is models.Sector.ODD\n"
+        "    c = models.native_variable(spec) == 'z'\n"
+        "    d = 'eta' != v\n"
+        "    e = v in ('x', 'y')\n"
+        "    g = getattr(roots, f'roots_{v}')\n"
+        "    h = spec.info.coordinate\n"
+        "    return spec.sector is Sector.EVEN, v == 'y', f'{v}_set', spec.chart.odd\n"
+    )
+    assert _chart_rederivations(tree) == [1, 4, 5, 6, 7, 8, 9, 10]
 
 
 # An import that nothing references is dead code (pyflakes' F401); names in
