@@ -25,11 +25,9 @@ from .models import (
     compensation_alpha,
     compensation_vanishes,
     eta,
-    numerator_constants,
     potential_v,
     potential_v_star,
     step,
-    v_phase,
 )
 from .numerics import NewtonOptions, newton_solve
 from .spectral import (
@@ -92,14 +90,15 @@ _Sides = Callable[[Sequence[complex]], list[tuple[complex, complex]]]
 def _sides_x(spec: ModelSpec) -> _Sides:
     """(L_j, R_j) of the x-based families as a function of the roots x_j;
     the family facts are read here, once per map."""
-    conj_pairs = [(p, p.conjugate()) for p in numerator_constants(spec)]
+    v = spec.potential
+    conj_pairs = list(zip(v.constants, v.bar.constants))  # p, conj(p)
     # eta = x^2: eta(x_j -+ i) - eta_l factors into (x_j - x_l -+ i)(x_j + x_l -+ i)
     pair_product = spec.chart.eta_degree == 2
     # the l = j pair factor (2x_j - i)/(2x_j + i) cancels against the
     # kinematic denominator where V carries one, and stays otherwise
-    self_pair = pair_product and not spec.info.kinematic_denominator
+    self_pair = pair_product and v.denominator is None
     odd = spec.chart.odd
-    phase2 = v_phase(spec).conjugate() ** 2  # e^{2 i beta} for the crossed model
+    phase2 = v.bar.lead**2  # conj(u)/u, e^{2 i beta} for the crossed model
 
     def sides(xs: Sequence[complex]) -> list[tuple[complex, complex]]:
         out = []
@@ -135,7 +134,7 @@ def _sides_x(spec: ModelSpec) -> _Sides:
 def _sides_z(spec: ModelSpec) -> _Sides:
     """(L_j, R_j) of the trigonometric family as a function of the z_j."""
     q = spec.real_param("q")
-    consts = numerator_constants(spec)
+    consts = spec.potential.constants
 
     def sides(zs: Sequence[complex]) -> list[tuple[complex, complex]]:
         etas = [0.5 * (z + 1.0 / z) for z in zs]

@@ -6,15 +6,15 @@ For the x-based families
     H~ psi = V(x) (psi(x-i) - psi(x)) + V*(x) (psi(x+i) - psi(x))
              + alpha_M(x) psi(x),
 
-evaluated entirely by exact shift/convolution algebra.  The centrifugal
-families carry the kinematic denominators 2ix(2ix+1) and its conjugate;
-the two shift terms are put over the common denominator first and the
-division performed exactly (the poles cancel between the terms for any
-even polynomial, so a non-trivial remainder means the input was not
-admissible).  The trigonometric family works in z = e^{ix}: shifts become
-z -> qz and z -> z/q on Laurent polynomials, the denominator is
-(1-z^2)(1-qz^2) times its z -> 1/z image, and results are re-expressed in
-powers of eta = (z+1/z)/2 through the Chebyshev change of basis.
+evaluated entirely by exact shift/convolution algebra on the kernels of
+``models.Potential`` (V*'s are V-bar's reflected: V*(x) = V-bar(-x)).  The
+centrifugal families carry the kinematic denominator 2ix(2ix+1) and its
+reflection; the two shift terms are put over the common denominator and
+divided exactly (the poles cancel between the terms for any even polynomial,
+so a non-trivial remainder means the input was not admissible).  trig-q
+works in z = e^{ix}: shifts become z -> qz and z -> z/q on Laurent
+polynomials, the denominator is (1-z^2)(1-qz^2) times its z -> 1/z image,
+and results are re-expressed in powers of eta = (z+1/z)/2 (Chebyshev).
 
 H~ acts on all basis columns at once, held as the rows of one coefficient
 array: each shift is one binomial matrix of (x +- i)^n or one diagonal q^n
@@ -37,13 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InexactDivision, InversionAsymmetry, NonFiniteEntries, SubspaceLeak
-from .models import (
-    ModelSpec,
-    compensation_coefficient,
-    numerator_constants,
-    sector_dimension,
-    v_phase,
-)
+from .models import ModelSpec, compensation_coefficient, sector_dimension
 from .numerics import (
     binomial_shift,
     convolve_rows,
@@ -54,11 +48,6 @@ from .numerics import (
 DIVIDE_TOL = 1e-9
 LEAK_TOL = 1e-10
 
-# kinematic denominators 2ix(2ix+1) = 2ix - 4x^2, its analytic conjugate
-# and their product
-_DEN = np.array([0, 2j, -4])
-_DEN_STAR = np.array([0, -2j, -4])
-_DEN_PRODUCT = np.convolve(_DEN, _DEN_STAR)
 # eta = (z + 1/z)/2, from z^-1 up
 _ETA_Z = np.array([0.5, 0.0, 0.5])
 
@@ -97,15 +86,17 @@ def _images_x(spec: ModelSpec, rows: np.ndarray) -> tuple[np.ndarray, int, dict]
     n = rows.shape[1]
     dm = rows @ binomial_shift(n, -1j) - rows
     dp = rows @ binomial_shift(n, 1j) - rows
-    constants = numerator_constants(spec)
-    num = _product(v_phase(spec), [(p, 1j) for p in constants])
-    num_star = _product(v_phase(spec).conjugate(), [(p.conjugate(), -1j) for p in constants])
+    v, v_bar = spec.potential, spec.potential.bar
+    num = _product(v.lead, v.factors)
+    num_star = _product(v_bar.lead, [(a, -b) for a, b in v_bar.factors])  # x -> -x
     inexact: dict[int, InexactDivision] = {}
-    if spec.info.kinematic_denominator:
-        total = convolve_rows(dm, np.convolve(num, _DEN_STAR)) + convolve_rows(
-            dp, np.convolve(num_star, _DEN)
+    if v.denominator is not None:
+        den, den_star = v.denominator, v_bar.denominator.copy()
+        den_star[1::2] = -den_star[1::2]
+        total = convolve_rows(dm, np.convolve(num, den_star)) + convolve_rows(
+            dp, np.convolve(num_star, den)
         )
-        shifts, inexact = divide_rows_exact(total, _DEN_PRODUCT, DIVIDE_TOL)
+        shifts, inexact = divide_rows_exact(total, np.convolve(den, den_star), DIVIDE_TOL)
     else:
         shifts = convolve_rows(dm, num) + convolve_rows(dp, num_star)
     image, _ = _plus(shifts, 0, compensation_coefficient(spec) * rows, spec.chart.eta_degree)
@@ -120,11 +111,10 @@ def _images_z(spec: ModelSpec, rows: np.ndarray, lo: int) -> tuple[np.ndarray, i
     exponents = range(lo, lo + rows.shape[1])
     dm = rows * np.array([q**e for e in exponents]) - rows
     dp = rows * np.array([(1.0 / q) ** e for e in exponents]) - rows
-    constants = numerator_constants(spec)
-    num = _product(1.0, [(1.0, -p) for p in constants])  # from z^0
-    num_star = _product(1.0, [(-p.conjugate(), 1.0) for p in constants])  # from z^-N
-    den = np.convolve([1.0, 0.0, -1.0], [1.0, 0.0, -q])  # from z^0
-    den_star = np.convolve([-1.0, 0.0, 1.0], [-q, 0.0, 1.0])  # from z^-4
+    v, v_bar = spec.potential, spec.potential.bar
+    num = _product(v.lead, v.factors)  # from z^0
+    num_star = _product(v_bar.lead, [(b, a) for a, b in v_bar.factors])  # z -> 1/z, from z^-N
+    den, den_star = v.denominator, v_bar.denominator[::-1]  # from z^0 and z^-4
     # Numerator first, then denominator: from M ~ 11 the division, symmetry
     # and leak checks work at rounding level, and in this order they fail
     # about as often as with one column at a time (with premultiplied
@@ -133,7 +123,7 @@ def _images_z(spec: ModelSpec, rows: np.ndarray, lo: int) -> tuple[np.ndarray, i
         convolve_rows(convolve_rows(dm, num), den_star),
         lo - 4,
         convolve_rows(convolve_rows(dp, num_star), den),
-        lo - len(constants),
+        lo - len(v.constants),
     )
     # Divide each row from its lowest non-zero coefficient, as a Laurent
     # polynomial is divided: the remainder, and so the exactness check,

@@ -123,9 +123,7 @@ def trig_far_ladder(spec: ModelSpec, exponents: list[int]) -> list[complex]:
     d roots finite (the start degree of a continuation leg).
     """
     q = spec.real_param("q")
-    prod = 1.0 + 0j
-    for name in ("a", "b", "c", "d", "e"):
-        prod *= spec.param(name)
+    prod = math.prod(spec.potential.constants, start=1.0 + 0j)
     return [-prod * q ** (2 * k) for k in exponents]
 
 
@@ -142,7 +140,7 @@ def _law(spec: ModelSpec, m: int) -> tuple[Callable[[complex], np.ndarray], bool
     if spec.chart.trigonometric:
         ladder = list(range(m, spec.M))
         return lambda t: np.concatenate([near, trig_far_ladder(_continued(spec, t), ladder)]), False
-    sum_re = 2.0 * (spec.param("a1").real + spec.param("a2").real)
+    sum_re = 2.0 * sum(p.real for p in spec.potential.constants)
     nodes = laguerre_nodes(spec.M - m, 2.0 * m + sum_re - 1.0) if m < spec.M else np.zeros(0)
     return lambda t: np.concatenate([near, -nodes / (2.0 * t)]), True
 
@@ -185,7 +183,7 @@ def _continuation_leg(
     m = pair.degree
     (start_roots,) = extract_roots([pair], start)
     native = np.asarray(spec.chart.newton(start_roots), dtype=complex)
-    if target == 0.0:
+    if target == 0.0 or spec.M == 0:  # nothing to continue
         return native
     law, exact_law = _law(spec, m)
     first_ratio = np.concatenate([native, np.ones(spec.M - m)])

@@ -12,21 +12,22 @@ degree-M invariant polynomial subspace:
     TRIG_Q          V = (1-az)..(1-ez) / ((1-z^2)(1-qz^2))  eta = cos x, z = e^{ix}
 
 ``FAMILIES`` holds one record per family with the facts the pipeline
-branches on; only the formulas that define a model (validation, the phase
-of V, the compensation coefficient) dispatch on the family itself.
+branches on; only the formulas that define a model (validation, the
+compensation coefficient) dispatch on the family itself.
 
 The coordinate and the sector fix the model's ``Chart`` (``ModelSpec.chart``),
 one of four module constants: eta, the basis, the root representatives and
-the Newton variable.  No other module branches on the coordinate.
+the Newton variable.  No other module branches on the coordinate.  Nor
+does any spell V: it is one ``Potential`` record (``ModelSpec.potential``).
 
 Every family is one difference operator, H~ Psi = V(x) [Psi(x - s) - Psi(x)]
 + V*(x) [Psi(x + s) - Psi(x)] + alpha_M(x) Psi(x), whose step s (``step``) is
 i for the x-families and i ln q for trig-q, where x - s is z -> qz.
 
 The conjugate potential V*(x) is the *analytic* conjugate: parameters are
-conjugated while x stays a free complex variable.  This convention is
-load-bearing: Bethe roots are generally complex, and every residual below
-relies on it.
+conjugated while x stays a free complex variable, V*(x) = V-bar(-x).  This
+convention is load-bearing: Bethe roots are generally complex, and every
+residual below relies on it.
 """
 
 from __future__ import annotations
@@ -193,12 +194,40 @@ COS_CHART = Chart(
 )
 
 
+@dataclass(frozen=True, eq=False)
+class Potential:
+    """V = u prod_k (a_k + b_k t) / D(t), t = x or z = e^{ix}, one factor per p_k
+    (``FamilyInfo.factor_params`` less ``ModelSpec.dropped``), D as coefficients and
+    as an evaluator.  V*(x) = V-bar(-x): ``bar`` conjugates u and the p_k; -x is 1/z."""
+
+    lead: complex  # u
+    constants: tuple[complex, ...]  # the p_k
+    trigonometric: bool  # factors 1 - p_k z, else p_k + ix
+    denominator: np.ndarray | None = None
+    denominator_at: Callable[[np.ndarray], np.ndarray] | None = None
+
+    @property
+    def factors(self) -> list[tuple[complex, complex]]:
+        return [(1.0, -p) if self.trigonometric else (p, 1j) for p in self.constants]
+
+    @functools.cached_property
+    def bar(self) -> Potential:
+        constants = tuple(p.conjugate() for p in self.constants)
+        return replace(self, lead=self.lead.conjugate(), constants=constants)
+
+    def factors_at(self, t: np.ndarray) -> np.ndarray:
+        """a_k + b_k t at the points t, factor k along a new first axis."""
+        ab = np.array(self.factors, dtype=complex).reshape((-1, 2) + (1,) * np.ndim(t))
+        return ab[:, 0] + ab[:, 1] * t
+
+
 @dataclass(frozen=True)
 class FamilyInfo:
     """The structural facts of one family that the pipeline branches on."""
 
-    param_names: tuple[str, ...]
+    factor_params: tuple[str, ...]  # the p_k of V's numerator factors (``Potential``)
     chart: Chart  # of the full or even sector; the odd one is X2_ODD_CHART
+    other_params: tuple[str, ...] = ()  # the rest: beta (V's lead) or q (the q-shift)
     parity_sectors: bool = False  # the subspace splits into even/odd sectors
     kinematic_denominator: bool = False  # V carries 1/(2ix(2ix+1))
     continuation: str | None = None  # homotopy parameter, continued from 0
@@ -208,19 +237,22 @@ class FamilyInfo:
     fixed_points: tuple[float, ...] = ()
     grid_window: tuple[float, float] = (-3.0, 3.0)  # real x range of default_grid
 
+    @property
+    def param_names(self) -> tuple[str, ...]:
+        return self.factor_params + self.other_params
+
 
 # the kinematic denominator, the x -> -x fixed point and the half-line window
 _CENTRIFUGAL = dict(kinematic_denominator=True, fixed_points=(0.0,), grid_window=(0.2, 4.0))
 FAMILIES: dict[ModelFamily, FamilyInfo] = {
-    ModelFamily.MP_CROSSED: FamilyInfo(("a1", "a2", "beta"), X_CHART, continuation="beta"),
+    ModelFamily.MP_CROSSED: FamilyInfo(("a1", "a2"), X_CHART, ("beta",), continuation="beta"),
     ModelFamily.SEXTIC_I: FamilyInfo(("a", "b", "c"), X2_CHART, parity_sectors=True),
     ModelFamily.SEXTIC_II: FamilyInfo(("a", "b", "c", "d"), X2_CHART, parity_sectors=True),
     ModelFamily.CENTRIFUGAL_I: FamilyInfo(("b", "c", "d", "e", "f"), X2_CHART, **_CENTRIFUGAL),
     ModelFamily.CENTRIFUGAL_II: FamilyInfo(("a", "b", "c", "d", "e", "f"), X2_CHART, **_CENTRIFUGAL),
     ModelFamily.TRIG_Q: FamilyInfo(
-        ("a", "b", "c", "d", "e", "q"), COS_CHART,
-        continuation="a", detour=0.3, fixed_points=(-1.0, 1.0),
-        grid_window=(0.15, math.pi - 0.15),
+        ("a", "b", "c", "d", "e"), COS_CHART, ("q",), continuation="a", detour=0.3,
+        fixed_points=(-1.0, 1.0), grid_window=(0.15, math.pi - 0.15),
     ),
 }
 
@@ -258,6 +290,20 @@ class ModelSpec:
         """The coordinate chart of this family and sector."""
         return X2_ODD_CHART if self.sector is Sector.ODD else FAMILIES[self.family].chart
 
+    @functools.cached_property
+    def potential(self) -> Potential:
+        """V of this model (the table above), dropped factors left out."""
+        constants = tuple(self.params[n] for n in self.info.factor_params if n not in self.dropped)
+        if self.chart.trigonometric:  # a real lead, like the parameters
+            q = self.real_param("q")
+            den = np.convolve([1.0, 0.0, -1.0], [1.0, 0.0, -q])
+            return Potential(1.0, constants, True, den, lambda z: (1.0 - z * z) * (1.0 - q * z * z))
+        lead = cmath.exp(-1j * self.params["beta"].real) if "beta" in self.params else 1.0 + 0j
+        if self.info.kinematic_denominator:  # 2ix(2ix+1) = 2ix - 4x^2
+            den = np.array([0, 2j, -4])
+            return Potential(lead, constants, False, den, lambda x: 2j * x * (2j * x + 1.0))
+        return Potential(lead, constants, False)
+
 
 def _as_complex(v: Any) -> complex:
     if isinstance(v, (int, float)):
@@ -268,14 +314,15 @@ def _as_complex(v: Any) -> complex:
 
 
 def _validate(family: ModelFamily, params: dict[str, complex]) -> None:
+    info = FAMILIES[family]
     if family is ModelFamily.MP_CROSSED:
-        for name in ("a1", "a2"):
+        for name in info.factor_params:
             if params[name].real <= 0:
                 raise ValueError(f"{name} must have positive real part")
         if params["beta"].imag != 0:
             raise ValueError("beta must be real")
     elif family is ModelFamily.TRIG_Q:
-        for name in ("a", "b", "c", "d", "e"):
+        for name in info.factor_params:
             v = params[name]
             if v.imag != 0 or not -1.0 < v.real < 1.0:
                 raise ValueError(f"{name} must be a real in (-1, 1)")
@@ -283,8 +330,7 @@ def _validate(family: ModelFamily, params: dict[str, complex]) -> None:
         if qv.imag != 0 or not 0.0 < qv.real < 1.0:
             raise ValueError("q must be a real in (0, 1)")
     else:
-        info = FAMILIES[family]
-        for name in info.param_names:
+        for name in info.factor_params:
             v = params[name]
             if v.imag != 0 or v.real <= 0:
                 raise ValueError(f"{name} must be a positive real")
@@ -375,7 +421,7 @@ def drop_factors(spec: ModelSpec, names: tuple[str, ...] | list[str]) -> ModelSp
     """
     names = tuple(names)
     for n in names:
-        if n not in spec.info.param_names or n in ("beta", "q"):
+        if n not in spec.info.factor_params:
             raise ValueError(f"cannot drop {n!r} from {spec.family.value}")
     return replace(spec, dropped=tuple(sorted(set(spec.dropped) | set(names))), compensated=False)
 
@@ -437,21 +483,6 @@ def spec_to_json_dict(spec: ModelSpec) -> dict[str, Any]:
 # ---------------------------------------------------------------------------
 
 
-def numerator_constants(spec: ModelSpec) -> tuple[complex, ...]:
-    """Constants p_k with V-numerator = prod_k (p_k + i x) (x-based families)
-    or prod_k (1 - p_k z) (trigonometric family), dropped factors omitted."""
-    names = [n for n in spec.info.param_names if n not in ("beta", "q")]
-    return tuple(spec.params[n] for n in names if n not in spec.dropped)
-
-
-def v_phase(spec: ModelSpec) -> complex:
-    """Constant phase multiplying the numerator of V (only the crossed
-    Meixner-Pollaczek model carries one)."""
-    if spec.family is ModelFamily.MP_CROSSED:
-        return cmath.exp(-1j * spec.params["beta"].real)
-    return 1.0 + 0j
-
-
 def eta(spec: ModelSpec, x):
     """The sinusoidal coordinate of the model's chart: x, x^2 or cos x.
     Elementwise over an array of points; a scalar gives a Python complex."""
@@ -466,41 +497,32 @@ def step(spec: ModelSpec) -> complex:
     return 1j
 
 
-def _potential(spec: ModelSpec, x, conjugated: bool):
-    """V(x), or its analytic conjugate V*(x), elementwise; raises
-    PoleOfPotential on denominator zeros, naming the first such x."""
-    x = np.asarray(x, dtype=complex)
-    if spec.chart.trigonometric:
-        # V*(z) = V(1/z) for real parameters: V* at x is V at z = e^{-ix}
-        z = np.exp(-1j * x if conjugated else 1j * x)
-        num = np.ones_like(z)
-        for p in numerator_constants(spec):
-            num = num * (1.0 - p * z)
-        den = (1.0 - z * z) * (1.0 - spec.real_param("q") * z * z)
-    else:
-        phase = v_phase(spec)
-        num = np.full_like(x, phase.conjugate() if conjugated else phase)
-        for p in numerator_constants(spec):
-            num = num * (p.conjugate() - 1j * x if conjugated else p + 1j * x)
-        if not spec.info.kinematic_denominator:
-            return scalar_or_array(num)
-        t = -2j * x if conjugated else 2j * x
-        den = t * (t + 1.0)
+def _potential(potential: Potential, at: np.ndarray, x: np.ndarray, name: str):
+    """``potential`` at ``at``, ``name`` (V or V*) at x; a pole raises, naming x."""
+    t = np.exp(1j * at) if potential.trigonometric else at
+    num = np.full_like(t, potential.lead)
+    for factor in potential.factors_at(t):
+        num = num * factor
+    if potential.denominator is None:
+        return scalar_or_array(num)
+    den = potential.denominator_at(t)
     pole = np.abs(den) < POLE_TOL
     if pole.any():
-        raise PoleOfPotential(f"{'V*' if conjugated else 'V'}(x) pole at x = {x[pole].flat[0]}")
+        raise PoleOfPotential(f"{name}(x) pole at x = {x[pole].flat[0]}")
     return scalar_or_array(num / den)
 
 
 def potential_v(spec: ModelSpec, x):
     """V(x), elementwise over an array of points; raises PoleOfPotential on
     denominator zeros, naming the first such point."""
-    return _potential(spec, x, conjugated=False)
+    at = np.asarray(x, dtype=complex)
+    return _potential(spec.potential, at, at, "V")
 
 
 def potential_v_star(spec: ModelSpec, x):
-    """Analytic conjugate V(x)*: parameters conjugated, x left free."""
-    return _potential(spec, x, conjugated=True)
+    """Analytic conjugate V*(x) = V-bar(-x): parameters conjugated, x free."""
+    at = np.asarray(x, dtype=complex)
+    return _potential(spec.potential.bar, -at, at, "V*")
 
 
 def compensation_coefficient(spec: ModelSpec) -> complex:
@@ -514,18 +536,13 @@ def compensation_coefficient(spec: ModelSpec) -> complex:
     if fam is ModelFamily.SEXTIC_I:
         return complex(2.0 * m)
     if fam is ModelFamily.SEXTIC_II:
-        s = sum(spec.real_param(n) for n in ("a", "b", "c", "d"))
-        return complex(m * (m - 1 + 2.0 * s))
+        return complex(m * (m - 1 + 2.0 * sum(p.real for p in spec.potential.constants)))
     if fam is ModelFamily.CENTRIFUGAL_I:
         return complex(m)
     if fam is ModelFamily.CENTRIFUGAL_II:
-        s = sum(spec.real_param(n) for n in ("a", "b", "c", "d", "e", "f"))
-        return complex(m * (m - 1 + s))
+        return complex(m * (m - 1 + sum(p.real for p in spec.potential.constants)))
     if fam is ModelFamily.TRIG_Q:
-        q = spec.real_param("q")
-        prod = 1.0
-        for n in ("a", "b", "c", "d", "e"):
-            prod *= spec.real_param(n)
+        q, prod = spec.real_param("q"), math.prod(p.real for p in spec.potential.constants)
         return complex(-2.0 * prod * (1.0 - q**m) / q)
     raise UnsupportedFamily(fam.value)
 

@@ -9,6 +9,7 @@ factorized structure of the Hamiltonian through the zero-mode identity
     V*(x - s/2) phi0^2(x - s/2) = V(x + s/2) phi0^2(x + s/2),
 
 s the step of H~ (``models.step``): i, or i ln q in the trigonometric case.
+V, V* = V-bar(-x) and the factors of phi0^2 come from ``models.Potential``.
 
 The Schroedinger residual below re-evaluates the transformed Hamiltonian
 pointwise, shift by shift, with no polynomial algebra involved; it is an
@@ -35,13 +36,12 @@ from .bethe import BetheSolution
 from .errors import PoleOfGamma, PoleOfPotential, QesError
 from .models import (
     ModelSpec,
+    Potential,
     compensation_alpha,
     eta,
-    numerator_constants,
     potential_v,
     potential_v_star,
     step,
-    v_phase,
 )
 from .numerics import gamma_poles, log_gamma, q_pochhammer_inf, scalar_or_array
 
@@ -86,20 +86,15 @@ def _raise_at(error: type, bad: np.ndarray, arg: np.ndarray, x: np.ndarray, what
         raise error(f"{what} at {arg[k]} (grid point x = {x[k[-1]]})")
 
 
-def _log_potential(spec: ModelSpec, x: np.ndarray, shift: complex, conjugated: bool) -> np.ndarray:
-    """log V(x + shift), or log V*(x + shift), as a sum of logs of linear
-    factors; 2 pi i ambiguities cancel once the difference of two such logs
-    is exponentiated."""
-    name = "V*" if conjugated else "V"
-    y = x + shift
-    p = np.asarray(numerator_constants(spec), dtype=complex)[:, None]
-    factors = p.conj() - 1j * y if conjugated else p + 1j * y
+def _log_potential(v: Potential, at: np.ndarray, y: np.ndarray, x: np.ndarray, name: str):
+    """log of ``v`` at ``at``, which is ``name`` (V or V*) at y, as a sum of
+    logs of linear factors; 2 pi i ambiguities cancel once the difference of
+    two such logs is exponentiated."""
+    factors = v.factors_at(at)
     _raise_at(PoleOfPotential, (factors == 0).any(axis=0), y, x, f"{name} numerator factor vanishes")
-    phase = v_phase(spec)
-    out = cmath.log(phase.conjugate() if conjugated else phase) + np.log(factors).sum(axis=0)
-    if spec.info.kinematic_denominator:
-        t = -2j * y if conjugated else 2j * y
-        den = t * (t + 1.0)
+    out = cmath.log(v.lead) + np.log(factors).sum(axis=0)
+    if v.denominator is not None:
+        den = v.denominator_at(at)
         _raise_at(PoleOfPotential, np.abs(den) < EPS, y, x, f"{name} pole")
         out = out - np.log(den)
     return out
@@ -109,23 +104,22 @@ def _log_phi0_squared_x(spec: ModelSpec, x: np.ndarray, shifts: tuple[complex, .
     """log phi0^2 at x + s for each shift s, shape (len(shifts), x.size);
     every Gamma argument of the call goes through one log_gamma call.
 
-    The phase u of V (``models.v_phase``; e^{-i beta} for the crossed
-    family, 1 otherwise) fixes the linear term c y: a factor e^{c y} of
-    phi0^2 turns the zero-mode identity's ratio V* phi0^2 / V phi0^2 by
-    e^{-i c}, which must cancel the phases' ratio conj(u) / u, so
-    c = -2 arg u (= 2 beta)."""
-    p = np.asarray(numerator_constants(spec), dtype=complex)[:, None, None]
+    The arguments are V's linear factors at y and V-bar's at -y, over the kinematic
+    2iy and -2iy.  The lead u of V (e^{-i beta} for mp-crossed) fixes the linear term
+    c y: a factor e^{c y} of phi0^2 turns the zero-mode identity's ratio V* phi0^2 /
+    V phi0^2 by e^{-i c}, which must cancel conj(u) / u, so c = -2 arg u (= 2 beta)."""
+    v = spec.potential
     y = np.stack([x + s for s in shifts])
-    iy = 1j * y
-    parts = [p + iy, p.conj() - iy]
-    if spec.info.kinematic_denominator:
+    parts = [v.factors_at(y), v.bar.factors_at(-y)]
+    if v.denominator is not None:
+        iy = 1j * y
         parts += [2.0 * iy[None], -2.0 * iy[None]]
     args = np.concatenate(parts)
     _raise_at(PoleOfGamma, gamma_poles(args), args, x, "phi0^2 meets a Gamma pole")
     terms = log_gamma(args)
-    n = 2 * len(p)
+    n = 2 * len(v.constants)
     out = terms[:n].sum(axis=0) - terms[n:].sum(axis=0)
-    return out - 2.0 * cmath.phase(v_phase(spec)) * y
+    return out - 2.0 * cmath.phase(v.lead) * y
 
 
 def phi0_squared(spec: ModelSpec, x):
@@ -145,15 +139,15 @@ def zero_mode_residual(spec: ModelSpec, x):
     """
     pts = _points(x)
     half = step(spec) / 2
+    minus, plus = pts - half, pts + half
     if spec.chart.trigonometric:
-        minus, plus = pts - half, pts + half
         phi_minus, phi_plus = phi0_squared_z(spec, np.exp(1j * np.stack([minus, plus])))
         lhs = potential_v_star(spec, minus) * phi_minus
         rhs = potential_v(spec, plus) * phi_plus
         res = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), EPS)
         return _shaped(res, x)
-    log_v_star = _log_potential(spec, pts, -half, conjugated=True)
-    log_v = _log_potential(spec, pts, half, conjugated=False)
+    log_v_star = _log_potential(spec.potential.bar, -minus, minus, pts, "V*")
+    log_v = _log_potential(spec.potential, plus, plus, pts, "V")
     log_phi = _log_phi0_squared_x(spec, pts, (-half, half))
     delta = np.exp((log_v_star + log_phi[0]) - (log_v + log_phi[1]))
     return _shaped(np.abs(delta - 1.0) / np.maximum(1.0, np.abs(delta)), x)
@@ -165,7 +159,8 @@ def phi0_squared_z(spec: ModelSpec, z):
     through one q_pochhammer_inf call."""
     q = spec.real_param("q")
     w = np.asarray(z, dtype=complex)
-    p = np.asarray(numerator_constants(spec), dtype=complex).reshape((-1,) + (1,) * w.ndim)
+    # (pz; q) of V's factors 1 - pz and (p/z; q) of V-bar's at 1/z (real p)
+    p = np.asarray(spec.potential.constants, dtype=complex).reshape((-1,) + (1,) * w.ndim)
     w2 = w * w
     poch = q_pochhammer_inf(np.concatenate([[w2, 1.0 / w2], p * w, p / w]), q)
     num = poch[0] * poch[1]

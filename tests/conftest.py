@@ -9,6 +9,7 @@ import pytest
 
 import qesbethe
 from qesbethe import model_spec
+from qesbethe.limits import LIMITS, LimitTag, limit_case, restricted_spec
 
 ALL_FAMILIES = (
     "mp-crossed",
@@ -57,6 +58,28 @@ def spec_for(family: str, M: int, rng: np.random.Generator):
     else:
         sector = "full"
     return model_spec(family, M=M, sector=sector, **draw_params(family, rng))
+
+
+# the limit tags with an exact restriction point (limits.restricted_spec):
+# factor-deleted (mp-from-mp, wilson, cdh) or zero-parameter (aw, q-universal)
+RESTRICTED_TAGS = ("mp-from-mp", "wilson", "cdh", "aw", "q-universal")
+
+
+def restricted_for(tag: str, M: int, rng: np.random.Generator):
+    """``limits.restricted_spec`` of the tag at M, the parameters it reads
+    drawn as for its family."""
+    info = LIMITS[LimitTag(tag)]
+    params = draw_params(info.family.value, rng)
+    return restricted_spec(limit_case(tag, M, **{n: params[n] for n in info.required + info.optional}))
+
+
+def specs_with_restricted(M: int, rng: np.random.Generator):
+    """``spec_for`` of every family, then ``restricted_for`` of every tag in
+    RESTRICTED_TAGS, each drawn when it is reached."""
+    for family in ALL_FAMILIES:
+        yield spec_for(family, M, rng)
+    for tag in RESTRICTED_TAGS:
+        yield restricted_for(tag, M, rng)
 
 
 @pytest.fixture

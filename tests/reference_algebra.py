@@ -35,10 +35,8 @@ from qesbethe.models import (
     ModelSpec,
     Sector,
     compensation_coefficient,
-    numerator_constants,
     sector_degrees,
     sector_dimension,
-    v_phase,
 )
 from qesbethe.spectral import RootSet
 
@@ -322,12 +320,30 @@ def eta_power_as_laurent(k: int) -> LaurentC:
 # kinematic denominators 2ix(2ix+1) = 2ix - 4x^2 and its analytic conjugate
 _DEN = PolynomialC((0, 2j, -4), "x")
 _DEN_STAR = PolynomialC((0, -2j, -4), "x")
+_KINEMATIC = (ModelFamily.CENTRIFUGAL_I, ModelFamily.CENTRIFUGAL_II)
+# the parameters that are not numerator constants
+_NOT_FACTORS = {"beta", "q"}
+
+
+def _v_lead(spec: ModelSpec) -> complex:
+    """u of V = u * prod_k (p_k + ix): e^{-i beta} for the crossed family."""
+    if spec.family is ModelFamily.MP_CROSSED:
+        return cmath.exp(-1j * spec.params["beta"].real)
+    return 1.0 + 0j
+
+
+def _v_constants(spec: ModelSpec) -> tuple[complex, ...]:
+    """The p_k of V's numerator factors p_k + ix (or 1 - p_k z), from the
+    parameters in order, dropped factors left out."""
+    return tuple(
+        v for n, v in spec.params.items() if n not in _NOT_FACTORS and n not in spec.dropped
+    )
 
 
 def _v_numerators(spec: ModelSpec) -> tuple[PolynomialC, PolynomialC]:
-    num = PolynomialC((v_phase(spec),), "x")
-    num_star = PolynomialC((v_phase(spec).conjugate(),), "x")
-    for p in numerator_constants(spec):
+    num = PolynomialC((_v_lead(spec),), "x")
+    num_star = PolynomialC((_v_lead(spec).conjugate(),), "x")
+    for p in _v_constants(spec):
         num = poly_mul(num, PolynomialC((p, 1j), "x"))
         num_star = poly_mul(num_star, PolynomialC((p.conjugate(), -1j), "x"))
     return num, num_star
@@ -340,7 +356,7 @@ def apply_htilde(spec: ModelSpec, psi: PolynomialC) -> PolynomialC:
     dm = poly_shift(psi, -1j) - psi
     dp = poly_shift(psi, +1j) - psi
     num, num_star = _v_numerators(spec)
-    if spec.info.kinematic_denominator:
+    if spec.family in _KINEMATIC:
         total = poly_mul(poly_mul(num, dm), _DEN_STAR) + poly_mul(
             poly_mul(num_star, dp), _DEN
         )
@@ -361,7 +377,7 @@ def apply_htilde_z(spec: ModelSpec, f: LaurentC) -> LaurentC:
     dp = laurent_scale_arg(f, 1.0 / q) - f
     num = laurent_one()
     num_star = laurent_one()
-    for p in numerator_constants(spec):
+    for p in _v_constants(spec):
         num = laurent_mul(num, LaurentC(0, (1.0, -p)))
         num_star = laurent_mul(num_star, LaurentC(-1, (-p.conjugate(), 1.0)))
     den = laurent_mul(LaurentC(0, (1.0, 0.0, -1.0)), LaurentC(0, (1.0, 0.0, -q)))
@@ -464,8 +480,7 @@ def symmetric_coefficients(spec: ModelSpec) -> SymmetricCoefficients:
             f"not {spec.family.value}"
         )
     coeffs = [1.0 + 0j]  # expand prod (p_k + t) in powers of t = ix
-    for name in spec.info.param_names:
-        p = spec.params[name]
+    for p in spec.params.values():
         nxt = [0j] * (len(coeffs) + 1)
         for k, c in enumerate(coeffs):
             nxt[k] += c * p
@@ -491,10 +506,10 @@ def restricted_eigenvalue(spec: ModelSpec, m: int) -> complex:
     """
     if not spec.dropped:
         raise ValueError("spec has no deleted factors")
-    kept = numerator_constants(spec)
+    kept = _v_constants(spec)
     if spec.family is ModelFamily.MP_CROSSED and len(kept) == 1:
         return complex(2.0 * m * math.cos(spec.real_param("beta")))
-    if spec.info.kinematic_denominator:
+    if spec.family in _KINEMATIC:
         if len(kept) == 4:
             s = sum(p.real for p in kept)
             return complex(m * (m + s - 1.0))

@@ -119,6 +119,21 @@ class TestSolveCommand:
         doc = json.loads(out)
         assert all(s["flags"]["seed_source"] == "homotopy" for s in doc["solutions"])
 
+    @pytest.mark.parametrize("model", [
+        ["--family", "mp-crossed", "--a1", "0.5", "--a2", "0.7", "--beta", "0.3"],
+        ["--family", "trig-q", "--a", "0.3", "--b", "0.2", "--c", "0.1", "--d", "0.1",
+         "--e", "0.2", "--q", "0.5"],
+    ])
+    def test_homotopy_seed_mode_at_m_zero(self, capsys, model):
+        eigenvalues = {}
+        for seed in ("oracle", "homotopy"):
+            code, out, _ = run_cli(["solve", *model, "--M", "0", "--seed", seed], capsys)
+            assert code == 0
+            (solution,) = json.loads(out)["solutions"]
+            assert solution["flags"]["seed_source"] == seed
+            eigenvalues[seed] = solution["eigenvalue"]
+        assert eigenvalues["homotopy"] == eigenvalues["oracle"]
+
     def test_usage_error_exit_one(self, capsys):
         code, _, err = run_cli(
             ["solve", "--family", "sextic-i", "--M", "5", "--sector", "even",

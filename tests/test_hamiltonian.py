@@ -20,7 +20,7 @@ from qesbethe.hamiltonian import (
 from qesbethe.models import model_spec, sector_dimension
 
 import reference_algebra
-from conftest import ALL_FAMILIES, draw_params, spec_for
+from conftest import ALL_FAMILIES, RESTRICTED_TAGS, draw_params, restricted_for, spec_for
 from reference_algebra import poly_monomial
 
 # small q: the Laurent image of column 4 loses its z -> 1/z symmetry
@@ -194,7 +194,7 @@ class TestAgainstPerColumnReference:
     """The batched build against the per-column PolynomialC/Laurent algebra
     of ``reference_algebra``."""
 
-    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize("family", ALL_FAMILIES + RESTRICTED_TAGS)
     def test_matrix_matches_reference(self, family, rng):
         # 1e-12 * max|entry|.  For trig-q the change to eta sums the
         # coefficients of T_k, whose absolute sum is |T_M(i)| at k = M, so
@@ -203,12 +203,14 @@ class TestAgainstPerColumnReference:
         # accurate (about 1e-11 at M = 10 against a 60-digit evaluation).
         # trig-q stops at M = 10: from M = 11 both sides fail their own
         # leak, symmetry or division checks on several percent of the
-        # draws, not always on the same draws.
-        trig = family == "trig-q"
+        # draws, not always on the same draws.  A limit tag stands for its
+        # restricted model (conftest.restricted_for).
+        restricted = family in RESTRICTED_TAGS
+        trig = family in ("trig-q", "aw", "q-universal")
         for M in (0, 1, 2, 5, 8, 10) if trig else (0, 1, 2, 5, 10, 16, 24, 32):
             growth = abs(np.polynomial.chebyshev.Chebyshev.basis(M)(1j)) if trig else 1.0
             for _ in range(3):
-                spec = spec_for(family, M, rng)
+                spec = restricted_for(family, M, rng) if restricted else spec_for(family, M, rng)
                 want = reference_algebra.build_matrix(spec)
                 got = build_matrix(spec).matrix
                 assert got.shape == want.shape

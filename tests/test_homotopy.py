@@ -51,6 +51,16 @@ class TestHomotopySeeding:
                 np.asarray(h.roots.roots_eta), np.asarray(o.roots.roots_eta), atol=1e-8
             )
 
+    @pytest.mark.parametrize("params", [
+        {"family": "mp-crossed", "a1": 0.5, "a2": 0.7, "beta": 0.3},
+        {"family": "trig-q", "a": 0.3, "b": 0.2, "c": 0.1, "d": 0.1, "e": 0.2, "q": 0.5},
+    ])
+    def test_no_roots_to_continue_at_m_zero(self, params):
+        spec = model_spec(M=0, **params)
+        ((by_homotopy,), (by_oracle,)) = solve(spec, seed_mode="homotopy"), solve(spec)
+        assert by_homotopy.seed_source == "homotopy"
+        assert by_homotopy.E_formula == by_oracle.E_formula
+
     def test_unsupported_family_falls_back(self):
         spec = model_spec("sextic-i", M=4, sector="even", a=1.0, b=2.0, c=0.7)
         sols = solve(spec, seed_mode="homotopy")

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import json
 import math
 
@@ -25,7 +26,7 @@ from qesbethe.models import (
 
 from qesbethe.numerics import MAX_EIG_DIM
 
-from conftest import ALL_FAMILIES, draw_params, spec_for
+from conftest import ALL_FAMILIES, draw_params, restricted_for, spec_for, specs_with_restricted
 from reference_algebra import symmetric_coefficients
 
 
@@ -141,14 +142,8 @@ class TestPotential:
             potential_v(spec, 0.5j)
 
     def test_analytic_conjugate_consistency(self, rng):
-        # V*(x) = conj(V(conj(x))) for every family
-        for family in ALL_FAMILIES:
-            spec = model_spec(
-                family,
-                M=2,
-                sector="even" if family.startswith("sextic") else "full",
-                **draw_params(family, rng),
-            )
+        # V*(x) = conj(V(conj(x))) for every family and restricted model
+        for spec in specs_with_restricted(2, rng):
             for _ in range(10):
                 x = complex(rng.uniform(0.3, 2), rng.uniform(-1, 1))
                 lhs = potential_v_star(spec, x)
@@ -156,20 +151,32 @@ class TestPotential:
                 assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
     def test_reflection_parity(self, rng):
-        # V(-x) = V*(x) for the parity-invariant families, and for trig-q,
-        # where V* is V at z = e^{-ix}
-        for family in ("sextic-i", "sextic-ii", "centrifugal-i", "centrifugal-ii", "trig-q"):
-            spec = model_spec(
-                family,
-                M=2,
-                sector="even" if family.startswith("sextic") else "full",
-                **draw_params(family, rng),
-            )
+        # V(-x) = V*(x) for the parity-invariant families and restricted
+        # models, and for trig-q, where V* is V at z = e^{-ix}
+        parity_invariant = itertools.chain(
+            (
+                spec_for(family, 2, rng)
+                for family in ("sextic-i", "sextic-ii", "centrifugal-i", "centrifugal-ii", "trig-q")
+            ),
+            (restricted_for(tag, 2, rng) for tag in ("wilson", "cdh", "aw", "q-universal")),
+        )
+        for spec in parity_invariant:
             for _ in range(10):
                 x = complex(rng.uniform(0.3, 2), rng.uniform(-1, 1))
                 lhs = potential_v(spec, -x)
                 rhs = potential_v_star(spec, x)
                 assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+    def test_record_denominator_coefficients_match_its_evaluator(self, rng):
+        # the matrix build reads D's coefficients, the pointwise V its evaluator
+        for spec in specs_with_restricted(2, rng):
+            v = spec.potential
+            if v.denominator is None:
+                continue
+            t = rng.uniform(-2, 2, 8) + 1j * rng.uniform(-2, 2, 8)
+            want = np.polynomial.polynomial.polyval(t, v.denominator)
+            np.testing.assert_allclose(v.denominator_at(t), want, rtol=1e-13)
 
 
 class TestStep:

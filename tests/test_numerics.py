@@ -26,7 +26,7 @@ from qesbethe.numerics import (
     q_pochhammer_inf,
     symmetric_rows_to_eta,
 )
-from qesbethe.models import model_spec, numerator_constants
+from qesbethe.models import model_spec
 from qesbethe.wavefun import default_grid
 
 from conftest import ALL_FAMILIES, draw_params
@@ -485,7 +485,7 @@ class TestLogGamma:
                                   **draw_params(family, rng))
                 if spec.chart.trigonometric:
                     continue
-                p = np.asarray(numerator_constants(spec))[:, None]
+                p = np.asarray(spec.potential.constants)[:, None]
                 for n in (12, 20):
                     x = np.asarray(default_grid(spec, n).points)
                     for y in (x - 0.5j, x + 0.5j):

@@ -1,12 +1,12 @@
 """Structural guards: each decision of the pipeline lives in one place.
 
 Modules branch on the facts in ``models.FAMILIES`` (sector split,
-kinematic denominator, ...) and in the model's ``models.Chart``, never on
-the family or the coordinate itself; only the
-formulas that define a model (compensation coefficient, potential phase)
-and the parameter validation compare ``ModelFamily``
-members.  The eigenvalue is read off the eigen-equation, so ``bethe``
-names no family.  The other guards below keep single routes for
+continuation parameter, ...) and in the model's ``models.Chart``, never on
+the family or the coordinate itself; only the compensation coefficient
+and the parameter validation compare ``ModelFamily`` members.  V is
+spelled only in ``models.Potential``.  The eigenvalue is read off the
+eigen-equation, so ``bethe`` names no family.  The other guards below keep
+single routes for
 the subspace matrix, the Newton linear algebra and its variables, root
 extraction, root set construction and the pointwise shift of H~
 (``models.step``), build no sub-model of another subspace degree, keep
@@ -23,7 +23,6 @@ SRC = Path(qesbethe.__file__).resolve().parent
 FORMULA_FUNCTIONS = {
     "_validate",
     "compensation_coefficient",
-    "v_phase",
 }
 
 
@@ -553,6 +552,70 @@ def test_chart_guard_sees_each_form():
         "    return spec.sector is Sector.EVEN, v == 'y', f'{v}_set', spec.chart.odd\n"
     )
     assert _chart_rederivations(tree) == [1, 4, 5, 6, 7, 8, 9, 10]
+
+
+# V is one models.Potential record per model: its lead, its linear factors
+# and its denominator, with V* derived as V-bar(-x).  Outside models, the
+# deleted helpers numerator_constants and v_phase, the family flag
+# kinematic_denominator or a _DEN* kernel spell V again, and a .conj() or
+# .conjugate() call in a reader of V (bethe, hamiltonian, wavefun) writes
+# V* out by hand.
+
+POTENTIAL_NAMES = {"numerator_constants", "v_phase", "kinematic_denominator"}
+POTENTIAL_READERS = {"bethe.py", "hamiltonian.py", "wavefun.py"}
+
+
+def _potential_spellings(tree: ast.AST, reader: bool) -> list[int]:
+    """Lines that define, import or name numerator_constants, v_phase,
+    kinematic_denominator or a name that starts with _DEN, and, in a
+    ``reader`` of V, lines that call .conj() or .conjugate()."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, (ast.alias, ast.FunctionDef, ast.ClassDef)):
+            name = node.name
+        else:
+            name = None
+        if name is not None and (name in POTENTIAL_NAMES or name.startswith("_DEN")):
+            found.append(node.lineno)
+        elif (
+            reader
+            and isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("conj", "conjugate")
+        ):
+            found.append(node.lineno)
+    return sorted(set(found))
+
+
+def test_only_models_spells_the_potential():
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "models.py":
+            tree = ast.parse(path.read_text(), filename=str(path))
+            lines = _potential_spellings(tree, path.name in POTENTIAL_READERS)
+            stray += [f"{path.name}:{line}" for line in lines]
+    assert not stray, "V spelled outside models.Potential at " + ", ".join(stray)
+
+
+def test_potential_guard_sees_each_form():
+    tree = ast.parse(
+        "from .models import numerator_constants, v_phase as phase\n"
+        "_DEN_STAR = [0, -2j, -4]\n"
+        "def f(spec, p, x):\n"
+        "    a = spec.info.kinematic_denominator\n"
+        "    b = models.v_phase(spec) * p.conjugate()\n"
+        "    c = np.asarray(p).conj() - 1j * x\n"
+        "    d = hamiltonian._DEN\n"
+        "    return spec.potential.bar.lead, p.real, x.conjugated\n"
+        "def numerator_constants(spec):\n"
+        "    return spec.potential.constants\n"
+    )
+    assert _potential_spellings(tree, reader=True) == [1, 2, 4, 5, 6, 7, 9]
+    assert _potential_spellings(tree, reader=False) == [1, 2, 4, 5, 7, 9]
 
 
 # An import that nothing references is dead code (pyflakes' F401); names in

@@ -16,7 +16,7 @@ from qesbethe.wavefun import (
     zero_mode_residual,
 )
 
-from conftest import ALL_FAMILIES, draw_params, spec_for
+from conftest import ALL_FAMILIES, draw_params, spec_for, specs_with_restricted
 
 
 def random_admissible_points(spec, rng, n=20):
@@ -78,15 +78,10 @@ class TestZeroMode:
         assert zero_mode_residual(spec, 1.0) <= 1e-10
 
     def test_twenty_random_points_per_family(self, rng):
-        for family in ALL_FAMILIES:
-            spec = model_spec(
-                family,
-                M=3,
-                sector="odd" if family.startswith("sextic") else "full",
-                **draw_params(family, rng),
-            )
+        # every family, and every restricted model
+        for spec in specs_with_restricted(3, rng):
             for x in random_admissible_points(spec, rng):
-                assert zero_mode_residual(spec, x) <= 1e-10, (family, x)
+                assert zero_mode_residual(spec, x) <= 1e-10, (spec.family, spec.dropped, x)
 
 
 class TestSchrodingerResidual:
