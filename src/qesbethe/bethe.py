@@ -1,5 +1,6 @@
 """Bethe ansatz equations in cross-multiplied form, Newton polishing of
-root sets, and the eigenvalue read off the roots through the eigen-equation.
+root sets, and the eigenvalue read off the roots through the eigen-equation,
+as H~ Psi / Psi at an anchor point (``models.shift_ratios``).
 
 Each family's equation is evaluated as a pair (L_j, R_j) of denominator-free
 products; the reported residual is |L_j - R_j| / max(|L_j|, |R_j|, eps).
@@ -27,7 +28,7 @@ from .models import (
     eta,
     potential_v,
     potential_v_star,
-    step,
+    shift_ratios,
 )
 from .numerics import NewtonOptions, newton_solve
 from .spectral import (
@@ -267,30 +268,18 @@ def newton_polish(
 # ---------------------------------------------------------------------------
 
 
-def _eigen_equation_at(spec: ModelSpec, x0: complex) -> Callable[[Sequence[complex]], complex]:
-    """E from H~ Psi = E Psi at the point x0, as a function of the roots
-    that build Psi; what no root enters (eta at x0 and x0 -+ s, V, V* and
-    alpha_M at x0) is evaluated here, once.
-
-    The shifted wavefunctions enter as Psi(x0 -+ s)/Psi(x0), s the step of
-    H~ (``models.step``), each a product of per-root ratios, so that no
-    product of far-out roots over- or underflows."""
-    s = step(spec)
-    eta0, eta_minus, eta_plus = eta(spec, np.array([x0, x0 - s, x0 + s])).tolist()
-    odd = spec.chart.odd
+def _eigen_equation_at(spec: ModelSpec, x0: complex) -> Callable[[list], list[complex]]:
+    """E = V rho- + V* rho+ + alpha_M at the point x0, H~ Psi = E Psi
+    divided by Psi(x0), as a function of root sets of one size that build
+    Psi; rho-+ = Psi(x0 -+ s)/Psi(x0) - 1 (``models.shift_ratios``).  V, V*
+    and alpha_M at x0, which no root enters, are evaluated here, once."""
     v = potential_v(spec, x0)
     v_star = potential_v_star(spec, x0)
     alpha = compensation_alpha(spec, x0)
 
-    def energy(roots_eta: Sequence[complex]) -> complex:
-        r_minus = r_plus = 1.0
-        for e in roots_eta:
-            r_minus *= (eta_minus - e) / (eta0 - e)
-            r_plus *= (eta_plus - e) / (eta0 - e)
-        if odd:
-            r_minus *= (x0 - s) / x0
-            r_plus *= (x0 + s) / x0
-        return v * (r_minus - 1.0) + v_star * (r_plus - 1.0) + alpha
+    def energy(root_sets: list) -> list[complex]:
+        r_minus, r_plus, _ = shift_ratios(spec, x0, np.reshape(root_sets, (len(root_sets), -1)))
+        return (v * r_minus + v_star * r_plus + alpha).tolist()
 
     return energy
 
@@ -317,15 +306,18 @@ def eigenvalue_from_roots(
             raise ValueError(f"expected at most {expected} roots, got {len(roots)}")
     eta0 = eta(spec, ANCHOR)
     clearance = ANCHOR_CLEARANCE * abs(eta0)
-    anchors = [
-        FALLBACK_ANCHOR if any(abs(e - eta0) <= clearance for e in roots.roots_eta) else ANCHOR
-        for roots in root_sets
-    ]
-    if equations is None:
-        equations = {}
-    for x0 in set(anchors) - equations.keys():
-        equations[x0] = _eigen_equation_at(spec, x0)
-    return [equations[x0](roots.roots_eta) for x0, roots in zip(anchors, root_sets)]
+    equations = {} if equations is None else equations
+    groups: dict = {}  # the root sets of one size at one anchor go through one call
+    for k, roots in enumerate(root_sets):
+        near = any(abs(e - eta0) <= clearance for e in roots.roots_eta)
+        groups.setdefault((FALLBACK_ANCHOR if near else ANCHOR, len(roots)), []).append(k)
+    energies = [0j] * len(root_sets)
+    for (x0, _), members in groups.items():
+        if x0 not in equations:
+            equations[x0] = _eigen_equation_at(spec, x0)
+        for k, e in zip(members, equations[x0]([root_sets[k].roots_eta for k in members])):
+            energies[k] = e
+    return energies
 
 
 # ---------------------------------------------------------------------------

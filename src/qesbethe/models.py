@@ -23,6 +23,8 @@ does any spell V: it is one ``Potential`` record (``ModelSpec.potential``).
 Every family is one difference operator, H~ Psi = V(x) [Psi(x - s) - Psi(x)]
 + V*(x) [Psi(x + s) - Psi(x)] + alpha_M(x) Psi(x), whose step s (``step``) is
 i for the x-families and i ln q for trig-q, where x - s is z -> qz.
+The eigenvalue and the pointwise check both read H~ Psi / Psi through
+``shift_ratios``, the one evaluation of Psi(x -+ s)/Psi(x) - 1.
 
 The conjugate potential V*(x) is the *analytic* conjugate: parameters are
 conjugated while x stays a free complex variable, V*(x) = V-bar(-x).  This
@@ -44,7 +46,7 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import PoleOfPotential, SectorMismatch, SubspaceTooLarge, UnsupportedFamily
-from .numerics import MAX_EIG_DIM, binomial_shift, scalar_or_array
+from .numerics import MAX_EIG_DIM, binomial_shift, complex_log1p, scalar_or_array
 
 HALF_EXCLUSION = 1e-6  # centrifugal families reject parameters this close to 1/2
 POLE_TOL = 1e-12
@@ -495,6 +497,38 @@ def step(spec: ModelSpec) -> complex:
     if spec.chart.trigonometric:
         return 1j * math.log(spec.real_param("q"))
     return 1j
+
+
+def shift_ratios(spec: ModelSpec, x, roots_eta: Sequence[complex]):
+    """(Psi(x - s) - Psi(x), Psi(x + s) - Psi(x), Psi(x)) / Psi'(x) at x, s the
+    step of H~ and Psi' Psi less its factors that vanish at x: Psi(x -+ s) /
+    Psi(x) - 1 and 1 wherever Psi(x) != 0.  The one place Psi is formed at a
+    shifted point.  ``roots_eta`` holds Psi's Bethe roots on its last axis;
+    its other axes (root sets of one size) broadcast against those of x.
+    Psi is the product of f(y) = eta(y) - eta_l, and y in the odd sector;
+    each ratio is expm1 of sum_f log1p((f(x -+ s) - f(x)) / f(x)), with
+    f(x -+ s) - f(x) = eta(x -+ s) - eta(x) (or -+s), so it neither over- nor
+    underflows, nor cancels as the roots recede (beta -> 0 in mp-crossed).
+    A factor that vanishes at x enters as log f(x -+ s)."""
+    s, chart = step(spec), spec.chart
+    roots = np.asarray(roots_eta, dtype=complex)
+    pts = np.asarray(x, dtype=complex)[..., None]
+    eta_x = chart.eta(pts)
+    gaps = eta_x - roots  # the f(x)
+    shifts = np.array([-s, s]).reshape((2,) + (1,) * gaps.ndim)
+    steps = chart.eta(pts + shifts) - eta_x  # f(x -+ s) - f(x)
+    if chart.odd:
+        gaps = np.concatenate([gaps, np.broadcast_to(pts, gaps.shape[:-1] + (1,))], axis=-1)
+        steps = np.where(np.arange(gaps.shape[-1]) < roots.shape[-1], steps, shifts)
+    if gaps.all():
+        logs, apart = complex_log1p(steps / gaps), np.zeros(gaps.shape[:-1], dtype=bool)
+    else:
+        vanish = gaps == 0
+        apart = vanish.any(axis=-1)
+        with np.errstate(divide="ignore"):  # log 0: a root on x -+ s as well
+            logs = np.where(vanish, np.log(steps), complex_log1p(steps / np.where(vanish, 1.0, gaps)))
+    minus, plus = np.expm1(logs.sum(axis=-1)) + apart
+    return scalar_or_array(minus), scalar_or_array(plus), scalar_or_array(1.0 - apart)
 
 
 def _potential(potential: Potential, at: np.ndarray, x: np.ndarray, name: str):

@@ -415,6 +415,14 @@ def scalar_or_array(out: np.ndarray):
     return out.item() if out.ndim == 0 else out
 
 
+def complex_log1p(z) -> np.ndarray:
+    """log(1 + z) elementwise, to full relative accuracy also at small |z|,
+    where numpy's complex log1p (the log of |1 + z|) loses digits: the real
+    part is log1p(2 Re z + |z|^2) / 2.  For |z| < 1e150."""
+    a, b = z.real, z.imag
+    return 0.5 * np.log1p((2.0 + a) * a + b * b) + 1j * np.arctan2(b, 1.0 + a)
+
+
 def gamma_poles(z) -> np.ndarray:
     """Mask of the entries of z that are poles of Gamma (0, -1, -2, ...)."""
     z = np.asarray(z, dtype=complex)

@@ -164,23 +164,10 @@ def root_set(spec: ModelSpec, native: Sequence[complex]) -> RootSet:
     return roots
 
 
-def extract_roots(
-    pairs: Sequence[OracleEigenpair],
-    spec: ModelSpec,
-    expected: int | None = None,
-) -> list[RootSet]:
+def extract_roots(pairs: Sequence[OracleEigenpair], spec: ModelSpec) -> list[RootSet]:
     """Root sets of the eigenpolynomials of ``pairs``, each of its own
     degree, with canonical representatives (see ``root_set``); the roots
-    of all of them come from one ``numerics.poly_roots`` call.
-
-    ``expected``, if given, is the degree every pair must have.
-    """
-    for pair in pairs:
-        if expected is not None and pair.degree != expected:
-            raise ValueError(
-                f"eigenpolynomial degree {pair.degree} != expected root "
-                f"count {expected}"
-            )
+    of all of them come from one ``numerics.poly_roots`` call."""
     from_eta = spec.chart.from_eta
     return [
         root_set(spec, [from_eta(r) for r in eta_roots])

@@ -1,27 +1,27 @@
 """Pseudo-ground-state evaluation and pointwise residual checks.
 
-Only the *square* of the pseudo ground state is ever computed: products of
-Gamma functions via exp(sum log-gamma) for the shift-by-i families, ratios
-of q-Pochhammer symbols for the trigonometric one.  Working with the square
-removes every square-root branch decision while still validating the
-factorized structure of the Hamiltonian through the zero-mode identity
+Only the *square* of the pseudo ground state is ever computed, as the exp
+of its log: a sum of log-gamma terms for the shift-by-i families, of logs
+of q-Pochhammer symbols for the trigonometric one.  Working with the
+square removes every square-root branch decision while still validating
+the factorized structure of the Hamiltonian through the zero-mode identity
 
     V*(x - s/2) phi0^2(x - s/2) = V(x + s/2) phi0^2(x + s/2),
 
 s the step of H~ (``models.step``): i, or i ln q in the trigonometric case.
 V, V* = V-bar(-x) and the factors of phi0^2 come from ``models.Potential``.
 
-The Schroedinger residual below re-evaluates the transformed Hamiltonian
-pointwise, shift by shift, with no polynomial algebra involved; it is an
-intentionally independent code path from the matrix construction, so that
-a common-mode bug in one of them cannot hide in both.
+The Schroedinger residual below re-evaluates H~ Psi / Psi pointwise from
+the roots through ``models.shift_ratios``, as the eigenvalue does, with no
+polynomial algebra involved; it is an intentionally independent code path
+from the matrix construction, so that a common-mode bug in one of them
+cannot hide in both.
 
 Every check takes an array of points (a scalar works too) and evaluates
 them in one batch: all Gamma (or q-Pochhammer) arguments of a call go
-through a single kernel call, and the shifted wavefunctions are one product
-over (points x roots).  The Schroedinger check takes all of a model's
-solutions at once: V, V*, alpha_M and eta are evaluated once per call,
-and only Psi once per solution.
+through a single kernel call.  The Schroedinger check takes all of a
+model's solutions at once: V, V* and alpha_M are evaluated once per call,
+and the shift ratios once per root count.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .models import (
     eta,
     potential_v,
     potential_v_star,
+    shift_ratios,
     step,
 )
 from .numerics import gamma_poles, log_gamma, q_pochhammer_inf, scalar_or_array
@@ -87,29 +88,38 @@ def _raise_at(error: type, bad: np.ndarray, arg: np.ndarray, x: np.ndarray, what
 
 
 def _log_potential(v: Potential, at: np.ndarray, y: np.ndarray, x: np.ndarray, name: str):
-    """log of ``v`` at ``at``, which is ``name`` (V or V*) at y, as a sum of
-    logs of linear factors; 2 pi i ambiguities cancel once the difference of
-    two such logs is exponentiated."""
-    factors = v.factors_at(at)
+    """log of ``v`` at ``at`` (z = e^{i at} for trig-q), which is ``name`` (V
+    or V*) at y, as a sum of logs of linear factors; 2 pi i ambiguities
+    cancel once the difference of two such logs is exponentiated."""
+    t = np.exp(1j * at) if v.trigonometric else at
+    factors = v.factors_at(t)
     _raise_at(PoleOfPotential, (factors == 0).any(axis=0), y, x, f"{name} numerator factor vanishes")
     out = cmath.log(v.lead) + np.log(factors).sum(axis=0)
     if v.denominator is not None:
-        den = v.denominator_at(at)
+        den = v.denominator_at(t)
         _raise_at(PoleOfPotential, np.abs(den) < EPS, y, x, f"{name} pole")
         out = out - np.log(den)
     return out
 
 
-def _log_phi0_squared_x(spec: ModelSpec, x: np.ndarray, shifts: tuple[complex, ...]) -> np.ndarray:
-    """log phi0^2 at x + s for each shift s, shape (len(shifts), x.size);
-    every Gamma argument of the call goes through one log_gamma call.
-
-    The arguments are V's linear factors at y and V-bar's at -y, over the kinematic
-    2iy and -2iy.  The lead u of V (e^{-i beta} for mp-crossed) fixes the linear term
-    c y: a factor e^{c y} of phi0^2 turns the zero-mode identity's ratio V* phi0^2 /
-    V phi0^2 by e^{-i c}, which must cancel conj(u) / u, so c = -2 arg u (= 2 beta)."""
+def _log_phi0_squared(spec: ModelSpec, x: np.ndarray, shifts: tuple[complex, ...]) -> np.ndarray:
+    """log phi0^2 at x + s for each shift s, shape (len(shifts), x.size), all
+    its q-Pochhammer (or Gamma) arguments in one call: for trig-q (z^2; q)
+    (z^-2; q) over (p z; q)(p / z; q) per factor 1 - p z of V, z = e^{iy};
+    else Gamma of V's linear factors at y and V-bar's at -y over Gamma of the
+    kinematic 2iy and -2iy.  The lead u of V (e^{-i beta} for mp-crossed)
+    fixes the linear term c y: a factor e^{c y} of phi0^2 turns the zero-mode
+    identity's ratio V* phi0^2 / V phi0^2 by e^{-i c}, which must cancel
+    conj(u) / u, so c = -2 arg u (= 2 beta)."""
     v = spec.potential
     y = np.stack([x + s for s in shifts])
+    if spec.chart.trigonometric:
+        z, p = np.exp(1j * y), np.asarray(v.constants, dtype=complex)[:, None, None]
+        args = np.concatenate([[z * z, 1.0 / (z * z)], p * z, p / z])
+        poch = q_pochhammer_inf(args, spec.real_param("q"))
+        _raise_at(QesError, (np.abs(poch[2:]) < EPS).any(axis=0), z, x, "phi0^2 pole")
+        with np.errstate(divide="ignore"):  # phi0^2 = 0 at z^2 = 1
+            return np.log(poch[0]) + np.log(poch[1]) - np.log(poch[2:]).sum(axis=0)
     parts = [v.factors_at(y), v.bar.factors_at(-y)]
     if v.denominator is not None:
         iy = 1j * y
@@ -124,59 +134,27 @@ def _log_phi0_squared_x(spec: ModelSpec, x: np.ndarray, shifts: tuple[complex, .
 
 def phi0_squared(spec: ModelSpec, x):
     """Square of the pseudo ground state at x (a point or an array)."""
-    pts = _points(x)
-    if spec.chart.trigonometric:
-        return _shaped(phi0_squared_z(spec, np.exp(1j * pts)), x)
-    return _shaped(np.exp(_log_phi0_squared_x(spec, pts, (0.0,))[0]), x)
+    return _shaped(np.exp(_log_phi0_squared(spec, _points(x), (0.0,))[0]), x)
 
 
 def zero_mode_residual(spec: ModelSpec, x):
-    """Relative violation of the squared zero-mode identity at x (a point
-    or an array).
-
-    Both sides are combined in log space, so overflow-scale Gamma products
-    cancel before exponentiation.
-    """
+    """Relative violation |delta - 1| / max(1, |delta|) of the squared
+    zero-mode identity at x (a point or an array), delta = V* phi0^2 at
+    x - s/2 over V phi0^2 at x + s/2, formed in log space so that
+    overflow-scale Gamma or q-Pochhammer products cancel before exp."""
     pts = _points(x)
     half = step(spec) / 2
     minus, plus = pts - half, pts + half
-    if spec.chart.trigonometric:
-        phi_minus, phi_plus = phi0_squared_z(spec, np.exp(1j * np.stack([minus, plus])))
-        lhs = potential_v_star(spec, minus) * phi_minus
-        rhs = potential_v(spec, plus) * phi_plus
-        res = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), EPS)
-        return _shaped(res, x)
     log_v_star = _log_potential(spec.potential.bar, -minus, minus, pts, "V*")
     log_v = _log_potential(spec.potential, plus, plus, pts, "V")
-    log_phi = _log_phi0_squared_x(spec, pts, (-half, half))
+    log_phi = _log_phi0_squared(spec, pts, (-half, half))
     delta = np.exp((log_v_star + log_phi[0]) - (log_v + log_phi[1]))
     return _shaped(np.abs(delta - 1.0) / np.maximum(1.0, np.abs(delta)), x)
 
 
-def phi0_squared_z(spec: ModelSpec, z):
-    """Trigonometric phi0^2 directly in the z variable (|z| need not be 1),
-    at a point or an array of them; every q-Pochhammer argument goes
-    through one q_pochhammer_inf call."""
-    q = spec.real_param("q")
-    w = np.asarray(z, dtype=complex)
-    # (pz; q) of V's factors 1 - pz and (p/z; q) of V-bar's at 1/z (real p)
-    p = np.asarray(spec.potential.constants, dtype=complex).reshape((-1,) + (1,) * w.ndim)
-    w2 = w * w
-    poch = q_pochhammer_inf(np.concatenate([[w2, 1.0 / w2], p * w, p / w]), q)
-    num = poch[0] * poch[1]
-    den = np.prod(poch[2:], axis=0)
-    small = np.abs(den) < EPS
-    if small.any():
-        raise QesError(f"pseudo-ground-state denominator vanished at z = {w[small].flat[0]}")
-    return scalar_or_array(num / den)
-
-
-def _polynomial_part(
-    spec: ModelSpec, roots_eta: Sequence[complex], pts: np.ndarray, etas: np.ndarray
-) -> np.ndarray:
-    """Psi from the roots at the points ``pts``, whose eta values are
-    ``etas``."""
-    out = np.prod(etas[..., None] - np.asarray(roots_eta, dtype=complex), axis=-1)
+def _polynomial_part(spec: ModelSpec, roots_eta: Sequence[complex], pts: np.ndarray) -> np.ndarray:
+    """Psi from the roots at the points ``pts``."""
+    out = np.prod(np.asarray(eta(spec, pts))[..., None] - np.asarray(roots_eta), axis=-1)
     return out * pts if spec.chart.odd else out
 
 
@@ -184,34 +162,31 @@ def eigenfunction_value(spec: ModelSpec, sol: BetheSolution, x):
     """Polynomial part Psi(x) = prod (eta(x) - eta_l), times x in the odd
     sextic sector, evaluated from the Bethe roots at a point or an array."""
     pts = np.asarray(x, dtype=complex)
-    etas = np.asarray(eta(spec, pts))
-    return scalar_or_array(_polynomial_part(spec, sol.roots.roots_eta, pts, etas))
+    return scalar_or_array(_polynomial_part(spec, sol.roots.roots_eta, pts))
 
 
 def schrodinger_residual(spec: ModelSpec, solutions: Sequence[BetheSolution], x) -> list:
-    """Pointwise |H~ Psi - E Psi| / scale at x (a point or an array) for
-    each of a model's solutions, each in the shape of x, by direct
-    evaluation of the shifted wavefunction (independent of the matrix
-    construction).  V, V*, alpha_M and eta at the points and the shifted
-    points are evaluated once for all the solutions, then Psi per
-    solution."""
+    """Pointwise |H~ Psi - E Psi| over the largest of its terms, Psi(x)
+    divided out, at x (a point or an array) for each of a model's solutions,
+    each in the shape of x: |V rho- + V* rho+ + alpha_M - E| / max(|V rho-|,
+    |V* rho+|, |alpha_M|, |E|), rho-+ = Psi(x -+ s)/Psi(x) - 1 from
+    ``models.shift_ratios``.  Where Psi(x) = 0, alpha_M and E drop out."""
     pts = _points(x)
-    s = step(spec)
-    shifted = np.stack([pts, pts - s, pts + s])
-    etas = np.asarray(eta(spec, shifted))
     v = potential_v(spec, pts)
     vs = potential_v_star(spec, pts)
     alpha = compensation_alpha(spec, pts)
-    out = []
-    for sol in solutions:
-        psi, psi_m, psi_p = _polynomial_part(spec, sol.roots.roots_eta, shifted, etas)
-        t1 = v * (psi_m - psi)
-        t2 = vs * (psi_p - psi)
-        t3 = alpha * psi
-        lhs = t1 + t2 + t3
-        rhs = sol.E_formula * psi
-        scale = np.maximum(np.abs(np.stack([rhs, t1, t2, t3])).max(axis=0), EPS)
-        out.append(_shaped(np.abs(lhs - rhs) / scale, x))
+    groups: dict = {}  # solutions with as many roots go through one call
+    for k, sol in enumerate(solutions):
+        groups.setdefault(len(sol.roots), []).append(k)
+    out: list = [None] * len(solutions)
+    for members in groups.values():
+        roots = np.reshape([solutions[k].roots.roots_eta for k in members], (len(members), 1, -1))
+        energy = np.reshape([solutions[k].E_formula for k in members], (-1, 1))
+        r_minus, r_plus, at_x = shift_ratios(spec, pts, roots)
+        terms = np.stack([v * r_minus, vs * r_plus, alpha * at_x, -energy * at_x])
+        scale = np.maximum(np.abs(terms).max(axis=0), EPS)
+        for k, residual in zip(members, np.abs(terms.sum(axis=0)) / scale):
+            out[k] = _shaped(residual, x)
     return out
 
 

@@ -75,7 +75,8 @@ class TestResidual:
         spec = spec_for("trig-q", 4, rng)
         pairs = oracle_spectrum(build_matrix(spec))
         pair = pairs[-1]
-        (roots,) = extract_roots([pair], spec, expected=spec.M)
+        (roots,) = extract_roots([pair], spec)
+        assert len(roots) == spec.M
         res0 = bae_residual(spec, roots, allow_degenerate=True)
         inverted = RootSet(
             roots.roots_x,

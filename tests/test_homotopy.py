@@ -390,7 +390,9 @@ def test_escaped_roots_start_each_step_at_their_leading_order_position(case, mon
         m = pair.degree
         power = np.zeros(spec.M)
         power[m:] = 1.0 if case == "trig-q" else -1.0
-        near = spec.chart.newton(homotopy.extract_roots([pair], start, expected=m)[0])
+        (start_roots,) = homotopy.extract_roots([pair], start)
+        assert len(start_roots) == m
+        near = spec.chart.newton(start_roots)
         accepted = []
         for k, step in enumerate(steps):
             t, nodes = step["t"], step["nodes"]

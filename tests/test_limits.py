@@ -135,7 +135,8 @@ class TestReducedBae:
         spec = restricted_spec(case)
         pairs = oracle_spectrum(build_matrix(spec))
         top = pairs[-1]
-        (roots,) = extract_roots([top], spec, expected=1)
+        (roots,) = extract_roots([top], spec)
+        assert len(roots) == 1
         e1 = a + b + c + d
         e3 = a * b * c + a * b * d + a * c * d + b * c * d
         e4 = a * b * c * d
@@ -157,7 +158,8 @@ class TestReducedBae:
         for spec, bound, below in ((on_spec, 1e-9, True), (off_spec, 1e-4, False)):
             pairs = oracle_spectrum(build_matrix(spec))
             full = [p for p in pairs if p.degree == 3 and not p.truncated]
-            (roots,) = extract_roots(full[-1:], spec, expected=3)
+            (roots,) = extract_roots(full[-1:], spec)
+            assert len(roots) == 3
             # evaluate the RESTRICTED (e = 0) equations on these roots
             res = max(bae_residual(on_spec, roots, allow_degenerate=True))
             if below:

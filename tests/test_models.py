@@ -3,11 +3,17 @@ import itertools
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from qesbethe.bethe import solve
 from qesbethe.errors import PoleOfPotential, SectorMismatch, SubspaceTooLarge, UnsupportedFamily
 from qesbethe.models import (
+    COS_CHART,
+    X2_CHART,
+    X2_ODD_CHART,
+    X_CHART,
     ModelFamily,
     Sector,
     compensation_alpha,
@@ -19,6 +25,7 @@ from qesbethe.models import (
     potential_v,
     potential_v_star,
     sector_dimension,
+    shift_ratios,
     spec_from_json,
     spec_to_json_dict,
     step,
@@ -193,6 +200,56 @@ class TestStep:
             else:
                 want = eta(spec, np.array([x - 1j, x + 1j]))
             np.testing.assert_allclose(got, want, rtol=1e-14)
+
+
+class TestShiftRatios:
+    # one model per chart (family, M), and mpmath's eta of that chart
+    CHARTS = {
+        ("mp-crossed", 5): (X_CHART, lambda x: x),
+        ("sextic-ii", 6): (X2_CHART, lambda x: x * x),
+        ("sextic-i", 5): (X2_ODD_CHART, lambda x: x * x),
+        ("trig-q", 5): (COS_CHART, mpmath.cos),
+    }
+
+    @staticmethod
+    def exact(spec, x, roots_eta, eta_of):
+        """The three values of shift_ratios as 40-digit products over the
+        same doubles, a factor that vanishes at x taken apart."""
+        with mpmath.workdps(40):
+            s, x0 = mpmath.mpc(step(spec)), mpmath.mpc(x)
+            factors = [lambda y, e=mpmath.mpc(e): eta_of(y) - e for e in roots_eta]
+            if spec.chart.odd:
+                factors.append(lambda y: y)
+            at_x = 0 if any(f(x0) == 0 for f in factors) else 1
+            out = []
+            for y in (x0 - s, x0 + s):
+                ratio = mpmath.mpf(1)
+                for f in factors:
+                    ratio *= f(y) / f(x0) if f(x0) != 0 else f(y)
+                out.append(complex(ratio - at_x))
+            return out + [at_x]
+
+    @pytest.mark.parametrize("family, M", list(CHARTS))
+    def test_matches_a_40_digit_product(self, family, M, rng):
+        """At the perturbed roots of every solved state, and at the same roots
+        moved out by 1e6, where the ratios are 1 + O(1e-6) as when roots
+        recede (beta -> 0); on a real grid (x = 0 among its points, where Psi
+        vanishes in the odd sector) and off it: 1e-12 relative."""
+        chart, eta_of = self.CHARTS[family, M]
+        spec = spec_for(family, M, rng)
+        assert spec.chart is chart
+        lo, hi = spec.info.grid_window
+        xs = np.concatenate([np.linspace(lo, hi, 7), [0.37 + 0.11j, 1.3 - 0.6j]])
+        for sol, scale in itertools.product(solve(spec), (1.0, 1e6)):
+            etas = np.asarray(sol.roots.roots_eta)
+            noise = rng.normal(size=etas.size) + 1j * rng.normal(size=etas.size)
+            etas = scale * etas * (1.0 + 1e-3 * noise)
+            minus, plus, at_x = shift_ratios(spec, xs, etas)
+            for k, x in enumerate(xs):
+                *want, want_at_x = self.exact(spec, x, etas, eta_of)
+                assert at_x[k] == want_at_x
+                for got, w in zip((minus[k], plus[k]), want):
+                    assert abs(got - w) <= 1e-12 * abs(w), (family, x, got, w)
 
 
 class TestCompensation:

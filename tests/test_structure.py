@@ -8,9 +8,10 @@ spelled only in ``models.Potential``.  The eigenvalue is read off the
 eigen-equation, so ``bethe`` names no family.  The other guards below keep
 single routes for
 the subspace matrix, the Newton linear algebra and its variables, root
-extraction, root set construction and the pointwise shift of H~
-(``models.step``), build no sub-model of another subspace degree, keep
-module internals private, and keep every import in use.
+extraction, root set construction, the pointwise shift of H~
+(``models.step``) and the reading of Psi at the shifted points
+(``models.shift_ratios``), build no sub-model of another subspace degree,
+keep module internals private, and keep every import in use.
 """
 
 import ast
@@ -444,10 +445,11 @@ def test_private_import_guard_sees_each_form():
 
 
 # models.step is the one place that knows how H~ shifts a point: the
-# pointwise evaluators take it from there, with no per-coordinate branch
-# and no hard-coded shift, and V, V* have no second (z-form) body.
+# functions that shift by it (models.shift_ratios, and the zero-mode check's
+# half step) take it from there, with no per-coordinate branch and no
+# hard-coded shift, and V, V* have no second (z-form) body.
 
-POINTWISE_EVALUATORS = {"bethe.py": "_eigen_equation_at", "wavefun.py": "schrodinger_residual"}
+POINTWISE_EVALUATORS = {"models.py": "shift_ratios", "wavefun.py": "zero_mode_residual"}
 
 
 def _coordinate_uses_and_imaginary_literals(function: ast.AST) -> list[int]:
@@ -488,6 +490,72 @@ def test_step_guard_sees_each_form():
         "    return x + 0.5j, 1.0, 'j'\n"
     )
     assert _coordinate_uses_and_imaginary_literals(tree) == [2, 3, 4]
+
+
+# models.shift_ratios is the one reading of Psi(x -+ s)/Psi(x) - 1, shared
+# by the eigenvalue (bethe) and the pointwise Schroedinger check (wavefun).
+# A function that reads the step and also evaluates eta or Psi forms Psi at
+# a shifted point a second time, as the deleted product loop of the
+# eigen-equation and the difference of two products in the check did.
+
+PSI_EVALUATORS = {"eta", "eta_of", "_polynomial_part", "eigenfunction_value"}
+
+
+def _shifted_psi_forms(tree: ast.AST) -> list[tuple[str, int]]:
+    """(function, line) of every function, nested ones included, that calls
+    ``step`` and also calls eta, eta_of, _polynomial_part or
+    eigenfunction_value (bare or as an attribute), at the line of the first
+    such call."""
+
+    def called(node: ast.AST, names: set[str]) -> list[int]:
+        return sorted(
+            sub.lineno
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Call)
+            and (getattr(sub.func, "id", None) or getattr(sub.func, "attr", None)) in names
+        )
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and called(node, {"step"}):
+            lines = called(node, PSI_EVALUATORS)
+            if lines:
+                found.append((node.name, lines[0]))
+    return sorted(found, key=lambda item: item[1])
+
+
+def test_only_shift_ratios_forms_psi_at_a_shifted_point():
+    stray, seen = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for function, line in _shifted_psi_forms(tree):
+            if (path.name, function) == ("models.py", "shift_ratios"):
+                seen.append(line)
+            else:
+                stray.append(f"{path.name}:{line} in {function}")
+    assert seen, "models.shift_ratios no longer forms Psi at the shifted points"
+    assert not stray, "Psi formed at a shifted point outside shift_ratios: " + ", ".join(stray)
+
+
+def test_shifted_psi_guard_sees_each_form():
+    tree = ast.parse(
+        "def a(spec, x0):\n"
+        "    s = step(spec)\n"
+        "    return eta(spec, np.array([x0, x0 - s, x0 + s]))\n"
+        "def b(spec, roots, x):\n"
+        "    return _polynomial_part(spec, roots, x + models.step(spec), None)\n"
+        "def c(spec, x):\n"
+        "    def inner(roots):\n"
+        "        return spec.chart.eta_of(x - step(spec))\n"
+        "    return inner\n"
+        "def d(spec, sol, x):\n"
+        "    return eigenfunction_value(spec, sol, x - step(spec))\n"
+        "def e(spec, x):\n"
+        "    return x - step(spec), spec.eta, shift_ratios(spec, x, ())\n"
+        "def f(spec, x):\n"
+        "    return eta(spec, x)\n"
+    )
+    assert _shifted_psi_forms(tree) == [("a", 3), ("b", 5), ("c", 8), ("inner", 8), ("d", 11)]
 
 
 # The coordinate, with the sector, is one models.Chart: eta(x), the basis,

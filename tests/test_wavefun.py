@@ -131,6 +131,34 @@ class TestSchrodingerResidual:
         assert max(r.max() for r in schrodinger_residual(spec, sols, points)) <= 1e-8
         assert max(r.max() for r in schrodinger_residual(spec, exact, points)) <= 1e-12
 
+    def test_homotopy_seeded_beta_near_zero(self):
+        """At beta = -1e-8 the largest roots sit near 1/(2|beta|) and
+        Psi(x -+ i)/Psi(x) - 1 is ~1e-8: formed as the difference of two
+        products it cancelled to 1.03e-8 against the 1e-8 check."""
+        spec = model_spec(
+            "mp-crossed", M=7,
+            a1=complex(2.4382823351740726, 0.7119514191580878),
+            a2=complex(0.7125707424400739, -0.745496478313193),
+            beta=-1e-8,
+        )
+        sols = solve(spec, seed_mode="homotopy")
+        points = default_grid(spec, 12).points
+        assert max(r.max() for r in schrodinger_residual(spec, sols, points)) <= 1e-8
+
+    def test_finite_where_psi_vanishes(self):
+        """At a state's own root, where Psi(x) = 0, the residual reads the
+        Bethe equation V Psi(x - i) + V* Psi(x + i) = 0; at x = 0 in the odd
+        sector it reads V(0) = V*(0).  Either is finite and small, with no
+        RuntimeWarning."""
+        spec = model_spec("mp-crossed", M=3, a1=1.1 + 0.4j, a2=0.8 - 0.3j, beta=0.6)
+        for sol in solve(spec):
+            at_roots = schrodinger_residual(spec, [sol], list(sol.roots.roots_x) + [0.4])[0]
+            assert np.isfinite(at_roots).all() and at_roots.max() <= 1e-8
+        odd = model_spec("sextic-i", M=3, sector="odd", a=1.0, b=2.0, c=3.0)
+        assert 0j in default_grid(odd, 7).points
+        for residual in schrodinger_residual(odd, solve(odd), default_grid(odd, 7).points):
+            assert np.isfinite(residual).all() and residual.max() <= 1e-12
+
     def test_each_solution_reads_as_alone(self, rng):
         # V, V*, alpha_M and eta are shared by a model's solutions: each
         # residual equals its one-element call bit for bit
