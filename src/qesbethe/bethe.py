@@ -1,6 +1,6 @@
 """Bethe ansatz equations in cross-multiplied form, Newton polishing of
 root sets, and the eigenvalue read off the roots through the eigen-equation,
-as H~ Psi / Psi at an anchor point (``models.shift_ratios``).
+as H~ Psi / Psi at an anchor point (``models.operator_at``).
 
 Each family's equation is evaluated as a pair (L_j, R_j) of denominator-free
 products; the reported residual is |L_j - R_j| / max(|L_j|, |R_j|, eps).
@@ -23,12 +23,9 @@ from .hamiltonian import build_matrix
 from .models import (
     ModelSpec,
     bethe_root_count,
-    compensation_alpha,
     compensation_vanishes,
     eta,
-    potential_v,
-    potential_v_star,
-    shift_ratios,
+    operator_at,
 )
 from .numerics import NewtonOptions, newton_solve
 from .spectral import (
@@ -162,7 +159,7 @@ def _sides_z(spec: ModelSpec) -> _Sides:
 
 
 def _sides(spec: ModelSpec) -> _Sides:
-    """(L_j, R_j) as a function of the chart's points (``Chart.points``):
+    """(L_j, R_j) as a function of the chart's points (``Chart.points_of``):
     the z_j for eta = cos x, the x_j for every other coordinate."""
     return _sides_z(spec) if spec.chart.trigonometric else _sides_x(spec)
 
@@ -185,7 +182,7 @@ def bae_residual(
             "distinct roots"
         )
     out = []
-    for lhs, rhs in _sides(spec)(chart.points(roots)):
+    for lhs, rhs in _sides(spec)(chart.points_of(native)):
         out.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs), EPS))
     return tuple(out)
 
@@ -268,37 +265,23 @@ def newton_polish(
 # ---------------------------------------------------------------------------
 
 
-def _eigen_equation_at(spec: ModelSpec, x0: complex) -> Callable[[list], list[complex]]:
-    """E = V rho- + V* rho+ + alpha_M at the point x0, H~ Psi = E Psi
-    divided by Psi(x0), as a function of root sets of one size that build
-    Psi; rho-+ = Psi(x0 -+ s)/Psi(x0) - 1 (``models.shift_ratios``).  V, V*
-    and alpha_M at x0, which no root enters, are evaluated here, once."""
-    v = potential_v(spec, x0)
-    v_star = potential_v_star(spec, x0)
-    alpha = compensation_alpha(spec, x0)
-
-    def energy(root_sets: list) -> list[complex]:
-        r_minus, r_plus, _ = shift_ratios(spec, x0, np.reshape(root_sets, (len(root_sets), -1)))
-        return (v * r_minus + v_star * r_plus + alpha).tolist()
-
-    return energy
-
-
 def eigenvalue_from_roots(
     spec: ModelSpec, root_sets: Sequence[RootSet], equations: dict | None = None
 ) -> list[complex]:
     """E({eta_l}) of each root set, read off the eigen-equation H~ Psi = E
-    Psi (Baxter's T-Q relation) at one point off every grid and pole.
+    Psi (Baxter's T-Q relation) at one point x0 off every grid and pole:
+    E = V rho- + V* rho+ + alpha_M, the first three terms of
+    ``models.operator_at`` at x0, where Psi(x0) != 0.
 
     Fewer roots than the subspace degree carries are allowed: at exactly
     solvable parameter points eigenfunctions of every lower degree coexist
     in the subspace, and the same equation holds for them.  The second
     anchor is used for a root set with a root on eta at the first, where Psi
-    vanishes.  Each anchor's root-free terms are evaluated once for all the
-    root sets, and the second anchor's only if some root set needs it.
-    ``equations`` keeps them, keyed by anchor, for later calls on the same
-    model: ``solve`` shares one dict between its continuation legs and its
-    own call.
+    vanishes.  V, V* and alpha_M at an anchor are evaluated once for all the
+    root sets, and at the second anchor only if some root set needs it.
+    ``equations`` keeps each anchor's ``operator_at`` for later calls on the
+    same model: ``solve`` shares one dict between its continuation legs and
+    its own call.
     """
     expected = bethe_root_count(spec)
     for roots in root_sets:
@@ -314,8 +297,10 @@ def eigenvalue_from_roots(
     energies = [0j] * len(root_sets)
     for (x0, _), members in groups.items():
         if x0 not in equations:
-            equations[x0] = _eigen_equation_at(spec, x0)
-        for k, e in zip(members, equations[x0]([root_sets[k].roots_eta for k in members])):
+            equations[x0] = operator_at(spec, x0)
+        etas = np.reshape([root_sets[k].roots_eta for k in members], (len(members), -1))
+        minus, plus, alpha, _ = equations[x0](etas)
+        for k, e in zip(members, (minus + plus + alpha).tolist()):
             energies[k] = e
     return energies
 
@@ -346,7 +331,7 @@ def solve(spec: ModelSpec, seed_mode: str = "oracle") -> list[BetheSolution]:
     expected = bethe_root_count(spec)
     wanted = {idx for idx, pair in enumerate(pairs) if seed_mode == "homotopy" or pair.truncated}
     eigenvalues = [p.eigenvalue for p in pairs]
-    equations: dict = {}  # the eigen-equation's root-free terms, per anchor
+    equations: dict = {}  # H~ at each anchor, models.operator_at
     homotopy_seeds = homotopy_root_sets(spec, eigenvalues, wanted, equations) if wanted else {}
     unseeded = [idx for idx in range(len(pairs)) if idx not in homotopy_seeds]
     oracle_seeds = dict(zip(unseeded, extract_roots([pairs[idx] for idx in unseeded], spec)))

@@ -272,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p_grid)
     p_grid.add_argument("--n", type=int, default=20)
     p_grid.add_argument("--solution", type=int, default=0)
-    p_grid.add_argument("--format", choices=["csv"], default="csv")
 
     p_dump = sub.add_parser("dump-matrix", help="subspace matrix as JSON")
     _add_spec_flags(p_dump)

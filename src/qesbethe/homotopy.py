@@ -254,10 +254,9 @@ def homotopy_root_sets(
         return {}
     if any(pair.degenerate for pair in states):
         return {}
-    out: dict[int, RootSet] = {}
-    taken: dict[int, float] = {}
+    found: dict[int, tuple[float, RootSet]] = {}  # state -> (eigenvalue gap, roots)
     for pair in sorted(states, key=lambda p: p.degree):
-        if out.keys() >= wanted:
+        if found.keys() >= wanted:
             break
         try:
             roots = root_set(spec, _continuation_leg(spec, start, pair, target))
@@ -271,8 +270,7 @@ def homotopy_root_sets(
         # only keep legs that reproduce an oracle eigenvalue
         if idx not in wanted or gaps[idx] > 1e-6 * max(1.0, abs(e_val)):
             continue
-        if idx in taken and taken[idx] <= gaps[idx]:
+        if idx in found and found[idx][0] <= gaps[idx]:
             continue
-        out[idx] = roots
-        taken[idx] = gaps[idx]
-    return out
+        found[idx] = (gaps[idx], roots)
+    return {idx: roots for idx, (_, roots) in found.items()}

@@ -23,8 +23,11 @@ does any spell V: it is one ``Potential`` record (``ModelSpec.potential``).
 Every family is one difference operator, H~ Psi = V(x) [Psi(x - s) - Psi(x)]
 + V*(x) [Psi(x + s) - Psi(x)] + alpha_M(x) Psi(x), whose step s (``step``) is
 i for the x-families and i ln q for trig-q, where x - s is z -> qz.
-The eigenvalue and the pointwise check both read H~ Psi / Psi through
-``shift_ratios``, the one evaluation of Psi(x -+ s)/Psi(x) - 1.
+The eigenvalue and the pointwise check both read H~ Psi / Psi at a point
+through ``operator_at``: V, V* and alpha_M there, and ``shift_ratios``, the
+one evaluation of Psi(x -+ s)/Psi(x) - 1.  ``potential_v`` and
+``potential_v_star`` hold the one pole rule: |denominator| < ``POLE_TOL``
+raises PoleOfPotential.
 
 The conjugate potential V*(x) is the *analytic* conjugate: parameters are
 conjugated while x stays a free complex variable, V*(x) = V-bar(-x).  This
@@ -131,8 +134,7 @@ class Chart:
     representatives: Callable[[list], tuple]  # Newton values -> gauge-fixed (etas, xs, zs | None)
     newton: Callable[[Any], Sequence[complex]]  # a RootSet's Newton values
     from_eta: Callable[[complex], complex]  # eta_l -> its gauge-fixed Newton value
-    points: Callable[[Any], Sequence[complex]]  # a RootSet's x (or z), where Bethe sides are read
-    points_of: Callable[[list], list]  # the same points of raw Newton values
+    points_of: Callable[[list], list]  # Newton values -> x (or z), where Bethe sides are read
     eta_of: Callable[[np.ndarray], np.ndarray]  # eta of Newton values
 
     @functools.lru_cache(maxsize=128)
@@ -163,7 +165,6 @@ X_CHART = Chart(
     representatives=lambda xs: (xs, xs, None),
     newton=lambda roots: roots.roots_x,
     from_eta=_same,
-    points=lambda roots: roots.roots_x,
     points_of=_same,
     eta_of=_same,
 )
@@ -172,7 +173,6 @@ X2_CHART = Chart(
     representatives=lambda etas: (etas, [_gauge_x(cmath.sqrt(e)) for e in etas], None),
     newton=lambda roots: roots.roots_eta,
     from_eta=_same,
-    points=lambda roots: roots.roots_x,
     points_of=lambda etas: [cmath.sqrt(e) for e in etas],
     eta_of=_same,
 )
@@ -181,7 +181,6 @@ X2_ODD_CHART = Chart(
     representatives=lambda xs: ([x * x for x in xs], [_gauge_x(x) for x in xs], None),
     newton=lambda roots: roots.roots_x,
     from_eta=lambda eta_l: _gauge_x(cmath.sqrt(eta_l)),
-    points=lambda roots: roots.roots_x,
     points_of=_same,
     eta_of=lambda x: x * x,
 )
@@ -190,7 +189,6 @@ COS_CHART = Chart(
     representatives=_representatives_cos,
     newton=lambda roots: roots.roots_z,
     from_eta=_z_from_eta,
-    points=lambda roots: roots.roots_z,
     points_of=_same,
     eta_of=lambda z: 0.5 * (z + 1.0 / z),
 )
@@ -529,6 +527,23 @@ def shift_ratios(spec: ModelSpec, x, roots_eta: Sequence[complex]):
             logs = np.where(vanish, np.log(steps), complex_log1p(steps / np.where(vanish, 1.0, gaps)))
     minus, plus = np.expm1(logs.sum(axis=-1)) + apart
     return scalar_or_array(minus), scalar_or_array(plus), scalar_or_array(1.0 - apart)
+
+
+def operator_at(spec: ModelSpec, x) -> Callable:
+    """H~ Psi / Psi' at x as a function of Psi's roots ``roots_eta``, taken
+    as ``shift_ratios`` takes them: the terms V rho-, V* rho+, alpha_M Psi/Psi'
+    and Psi/Psi', with rho-+ = (Psi(x -+ s) - Psi(x)) / Psi' and Psi' from
+    ``shift_ratios``.  On an eigenstate the first three sum to E Psi/Psi'.
+    V, V* and alpha_M, which no root enters, are evaluated here, once; a
+    pole of V or V* raises PoleOfPotential."""
+    v, v_star = potential_v(spec, x), potential_v_star(spec, x)
+    alpha = compensation_alpha(spec, x)
+
+    def terms(roots_eta):
+        minus, plus, at_x = shift_ratios(spec, x, roots_eta)
+        return v * minus, v_star * plus, alpha * at_x, at_x
+
+    return terms
 
 
 def _potential(potential: Potential, at: np.ndarray, x: np.ndarray, name: str):

@@ -9,10 +9,12 @@ the factorized structure of the Hamiltonian through the zero-mode identity
     V*(x - s/2) phi0^2(x - s/2) = V(x + s/2) phi0^2(x + s/2),
 
 s the step of H~ (``models.step``): i, or i ln q in the trigonometric case.
-V, V* = V-bar(-x) and the factors of phi0^2 come from ``models.Potential``.
+The check takes V*/V from ``models.potential_v_star`` and ``potential_v``,
+under their one pole rule, and the phi0^2 ratio in log space, from the
+factors of ``models.Potential``.
 
 The Schroedinger residual below re-evaluates H~ Psi / Psi pointwise from
-the roots through ``models.shift_ratios``, as the eigenvalue does, with no
+the roots through ``models.operator_at``, as the eigenvalue does, with no
 polynomial algebra involved; it is an intentionally independent code path
 from the matrix construction, so that a common-mode bug in one of them
 cannot hide in both.
@@ -34,16 +36,7 @@ import numpy as np
 
 from .bethe import BetheSolution
 from .errors import PoleOfGamma, PoleOfPotential, QesError
-from .models import (
-    ModelSpec,
-    Potential,
-    compensation_alpha,
-    eta,
-    potential_v,
-    potential_v_star,
-    shift_ratios,
-    step,
-)
+from .models import ModelSpec, eta, operator_at, potential_v, potential_v_star, step
 from .numerics import gamma_poles, log_gamma, q_pochhammer_inf, scalar_or_array
 
 EPS = 1e-300
@@ -87,21 +80,6 @@ def _raise_at(error: type, bad: np.ndarray, arg: np.ndarray, x: np.ndarray, what
         raise error(f"{what} at {arg[k]} (grid point x = {x[k[-1]]})")
 
 
-def _log_potential(v: Potential, at: np.ndarray, y: np.ndarray, x: np.ndarray, name: str):
-    """log of ``v`` at ``at`` (z = e^{i at} for trig-q), which is ``name`` (V
-    or V*) at y, as a sum of logs of linear factors; 2 pi i ambiguities
-    cancel once the difference of two such logs is exponentiated."""
-    t = np.exp(1j * at) if v.trigonometric else at
-    factors = v.factors_at(t)
-    _raise_at(PoleOfPotential, (factors == 0).any(axis=0), y, x, f"{name} numerator factor vanishes")
-    out = cmath.log(v.lead) + np.log(factors).sum(axis=0)
-    if v.denominator is not None:
-        den = v.denominator_at(t)
-        _raise_at(PoleOfPotential, np.abs(den) < EPS, y, x, f"{name} pole")
-        out = out - np.log(den)
-    return out
-
-
 def _log_phi0_squared(spec: ModelSpec, x: np.ndarray, shifts: tuple[complex, ...]) -> np.ndarray:
     """log phi0^2 at x + s for each shift s, shape (len(shifts), x.size), all
     its q-Pochhammer (or Gamma) arguments in one call: for trig-q (z^2; q)
@@ -140,15 +118,16 @@ def phi0_squared(spec: ModelSpec, x):
 def zero_mode_residual(spec: ModelSpec, x):
     """Relative violation |delta - 1| / max(1, |delta|) of the squared
     zero-mode identity at x (a point or an array), delta = V* phi0^2 at
-    x - s/2 over V phi0^2 at x + s/2, formed in log space so that
-    overflow-scale Gamma or q-Pochhammer products cancel before exp."""
+    x - s/2 over V phi0^2 at x + s/2: V*/V times the phi0^2 ratio, formed
+    in log space so that overflow-scale Gamma or q-Pochhammer products
+    cancel before exp.  A pole of V or V*, or a zero of V, raises."""
     pts = _points(x)
     half = step(spec) / 2
-    minus, plus = pts - half, pts + half
-    log_v_star = _log_potential(spec.potential.bar, -minus, minus, pts, "V*")
-    log_v = _log_potential(spec.potential, plus, plus, pts, "V")
+    v_star = potential_v_star(spec, pts - half)
+    v = potential_v(spec, pts + half)
+    _raise_at(PoleOfPotential, v == 0, pts + half, pts, "V vanishes")
     log_phi = _log_phi0_squared(spec, pts, (-half, half))
-    delta = np.exp((log_v_star + log_phi[0]) - (log_v + log_phi[1]))
+    delta = v_star / v * np.exp(log_phi[0] - log_phi[1])
     return _shaped(np.abs(delta - 1.0) / np.maximum(1.0, np.abs(delta)), x)
 
 
@@ -170,11 +149,9 @@ def schrodinger_residual(spec: ModelSpec, solutions: Sequence[BetheSolution], x)
     divided out, at x (a point or an array) for each of a model's solutions,
     each in the shape of x: |V rho- + V* rho+ + alpha_M - E| / max(|V rho-|,
     |V* rho+|, |alpha_M|, |E|), rho-+ = Psi(x -+ s)/Psi(x) - 1 from
-    ``models.shift_ratios``.  Where Psi(x) = 0, alpha_M and E drop out."""
+    ``models.operator_at``.  Where Psi(x) = 0, alpha_M and E drop out."""
     pts = _points(x)
-    v = potential_v(spec, pts)
-    vs = potential_v_star(spec, pts)
-    alpha = compensation_alpha(spec, pts)
+    terms_of = operator_at(spec, pts)
     groups: dict = {}  # solutions with as many roots go through one call
     for k, sol in enumerate(solutions):
         groups.setdefault(len(sol.roots), []).append(k)
@@ -182,8 +159,8 @@ def schrodinger_residual(spec: ModelSpec, solutions: Sequence[BetheSolution], x)
     for members in groups.values():
         roots = np.reshape([solutions[k].roots.roots_eta for k in members], (len(members), 1, -1))
         energy = np.reshape([solutions[k].E_formula for k in members], (-1, 1))
-        r_minus, r_plus, at_x = shift_ratios(spec, pts, roots)
-        terms = np.stack([v * r_minus, vs * r_plus, alpha * at_x, -energy * at_x])
+        *terms, at_x = terms_of(roots)
+        terms = np.stack([*terms, -energy * at_x])
         scale = np.maximum(np.abs(terms).max(axis=0), EPS)
         for k, residual in zip(members, np.abs(terms.sum(axis=0)) / scale):
             out[k] = _shaped(residual, x)

@@ -9,8 +9,9 @@ eigen-equation, so ``bethe`` names no family.  The other guards below keep
 single routes for
 the subspace matrix, the Newton linear algebra and its variables, root
 extraction, root set construction, the pointwise shift of H~
-(``models.step``) and the reading of Psi at the shifted points
-(``models.shift_ratios``), build no sub-model of another subspace degree,
+(``models.step``), the reading of Psi at the shifted points
+(``models.shift_ratios``) and of H~ at a point (``models.operator_at``),
+build no sub-model of another subspace degree,
 keep module internals private, and keep every import in use.
 """
 
@@ -445,11 +446,16 @@ def test_private_import_guard_sees_each_form():
 
 
 # models.step is the one place that knows how H~ shifts a point: the
-# functions that shift by it (models.shift_ratios, and the zero-mode check's
-# half step) take it from there, with no per-coordinate branch and no
-# hard-coded shift, and V, V* have no second (z-form) body.
+# functions that shift by it or read H~ at a point (models.shift_ratios and
+# models.operator_at, and the zero-mode check's half step) take it from
+# there, with no per-coordinate branch and no hard-coded shift, and V, V*
+# have no second (z-form) body.
 
-POINTWISE_EVALUATORS = {"models.py": "shift_ratios", "wavefun.py": "zero_mode_residual"}
+POINTWISE_EVALUATORS = {
+    ("models.py", "shift_ratios"),
+    ("models.py", "operator_at"),
+    ("wavefun.py", "zero_mode_residual"),
+}
 
 
 def _coordinate_uses_and_imaginary_literals(function: ast.AST) -> list[int]:
@@ -473,7 +479,7 @@ def test_no_z_form_potentials():
 
 
 def test_pointwise_evaluators_take_the_step_from_models():
-    for module, name in POINTWISE_EVALUATORS.items():
+    for module, name in sorted(POINTWISE_EVALUATORS):
         tree = ast.parse((SRC / module).read_text())
         (function,) = [
             n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == name
@@ -556,6 +562,70 @@ def test_shifted_psi_guard_sees_each_form():
         "    return eta(spec, x)\n"
     )
     assert _shifted_psi_forms(tree) == [("a", 3), ("b", 5), ("c", 8), ("inner", 8), ("d", 11)]
+
+
+# models.operator_at is the one pointwise reading of H~: V, V*, alpha_M and
+# Psi(x -+ s)/Psi(x) at x, under models' one pole rule, shared by the
+# eigenvalue (bethe) and the Schroedinger check (wavefun).  Outside models
+# no function calls shift_ratios or compensation_alpha, and only the
+# zero-mode check, which reads V*/V at x -+ s/2 and no Psi, calls
+# potential_v or potential_v_star; the deleted _eigen_equation_at and the
+# check's own V, V* and alpha_M assembled H~ Psi / Psi a second time, and
+# the zero-mode check's log of V had a pole threshold of its own.
+
+OPERATOR_PARTS = {"shift_ratios", "compensation_alpha", "potential_v", "potential_v_star"}
+OPERATOR_READERS = {("bethe.py", "eigenvalue_from_roots"), ("wavefun.py", "schrodinger_residual")}
+POTENTIAL_READER = ("wavefun.py", "zero_mode_residual")
+
+
+def _operator_uses(tree: ast.AST) -> list[tuple[str, str, int]]:
+    """(name, enclosing function, line) of every call of operator_at,
+    shift_ratios, compensation_alpha, potential_v or potential_v_star, bare
+    or as an attribute, and of every import that renames one of them."""
+    names = OPERATOR_PARTS | {"operator_at"}
+    found = []
+    for node, function in _nodes_in_functions(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in names:
+                found.append((name, function, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(a.name, function, node.lineno) for a in node.names
+                      if a.name in names and a.asname]
+    return found
+
+
+def test_only_models_assembles_the_operator():
+    readers, potential, stray = set(), set(), []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "models.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for name, function, line in _operator_uses(tree):
+            if name == "operator_at" and (path.name, function) in OPERATOR_READERS:
+                readers.add((path.name, function))
+            elif name.startswith("potential_v") and (path.name, function) == POTENTIAL_READER:
+                potential.add(name)
+            else:
+                stray.append(f"{path.name}:{line} {name} in {function}")
+    assert readers == OPERATOR_READERS, f"only {sorted(readers)} read H~ through operator_at"
+    assert potential == {"potential_v", "potential_v_star"}, "the zero-mode check reads V apart"
+    assert not stray, "H~ or V evaluated outside models.operator_at at " + ", ".join(stray)
+
+
+def test_operator_guard_sees_each_form():
+    tree = ast.parse(
+        "from .models import shift_ratios as ratios, operator_at\n"
+        "def f(spec, x, roots):\n"
+        "    a = models.compensation_alpha(spec, x) * shift_ratios(spec, x, roots)[2]\n"
+        "    b = potential_v(spec, x), models.potential_v_star(spec, -x)\n"
+        "    return operator_at(spec, x)(roots), spec.potential, compensation_coefficient(spec)\n"
+    )
+    assert _operator_uses(tree) == [
+        ("shift_ratios", "<module>", 1), ("compensation_alpha", "f", 3),
+        ("shift_ratios", "f", 3), ("potential_v", "f", 4), ("potential_v_star", "f", 4),
+        ("operator_at", "f", 5),
+    ]
 
 
 # The coordinate, with the sector, is one models.Chart: eta(x), the basis,

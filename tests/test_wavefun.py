@@ -84,6 +84,24 @@ class TestZeroMode:
                 assert zero_mode_residual(spec, x) <= 1e-10, (spec.family, spec.dropped, x)
 
 
+class TestPoleRule:
+    def test_zero_mode_and_schrodinger_share_the_pole_tolerance(self):
+        """Both checks read V through models.potential_v: 1e-13 from the pole
+        at x = 0 raises in each, where the zero-mode check evaluates V at
+        x + i/2 = 1e-13 and the Schroedinger check at x = 1e-13."""
+        spec = model_spec("centrifugal-i", M=1, b=1.2, c=0.7, d=2.2, e=0.9, f=1.6)
+        with pytest.raises(PoleOfPotential):
+            zero_mode_residual(spec, 1e-13 - 0.5j)
+        with pytest.raises(PoleOfPotential):
+            schrodinger_residual(spec, solve(spec), 1e-13)
+
+    def test_zero_of_v_raises(self):
+        # V(x + i/2) = 0 at x = i/2 (factor a + ix, a = 1): delta has a pole
+        spec = model_spec("sextic-i", M=2, sector="even", a=1.0, b=2.0, c=3.0)
+        with pytest.raises(PoleOfPotential, match=r"V vanishes at 1j"):
+            zero_mode_residual(spec, 0.5j)
+
+
 class TestSchrodingerResidual:
     def test_hand_worked_state(self):
         spec = model_spec("mp-crossed", M=1, a1=1, a2=1, beta=math.pi / 2)
@@ -234,8 +252,9 @@ class TestBatchedEqualsScalar:
         assert isinstance(schrodinger_residual(spec, solve(spec)[:1], 0.7)[0], float)
 
     def test_potential_pole_names_the_point(self):
+        # models names the point where V* was evaluated: x - i/2 = 0 at x = i/2
         spec = model_spec("centrifugal-i", M=1, b=1.2, c=0.7, d=2.2, e=0.9, f=1.6)
-        with pytest.raises(PoleOfPotential, match=r"grid point x = 0\.5j"):
+        with pytest.raises(PoleOfPotential, match=r"V\*\(x\) pole at x = 0j"):
             zero_mode_residual(spec, [1.0, 0.5j, 2.0])  # V*(x - i/2) = V*(0)
 
     def test_gamma_pole_names_the_point(self):
